@@ -138,7 +138,7 @@ void BM_SpineBuild(benchmark::State& state) {
       static_cast<std::int64_t>(world().archive.observation_count()));
 }
 BENCHMARK(BM_SpineBuild)->Arg(1)->Arg(2)->Arg(8)
-    ->Unit(benchmark::kMillisecond);
+    ->UseRealTime()->Unit(benchmark::kMillisecond);
 
 // No-routing build: the CSR + stats cost alone, isolating the ASN column.
 void BM_SpineBuildNoRouting(benchmark::State& state) {

@@ -174,7 +174,7 @@ void BM_NotaryIndexBuild(benchmark::State& state) {
                           static_cast<std::int64_t>(archive().certs().size()));
 }
 BENCHMARK(BM_NotaryIndexBuild)->Arg(1)->Arg(2)->Arg(8)
-    ->Unit(benchmark::kMillisecond);
+    ->UseRealTime()->Unit(benchmark::kMillisecond);
 
 // One handler thread, cache off vs on (service recreated per run so the
 // cache starts cold but warms within the first sweep). Renders into a

@@ -4,14 +4,16 @@
 # sm_reshard deployment splits a shard and merges it back under
 # oracle-checked loopback load — zero failed queries allowed), then a
 # ThreadSanitizer build exercising the concurrency-bearing tests
-# (thread pool, corpus spine, linking pipeline, dataset index, tracker,
-# parallel world simulation, batch verifier, notary epoll server +
+# (thread pool, cert-table readers racing appends, corpus spine, linking
+# pipeline, dataset index, tracker, parallel world simulation, batch
+# verifier, notary epoll server +
 # loopback traffic, live-ingestion epoch swaps racing loopback queries,
 # sharded router deployment with backend kill/restart, online-resharding
 # split/merge handoffs under load),
 # then an AddressSanitizer build running the archive I/O and notary-frame
 # corruption harnesses (exhaustive truncation + bit-flip sweeps over
-# hostile input) plus the world-determinism test.
+# hostile input), the shared cert-table chunks, plus the world-determinism
+# test.
 #
 # The simworld_parallel_test golden-hash determinism check runs under BOTH
 # sanitizer configs: any thread-count divergence in the simulated archive
@@ -117,8 +119,8 @@ smoke_cleanup
 trap - EXIT
 echo "resharding smoke OK"
 
-tsan_tests=(thread_pool_test corpus_test linking_parallel_test linking_test
-            analysis_test tracking_test util_test
+tsan_tests=(thread_pool_test cert_table_test corpus_test linking_parallel_test
+            linking_test analysis_test tracking_test util_test
             simworld_parallel_test batch_verifier_test
             netio_test notary_test notary_loopback_test live_ingest_test
             router_test revocation_test reshard_test)
@@ -136,8 +138,8 @@ if [[ "$run_tsan" == 1 ]]; then
 fi
 
 asan_tests=(archive_corruption_test archive_io_test simworld_parallel_test
-            corpus_test netio_test notary_loopback_test live_ingest_test
-            router_test revocation_test reshard_test)
+            cert_table_test corpus_test netio_test notary_loopback_test
+            live_ingest_test router_test revocation_test reshard_test)
 if [[ "$run_asan" == 1 ]]; then
   echo "== tier 1: ASan build (archive I/O + notary-frame corruption harnesses + world determinism) =="
   cmake -B build-asan -S . -DSM_SANITIZE=address >/dev/null

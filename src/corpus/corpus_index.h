@@ -17,8 +17,9 @@
 //              snapshot in effect at that observation's scan start
 //              (0 = unroutable or no routing history supplied)
 //   stats_     the derived per-certificate row (scans seen, first/last
-//              scan, unique-IP slots, min/max IPs per scan, distinct
-//              ASes, majority AS)
+//              scan, unique-IP slots, min/max IPs per scan, distinct IPs,
+//              /24s and ASes, majority AS)
+//   first_device_  ground-truth device of each cert's first observation
 //
 // Construction runs on a util::ThreadPool (the process-global pool when
 // null) and is deterministic: the CSR layout is defined by archive order
@@ -26,6 +27,12 @@
 // index-addressed slots, so every column is bit-identical at any thread
 // count. After construction the index is immutable; all accessors are
 // zero-copy spans safe to read from any number of threads.
+//
+// A growing corpus (corpus::LiveCorpus) extends the previous epoch's
+// spine instead of rebuilding it: the extension constructor copies the
+// old rows, resolves ASNs only for the appended observations, and
+// re-derives stats only for certificates that gained one. The result is
+// column-for-column identical to a cold build over the same archive.
 #pragma once
 
 #include <cstdint>
@@ -52,6 +59,12 @@ struct CertStats {
   /// The AS hosting this certificate most often (observation-weighted;
   /// ties break toward the smallest AS number).
   net::Asn majority_as = 0;
+  /// Distinct IPs and /24 prefixes over every observation.
+  std::uint32_t distinct_ips = 0;
+  std::uint32_t distinct_slash24s = 0;
+  /// Distinct origin ASes over every observation, not counting
+  /// unroutable ones (ASN 0); 0 without a routing history.
+  std::uint32_t distinct_routed_ases = 0;
 
   /// Average unique IPs advertising the certificate per scan where seen
   /// (the paper's Figure 7 metric). 0 when never observed.
@@ -86,6 +99,18 @@ class CorpusIndex {
  public:
   explicit CorpusIndex(const scan::ScanArchive& archive,
                        const CorpusOptions& options = {});
+
+  /// Extends `prev` to `archive`, which must be an append of the archive
+  /// `prev` was built over: the same certificates (ids stable) and the
+  /// same scans first, then new ones. Costs O(observations) of copying
+  /// plus ASN resolution for the appended observations and stats for the
+  /// certificates they touch. Throws std::invalid_argument when `archive`
+  /// has fewer certificates or scans than `prev`, its old scans hold a
+  /// different number of observations, or `options.routing` differs from
+  /// the routing `prev` was built with. `prev` is only read during
+  /// construction.
+  CorpusIndex(const scan::ScanArchive& archive, const CorpusIndex& prev,
+              const CorpusOptions& options = {});
 
   CorpusIndex(const CorpusIndex&) = delete;
   CorpusIndex& operator=(const CorpusIndex&) = delete;
@@ -130,6 +155,19 @@ class CorpusIndex {
   net::Asn as_of(std::size_t scan_index, std::uint32_t ip) const;
 
  private:
+  /// Per-thread buffers for derive_stats.
+  struct Scratch {
+    std::vector<std::uint32_t> scan_ips;  // one scan's IPs
+    std::vector<std::uint32_t> row_ips;   // each scan's unique IPs
+    std::vector<std::uint64_t> seen;      // hash set over row_ips
+    std::vector<net::Asn> ases;
+  };
+
+  /// Origin AS of the observation in `slot` (0 = unroutable).
+  net::Asn resolve(std::uint64_t slot) const;
+  /// Derives stats_[id] from the certificate's row.
+  void derive_stats(std::size_t id, Scratch& scratch);
+
   const scan::ScanArchive* archive_;
   const net::RoutingHistory* routing_;
   std::vector<const net::RouteTable*> scan_tables_;  // per scan

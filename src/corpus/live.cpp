@@ -59,17 +59,23 @@ bool parse_smar(std::istream& in, const char* what,
 struct LiveCorpus::PendingPublish {
   std::shared_ptr<scan::ScanArchive> archive;
   std::vector<scan::CertId> delta;
+  /// The archive appends to the current one: extend its spine rather
+  /// than build cold.
+  bool append = false;
 };
 
 void LiveCorpus::publish(PendingPublish&& pending) {
   const std::shared_ptr<const LiveSnapshot> cur = snapshot();
   auto snap = std::make_shared<LiveSnapshot>();
   snap->epoch = cur ? cur->epoch + 1 : 0;
-  // Build the new spine (the expensive part — readers keep serving the
-  // old epoch throughout) and publish. The release store pairs with
-  // snapshot()'s acquire load.
-  snap->spine = std::make_shared<const CorpusIndex>(
-      *pending.archive, CorpusOptions{routing_, pool_});
+  // Build the new spine (readers keep serving the old epoch throughout)
+  // and publish. The release store pairs with snapshot()'s acquire load.
+  const CorpusOptions options{routing_, pool_};
+  snap->spine =
+      pending.append
+          ? std::make_shared<const CorpusIndex>(*pending.archive, *cur->spine,
+                                                options)
+          : std::make_shared<const CorpusIndex>(*pending.archive, options);
   snap->archive = std::move(pending.archive);
   snap->delta = std::move(pending.delta);
   snap->statuses = statuses_;
@@ -128,7 +134,9 @@ AppendResult LiveCorpus::append_segment(std::istream& in,
   }
 
   // Copy-on-append: the new epoch gets its own archive; every snapshot
-  // already handed out keeps (and owns) the previous one.
+  // already handed out keeps the previous one. The copy shares the
+  // certificate records (scan::CertTable), so it costs the scan and
+  // intern tables, not the records.
   auto next = std::make_shared<scan::ScanArchive>(*cur->archive);
   const std::size_t old_cert_count = next->certs().size();
 
@@ -203,7 +211,7 @@ AppendResult LiveCorpus::append_segment(std::istream& in,
 
   // Commit the append-side key map only now that nothing can fail.
   for (const auto& [key, id] : new_keys) keys_[key].push_back(id);
-  publish(PendingPublish{std::move(next), std::move(delta)});
+  publish(PendingPublish{std::move(next), std::move(delta), /*append=*/true});
   result.ok = true;
   return result;
 }

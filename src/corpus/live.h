@@ -10,8 +10,12 @@
 //   * ingest: append_segment() streams one SMAR segment (certificates +
 //     scans) through scan::ArchiveReader, re-interns its certificates
 //     into a *copy* of the current archive, appends its scans, and
-//     builds a fresh immutable corpus::CorpusIndex spine on the shared
-//     util::ThreadPool;
+//     extends the previous epoch's immutable corpus::CorpusIndex spine
+//     on the shared util::ThreadPool. The cost follows the segment, not
+//     the corpus: the copy shares every certificate record with the
+//     previous epoch (scan::CertTable), and the extension resolves ASNs
+//     and stats only for what the segment touched. merge_slice and
+//     retire_prefix rebuild the archive and build their spine cold;
 //   * publish: the new (archive, spine, delta) triple becomes a
 //     LiveSnapshot published through one epoch/RCU-style shared_ptr
 //     swap (std::atomic<std::shared_ptr>, release store). Readers take
@@ -22,8 +26,9 @@
 //     whose knowledge changed in that epoch — certificates observed by
 //     the new scans, newly interned certificates, and every existing
 //     certificate sharing an SPKI key with a new one (its key-sharing
-//     degree grew). Downstream caches (NotaryService's per-shard LRU)
-//     invalidate precisely this set and keep everything else.
+//     degree grew). Downstream caches (NotaryService's per-shard
+//     ring-arena slot cache) invalidate precisely this set and keep
+//     everything else.
 //
 // Certificate ids are stable across epochs: interning is append-only
 // and deduplicates by fingerprint, so id N means the same certificate

@@ -235,7 +235,9 @@ struct ClientPool::Impl {
     conn.waiters.clear();
   }
 
-  /// Reader-side teardown. Caller holds conn.mutex.
+  /// Reader-side teardown. Caller holds conn.mutex. State first, promises
+  /// last: a caller woken by a failed future must already see the backend
+  /// down and the counters bumped, or a retry could route straight back.
   void break_connection(Backend& backend, Conn& conn, CallStatus status) {
     if (!conn.is_probe) {
       const std::uint64_t n = conn.waiters.size();
@@ -243,10 +245,10 @@ struct ClientPool::Impl {
                                                      : backend.io_errors;
       counter.fetch_add(n, std::memory_order_relaxed);
     }
-    fail_waiters(conn, status);
     ::close(conn.fd);
     conn.fd = -1;
     mark_down(backend);
+    fail_waiters(conn, status);
   }
 
   void reader_loop(Backend& backend, Conn& conn) {
@@ -312,12 +314,12 @@ struct ClientPool::Impl {
         frame = Frame{};
       }
     }
-    // Shutdown: resolve anything still in flight, release the socket.
-    fail_waiters(conn, CallStatus::kShutdown);
+    // Shutdown: release the socket, then resolve anything still in flight.
     if (conn.fd >= 0) {
       ::close(conn.fd);
       conn.fd = -1;
     }
+    fail_waiters(conn, CallStatus::kShutdown);
   }
 
   /// Sends every payload as one pipelined flight on `conn`: one lock, one

@@ -4,13 +4,50 @@
 #include <bit>
 #include <cinttypes>
 #include <cstdio>
-#include <span>
+#include <optional>
 #include <string_view>
 
 #include "util/datetime.h"
 #include "util/thread_pool.h"
 
 namespace sm::notary {
+namespace {
+
+/// Certificates per SPKI key over one archive, in a flat open-addressing
+/// table: the key fingerprint is already uniform hash output, so it picks
+/// the slot directly. A zero count marks an empty slot.
+class KeyDegrees {
+ public:
+  explicit KeyDegrees(const scan::CertTable& certs)
+      : slots_(std::bit_ceil(2 * certs.size() + 1)), mask_(slots_.size() - 1) {
+    for (const scan::CertRecord& cert : certs) {
+      Slot& slot = slots_[find(cert.key_fingerprint)];
+      slot.key = cert.key_fingerprint;
+      ++slot.count;
+    }
+  }
+
+  std::uint32_t degree(scan::KeyFingerprint key) const {
+    return slots_[find(key)].count;
+  }
+
+ private:
+  struct Slot {
+    scan::KeyFingerprint key = 0;
+    std::uint32_t count = 0;
+  };
+
+  std::size_t find(scan::KeyFingerprint key) const {
+    std::size_t i = static_cast<std::size_t>(key) & mask_;
+    while (slots_[i].count != 0 && slots_[i].key != key) i = (i + 1) & mask_;
+    return i;
+  }
+
+  std::vector<Slot> slots_;
+  std::size_t mask_;
+};
+
+}  // namespace
 
 NotaryIndex::NotaryIndex(const corpus::CorpusIndex& corpus,
                          const NotaryIndexOptions& options) {
@@ -27,24 +64,14 @@ NotaryIndex::NotaryIndex(const corpus::CorpusIndex& corpus,
   // Key-sharing degree: certificates per SPKI fingerprint — over this
   // archive, unless the caller supplies degrees computed over a larger
   // corpus (the prefix-shard case, where the slice under-counts).
-  std::unordered_map<scan::KeyFingerprint, std::uint32_t> local_key_counts;
-  const auto* key_counts = options.key_counts;
-  if (key_counts == nullptr) {
-    local_key_counts.reserve(cert_count);
-    for (const scan::CertRecord& cert : certs) {
-      ++local_key_counts[cert.key_fingerprint];
-    }
-    key_counts = &local_key_counts;
-  }
+  std::optional<KeyDegrees> local_degrees;
+  if (options.key_counts == nullptr) local_degrees.emplace(certs);
 
-  // Per-certificate derivation over the shared spine's CSR and ASN
-  // columns: independent index-addressed slots, so the result is identical
-  // at every thread count.
+  // Per-certificate copy out of the record and the spine's stats row:
+  // independent index-addressed slots, so the result is identical at
+  // every thread count.
   pool.parallel_for(cert_count, 256, [&](std::size_t begin,
                                          std::size_t end) {
-    std::vector<std::uint32_t> ips;
-    std::vector<std::uint32_t> slash24s;
-    std::vector<net::Asn> ases;
     for (std::size_t i = begin; i < end; ++i) {
       const scan::CertRecord& record = certs[i];
       CertKnowledge& k = entries_[i];
@@ -56,7 +83,9 @@ NotaryIndex::NotaryIndex(const corpus::CorpusIndex& corpus,
       k.issuer_cn = record.issuer_cn;
       k.not_before = record.not_before;
       k.not_after = record.not_after;
-      k.key_sharing = key_counts->at(record.key_fingerprint);
+      k.key_sharing = local_degrees
+                          ? local_degrees->degree(record.key_fingerprint)
+                          : options.key_counts->at(record.key_fingerprint);
       if (options.revocation_statuses != nullptr) {
         const auto rev = options.revocation_statuses->find(record.fingerprint);
         if (rev != options.revocation_statuses->end()) {
@@ -65,32 +94,15 @@ NotaryIndex::NotaryIndex(const corpus::CorpusIndex& corpus,
       }
 
       const auto id = static_cast<scan::CertId>(i);
-      const std::span<const corpus::Obs> obs = corpus.observations(id);
-      const std::span<const net::Asn> asns = corpus.asns(id);
-      k.observations = obs.size();
-      if (obs.empty()) continue;  // interned but never observed
+      k.observations = corpus.observations(id).size();
+      if (k.observations == 0) continue;  // interned but never observed
       const corpus::CertStats& stats = corpus.stats(id);
       k.scans_seen = stats.scans_seen;
       k.first_seen = scans[stats.first_scan].event.start;
       k.last_seen = scans[stats.last_scan].event.start;
-
-      ips.clear();
-      slash24s.clear();
-      ases.clear();
-      for (std::size_t o = 0; o < obs.size(); ++o) {
-        ips.push_back(obs[o].ip);
-        slash24s.push_back(obs[o].ip >> 8);
-        // Unroutable observations (ASN 0) don't contribute an AS.
-        if (asns[o] != 0) ases.push_back(asns[o]);
-      }
-      const auto distinct = [](auto& v) {
-        std::sort(v.begin(), v.end());
-        return static_cast<std::uint32_t>(
-            std::unique(v.begin(), v.end()) - v.begin());
-      };
-      k.distinct_ips = distinct(ips);
-      k.distinct_slash24s = distinct(slash24s);
-      k.distinct_ases = distinct(ases);
+      k.distinct_ips = stats.distinct_ips;
+      k.distinct_slash24s = stats.distinct_slash24s;
+      k.distinct_ases = stats.distinct_routed_ases;
     }
   });
 
@@ -110,7 +122,7 @@ NotaryIndex::NotaryIndex(const corpus::CorpusIndex& corpus,
   // count.
   std::array<std::vector<scan::CertId>, kShards> buckets;
   for (std::size_t i = 0; i < cert_count; ++i) {
-    buckets[shard_of(certs[i].fingerprint)].push_back(
+    buckets[shard_of(entries_[i].fingerprint)].push_back(
         static_cast<scan::CertId>(i));
   }
   pool.parallel_for(kShards, 1, [&](std::size_t begin, std::size_t end) {
@@ -124,7 +136,7 @@ NotaryIndex::NotaryIndex(const corpus::CorpusIndex& corpus,
       shard.slots.assign(std::bit_ceil(want), Slot{});
       shard.mask = shard.slots.size() - 1;
       for (const scan::CertId id : buckets[s]) {
-        const scan::CertFingerprint& fp = certs[id].fingerprint;
+        const scan::CertFingerprint& fp = entries_[id].fingerprint;
         std::size_t i = static_cast<std::size_t>(probe_hash(fp)) & shard.mask;
         for (;; i = (i + 1) & shard.mask) {
           Slot& slot = shard.slots[i];

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "scan/cert_record.h"
+#include "scan/cert_table.h"
 #include "scan/schedule.h"
 
 namespace sm::scan {
@@ -68,7 +69,10 @@ class ScanArchive {
   /// Pre-sizes the certificate table (a load-time optimization).
   void reserve_certs(std::size_t n);
 
-  const std::vector<CertRecord>& certs() const { return certs_; }
+  /// The certificate table ([] = cert id). Copies of an archive share its
+  /// storage (see CertTable), so copying one to append costs O(scans +
+  /// interned fingerprints), not O(certificate records).
+  const CertTable& certs() const { return certs_; }
   const std::vector<ScanData>& scans() const { return scans_; }
 
   const CertRecord& cert(CertId id) const { return certs_[id]; }
@@ -78,7 +82,7 @@ class ScanArchive {
   std::size_t observation_count() const { return observation_count_; }
 
  private:
-  std::vector<CertRecord> certs_;
+  CertTable certs_;
   std::unordered_map<CertFingerprint, CertId, FingerprintHash> by_fingerprint_;
   std::vector<ScanData> scans_;
   std::size_t observation_count_ = 0;

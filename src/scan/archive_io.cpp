@@ -31,6 +31,8 @@ constexpr std::uint64_t kMaxScans = 1u << 20;
 constexpr std::uint64_t kMaxFrameBytes = 1u << 30;  // 1 GiB per frame
 constexpr std::uint64_t kMaxCertsPerFrame = 1u << 20;
 constexpr std::uint64_t kCertsPerFrame = 8192;  // shard size we write
+constexpr std::size_t kTableChunksPerFrame = kCertsPerFrame / CertTable::kChunk;
+static_assert(kCertsPerFrame % CertTable::kChunk == 0);
 constexpr std::size_t kReadChunk = 1u << 20;    // incremental stream reads
 
 constexpr std::size_t kObsBytes = 12;       // u32 cert + u32 ip + u32 device
@@ -415,10 +417,15 @@ bool save_v2(const ScanArchive& archive, std::ostream& out) {
   // Validate every limit (and pre-compute frame sizes) before writing a
   // single byte, so an over-limit archive fails loudly instead of leaving
   // a part-written file behind.
+  // Both passes walk the table's chunk spans; a frame is exactly
+  // kTableChunksPerFrame of them.
   std::vector<std::uint64_t> chunk_bytes(n_chunks, 0);
-  for (std::size_t i = 0; i < certs.size(); ++i) {
-    if (!cert_within_limits(certs[i])) return false;
-    chunk_bytes[i / kCertsPerFrame] += serialized_cert_bytes(certs[i]);
+  for (std::size_t c = 0; c < certs.chunk_count(); ++c) {
+    std::uint64_t& bytes = chunk_bytes[c / kTableChunksPerFrame];
+    for (const CertRecord& cert : certs.chunk(c)) {
+      if (!cert_within_limits(cert)) return false;
+      bytes += serialized_cert_bytes(cert);
+    }
   }
   for (const std::uint64_t bytes : chunk_bytes) {
     if (bytes > kMaxFrameBytes) return false;
@@ -436,11 +443,15 @@ bool save_v2(const ScanArchive& archive, std::ostream& out) {
   std::vector<std::uint32_t> cert_crcs(n_chunks);
   pool.parallel_for(n_chunks, 1, [&](std::size_t begin, std::size_t end) {
     for (std::size_t f = begin; f < end; ++f) {
-      const std::size_t lo = f * kCertsPerFrame;
+      const std::size_t lo = f * kTableChunksPerFrame;
       const std::size_t hi =
-          std::min<std::size_t>(lo + kCertsPerFrame, certs.size());
+          std::min(lo + kTableChunksPerFrame, certs.chunk_count());
       cert_bufs[f].reserve(chunk_bytes[f]);
-      for (std::size_t i = lo; i < hi; ++i) append_cert(cert_bufs[f], certs[i]);
+      for (std::size_t c = lo; c < hi; ++c) {
+        for (const CertRecord& cert : certs.chunk(c)) {
+          append_cert(cert_bufs[f], cert);
+        }
+      }
       cert_crcs[f] = util::crc32(cert_bufs[f]);
     }
   });

@@ -267,8 +267,16 @@ TEST_F(NotaryLoopbackTest, GracefulShutdownMidLoadNeverTearsAFrame) {
       }
     });
   }
-  // Let the load ramp, then pull the plug mid-flight.
-  while (completed.load(std::memory_order_relaxed) < 200) {
+  // Let the load ramp, then pull the plug mid-flight. Wait for every
+  // client's accept too: a client still in the listen backlog when the
+  // listener closes is never accepted (bounded, so a client that cannot
+  // connect fails the count below instead of hanging).
+  const auto ramp_deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while ((completed.load(std::memory_order_relaxed) < 200 ||
+          server->counters().connections_accepted <
+              static_cast<std::uint64_t>(kClients)) &&
+         std::chrono::steady_clock::now() < ramp_deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   server->shutdown();

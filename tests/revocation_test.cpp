@@ -508,7 +508,7 @@ TEST(NotaryRevocation, DefaultsToUnknownWithoutInjection) {
   notary::NotaryService service(index);
   const netio::Frame response =
       service.handle(netio::FrameType::kRevocationQuery,
-                     fp_payload(world.archive.certs().front().fingerprint));
+                     fp_payload(world.archive.certs()[0].fingerprint));
   ASSERT_EQ(response.type, netio::FrameType::kRevocationInfo);
   EXPECT_NE(response.payload.find("revocation: unknown"), std::string::npos);
 }
@@ -527,7 +527,7 @@ TEST(NotaryRevocation, UnknownRequestTypeAnswersErrorAndServiceStaysUp) {
   // The service keeps serving.
   EXPECT_EQ(service
                 .handle(netio::FrameType::kQuery,
-                        fp_payload(world.archive.certs().front().fingerprint))
+                        fp_payload(world.archive.certs()[0].fingerprint))
                 .type,
             netio::FrameType::kCertInfo);
 }

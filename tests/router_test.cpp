@@ -313,7 +313,7 @@ TEST_F(RouterWorldTest, UnknownTypeAnswersErrorAndConnectionSurvives) {
   EXPECT_EQ(response.type, netio::FrameType::kError);
 
   // Same connection, normal service.
-  const scan::CertFingerprint fp = world_->archive.certs().front().fingerprint;
+  const scan::CertFingerprint fp = world_->archive.certs()[0].fingerprint;
   ASSERT_TRUE(client.send_frame(netio::FrameType::kQuery, fp_payload(fp)));
   ASSERT_TRUE(client.read_frame(response));
   EXPECT_EQ(response.type, netio::FrameType::kCertInfo);

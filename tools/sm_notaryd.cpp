@@ -898,8 +898,8 @@ int run_ingest_bench(const Options& opts, tools::LoadedCorpus corpus) {
   const std::size_t base_scans = full.scans().size() - segments;
 
   // Serialize the held-out scans as standalone segments up front, so the
-  // timed loop measures ingestion (parse + copy-on-append + spine/index
-  // rebuild + publish), not segment production.
+  // timed loop measures ingestion (parse + archive copy + spine extension
+  // + index build + publish), not segment production.
   std::vector<std::string> segment_bytes;
   segment_bytes.reserve(segments);
   for (std::size_t i = 0; i < segments; ++i) {
