@@ -135,6 +135,13 @@ if [[ "$run_tsan" == 1 ]]; then
     echo "-- $t (tsan)"
     ./build-tsan/tests/"$t" --gtest_brief=1
   done
+  # ClientPool callers hand a connection's reading role to each other;
+  # those handoffs race only under real parallelism, so the pool and the
+  # router over it get repeated runs.
+  for t in netio_test router_test; do
+    echo "-- $t (tsan, repeat 20)"
+    ./build-tsan/tests/"$t" --gtest_brief=1 --gtest_repeat=20
+  done
 fi
 
 asan_tests=(archive_corruption_test archive_io_test simworld_parallel_test

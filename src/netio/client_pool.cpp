@@ -26,14 +26,19 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-// Poll ceiling so reader/prober threads notice shutdown on a silent
-// socket within one tick.
+// Poll ceiling for the thread holding a connection's reading role: it
+// re-checks the connection under the lock at least this often. Teardown
+// wakes it at once (shutdown() on the fd ends its poll); the tick only
+// bounds the wait should that wake be missed.
 constexpr int kTickMs = 100;
 
+/// Milliseconds until `deadline`, capped at kTickMs. Rounded up: a
+/// sub-millisecond remainder truncated to 0 would turn the wait into a
+/// poll(…, 0) spin until the deadline passed.
 int remaining_ms(Clock::time_point deadline) {
-  const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-                        deadline - Clock::now())
-                        .count();
+  const auto left =
+      std::chrono::ceil<std::chrono::milliseconds>(deadline - Clock::now())
+          .count();
   if (left <= 0) return 0;
   return static_cast<int>(std::min<long long>(left, kTickMs));
 }
@@ -153,27 +158,32 @@ bool send_frames(int fd, FrameType type,
 }  // namespace
 
 struct ClientPool::Impl {
-  struct Waiter {
-    std::promise<CallResult> promise;
+  /// One call's completion record, queued on its connection while in
+  /// flight. Guarded by the connection's mutex.
+  struct Slot {
     Clock::time_point deadline;
+    bool done = false;
+    CallResult result;
   };
 
-  // One pooled connection. Ownership discipline, so fd lifetime is
-  // single-writer: the fd transitions -1 -> live only by a caller (under
-  // `mutex`, and only while fd == -1, which implies the reader is parked
-  // and not touching fd/decoder), and live -> -1 only by the reader —
-  // except that a caller may close it directly when `waiters` is empty
-  // (the reader only runs its read phase with waiters in flight, so an
-  // empty deque means it is parked behind `mutex`). With waiters in
-  // flight a failing caller calls ::shutdown() instead and lets the
-  // reader observe the broken stream and clean up.
+  // One pooled connection. `mutex` guards every field; the fd's I/O is the
+  // one exception. The caller holding `reading` polls and receives on the
+  // fd with the mutex released, and while it does nobody else reads or
+  // closes the fd. The fd goes -1 -> live only by a sender (under `mutex`,
+  // and only while fd == -1, which implies nothing is in flight and
+  // nobody is reading). It goes live -> -1 by whoever breaks the
+  // connection: the reader, or — only while nobody is reading — a failed
+  // sender or the pool's shutdown. With a reader active those two
+  // ::shutdown() the fd instead, which ends the reader's poll, and leave
+  // the close to it.
   struct Conn {
     std::mutex mutex;
-    std::condition_variable cv;
+    std::condition_variable cv;  // notified when calls complete or fail
     int fd = -1;
     FrameDecoder decoder;
-    std::deque<Waiter> waiters;
-    std::thread reader;
+    std::deque<Slot*> waiters;   // in flight, oldest first
+    bool reading = false;
+    bool closed = false;         // pool shut down: no new calls
     // Probe traffic is accounted in pings_ok/pings_failed only; a probe
     // conn stays out of the data-path counters (requests, ok, errors,
     // reconnects) so ROUTER-STATS error classes mean what they say.
@@ -211,7 +221,7 @@ struct ClientPool::Impl {
   ClientPoolConfig config;
   std::atomic<std::shared_ptr<const BackendList>> backends{nullptr};
   std::mutex grow_mutex;  // serializes add_backend; shutdown takes it to
-                          // pin the final list before joining threads
+                          // pin the final list before closing connections
   std::atomic<bool> stop{false};
   std::thread prober;
   std::mutex prober_mutex;
@@ -227,18 +237,22 @@ struct ClientPool::Impl {
     }
   }
 
-  /// Fails and clears every in-flight waiter. Caller holds conn.mutex.
+  /// Fails and clears every call in flight. Caller holds conn.mutex.
   static void fail_waiters(Conn& conn, CallStatus status) {
-    for (Waiter& w : conn.waiters) {
-      w.promise.set_value(CallResult{status, {}});
+    for (Slot* slot : conn.waiters) {
+      slot->result = CallResult{status, {}};
+      slot->done = true;
     }
     conn.waiters.clear();
   }
 
-  /// Reader-side teardown. Caller holds conn.mutex. State first, promises
-  /// last: a caller woken by a failed future must already see the backend
-  /// down and the counters bumped, or a retry could route straight back.
-  void break_connection(Backend& backend, Conn& conn, CallStatus status) {
+  /// Closes a broken connection and fails its calls. Caller holds
+  /// conn.mutex and either holds the reading role or knows nobody does.
+  /// State first, slots last: a caller that sees its call failed must
+  /// already see the backend down and the counters bumped, or a retry
+  /// could route straight back.
+  static void break_connection(Backend& backend, Conn& conn,
+                               CallStatus status) {
     if (!conn.is_probe) {
       const std::uint64_t n = conn.waiters.size();
       auto& counter = status == CallStatus::kTimeout ? backend.timeouts
@@ -251,149 +265,87 @@ struct ClientPool::Impl {
     fail_waiters(conn, status);
   }
 
-  void reader_loop(Backend& backend, Conn& conn) {
-    std::unique_lock lock(conn.mutex);
-    for (;;) {
-      conn.cv.wait(lock, [&] {
-        return stop.load(std::memory_order_acquire) ||
-               (conn.fd >= 0 && !conn.waiters.empty());
-      });
-      if (stop.load(std::memory_order_acquire)) break;
-      const int fd = conn.fd;
-      const Clock::time_point deadline = conn.waiters.front().deadline;
-      lock.unlock();
+  /// One round by the holder of conn's reading role, which the caller
+  /// holds along with `lock` on conn.mutex, with calls in flight: waits,
+  /// mutex released, until the connection is readable or the oldest
+  /// call's deadline passes, then completes every call whose answer
+  /// arrived. Returns whether any call completed or failed.
+  static bool read_round(Backend& backend, Conn& conn,
+                         std::unique_lock<std::mutex>& lock) {
+    const int fd = conn.fd;
+    const Clock::time_point deadline = conn.waiters.front()->deadline;
+    lock.unlock();
 
-      pollfd pfd = {fd, POLLIN, 0};
-      const int ready = ::poll(&pfd, 1, remaining_ms(deadline));
-      if (ready < 0 && errno != EINTR) {
-        lock.lock();
-        break_connection(backend, conn, CallStatus::kIoError);
-        continue;
-      }
-      if (ready <= 0) {
-        lock.lock();
-        if (Clock::now() >= deadline) {
-          // The oldest answer is overdue. Everything behind it on this
-          // connection is unidentifiable once the stream is abandoned,
-          // so the whole flight fails and the connection resets.
-          break_connection(backend, conn, CallStatus::kTimeout);
-        }
-        continue;
-      }
-
-      char buf[64 * 1024];
-      const ssize_t n = ::recv(fd, buf, sizeof buf, 0);
-      if (n < 0 && errno == EINTR) {
-        lock.lock();
-        continue;
-      }
-      lock.lock();
-      if (n <= 0) {  // EOF or error: the stream is gone
-        break_connection(backend, conn, CallStatus::kIoError);
-        continue;
-      }
-      conn.decoder.feed(buf, static_cast<std::size_t>(n));
-      bool broken = false;
-      Frame frame;
-      while (!broken) {
-        const DecodeStatus status = conn.decoder.next(frame);
-        if (status == DecodeStatus::kNeedMore) break;
-        if (status == DecodeStatus::kMalformed || conn.waiters.empty()) {
-          // Garbage, or a response nobody asked for: correlation is
-          // positional, so the stream is unusable from here on.
-          break_connection(backend, conn, CallStatus::kIoError);
-          broken = true;
-          break;
-        }
-        Waiter waiter = std::move(conn.waiters.front());
-        conn.waiters.pop_front();
-        if (!conn.is_probe) {
-          backend.ok.fetch_add(1, std::memory_order_relaxed);
-        }
-        waiter.promise.set_value(CallResult{CallStatus::kOk, std::move(frame)});
-        frame = Frame{};
-      }
+    pollfd pfd = {fd, POLLIN, 0};
+    const int ready = ::poll(&pfd, 1, remaining_ms(deadline));
+    int error = errno;
+    char buf[64 * 1024];
+    ssize_t n = 0;
+    if (ready > 0) {
+      n = ::recv(fd, buf, sizeof buf, 0);
+      error = errno;
     }
-    // Shutdown: release the socket, then resolve anything still in flight.
-    if (conn.fd >= 0) {
-      ::close(conn.fd);
+
+    lock.lock();
+    if (conn.closed) {
+      // The pool shut down mid-read: it has failed every call and left
+      // the fd to us.
+      ::close(fd);
       conn.fd = -1;
+      return true;
     }
-    fail_waiters(conn, CallStatus::kShutdown);
+    if (ready < 0 && error != EINTR) {
+      break_connection(backend, conn, CallStatus::kIoError);
+      return true;
+    }
+    if (ready <= 0) {
+      if (Clock::now() < deadline) return false;
+      // The oldest answer is overdue. Everything behind it on this
+      // connection is unidentifiable once the stream is abandoned, so the
+      // whole flight fails and the connection resets.
+      break_connection(backend, conn, CallStatus::kTimeout);
+      return true;
+    }
+    if (n < 0 && error == EINTR) return false;
+    if (n <= 0) {  // EOF or error: the stream is gone
+      break_connection(backend, conn, CallStatus::kIoError);
+      return true;
+    }
+    conn.decoder.feed(buf, static_cast<std::size_t>(n));
+    bool completed = false;
+    Frame frame;
+    for (;;) {
+      const DecodeStatus status = conn.decoder.next(frame);
+      if (status == DecodeStatus::kNeedMore) return completed;
+      if (status == DecodeStatus::kMalformed || conn.waiters.empty()) {
+        // Garbage, or a response nobody asked for: correlation is
+        // positional, so the stream is unusable from here on.
+        break_connection(backend, conn, CallStatus::kIoError);
+        return true;
+      }
+      Slot& slot = *conn.waiters.front();
+      conn.waiters.pop_front();
+      if (!conn.is_probe) backend.ok.fetch_add(1, std::memory_order_relaxed);
+      slot.result = CallResult{CallStatus::kOk, std::move(frame)};
+      slot.done = true;
+      frame = Frame{};
+      completed = true;
+    }
   }
 
   /// Sends every payload as one pipelined flight on `conn`: one lock, one
-  /// vectored send, payloads.size() FIFO waiters. Futures are appended to
-  /// `out` in payload order. Any failure fails the whole batch — the
-  /// frames share one stream, so none of them can be answered once it
-  /// breaks.
-  void call_many_on_conn(Backend& backend, Conn& conn, FrameType type,
-                         std::span<const std::string_view> payloads,
-                         std::vector<std::future<CallResult>>& out) {
-    std::vector<std::promise<CallResult>> promises(payloads.size());
-    out.reserve(out.size() + promises.size());
-    for (auto& promise : promises) out.push_back(promise.get_future());
-    const auto fail_all = [&](CallStatus status) {
-      for (auto& promise : promises) {
-        promise.set_value(CallResult{status, {}});
-      }
-    };
+  /// vectored send, payloads.size() FIFO calls, written to out[i] in
+  /// payload order. Any failure fails the whole batch — the frames share
+  /// one stream, so none of them can be answered once it breaks. Defined
+  /// after PendingCall::State, which it fills in.
+  void send_calls(const std::shared_ptr<Backend>& backend, Conn& conn,
+                  FrameType type, std::span<const std::string_view> payloads,
+                  PendingCall* out);
 
-    std::lock_guard lock(conn.mutex);
-    if (stop.load(std::memory_order_acquire)) {
-      fail_all(CallStatus::kShutdown);
-      return;
-    }
-    if (conn.fd < 0) {
-      const int fd = connect_backend(backend.endpoint,
-                                     config.connect_timeout_ms,
-                                     config.request_timeout_ms);
-      if (fd < 0) {
-        if (!conn.is_probe) {
-          backend.connect_errors.fetch_add(promises.size(),
-                                           std::memory_order_relaxed);
-        }
-        mark_down(backend);
-        fail_all(CallStatus::kConnectFailed);
-        return;
-      }
-      conn.fd = fd;
-      conn.decoder = FrameDecoder(config.max_frame_payload);
-      if (!conn.is_probe) {
-        backend.reconnects.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-    if (!send_frames(conn.fd, type, payloads)) {
-      if (!conn.is_probe) {
-        backend.io_errors.fetch_add(promises.size(),
-                                    std::memory_order_relaxed);
-      }
-      mark_down(backend);
-      if (conn.waiters.empty()) {
-        ::close(conn.fd);  // reader is parked: safe to take the fd down
-        conn.fd = -1;
-      } else {
-        ::shutdown(conn.fd, SHUT_RDWR);  // reader owns the teardown
-        conn.cv.notify_all();
-      }
-      fail_all(CallStatus::kIoError);
-      return;
-    }
-    const Clock::time_point deadline =
-        Clock::now() + std::chrono::milliseconds(config.request_timeout_ms);
-    for (auto& promise : promises) {
-      conn.waiters.push_back({std::move(promise), deadline});
-    }
-    conn.cv.notify_all();
-  }
-
-  std::future<CallResult> call_on_conn(Backend& backend, Conn& conn,
-                                       FrameType type,
-                                       std::string_view payload) {
-    const std::string_view payloads[1] = {payload};
-    std::vector<std::future<CallResult>> futures;
-    call_many_on_conn(backend, conn, type, payloads, futures);
-    return std::move(futures[0]);
+  /// The data connection for the next call to `backend` (round-robin).
+  static Conn& next_conn(Backend& backend) {
+    return *backend.conns[backend.next.fetch_add(1, std::memory_order_relaxed) %
+                          backend.conns.size()];
   }
 
   void probe_loop() {
@@ -409,9 +361,10 @@ struct ClientPool::Impl {
       const std::shared_ptr<const BackendList> snapshot = list();
       for (const auto& backend : *snapshot) {
         if (stop.load(std::memory_order_acquire)) break;
-        std::future<CallResult> future =
-            call_on_conn(*backend, *backend->probe, FrameType::kPing, "hp");
-        const CallResult result = future.get();
+        const std::string_view ping[1] = {"hp"};
+        PendingCall probe;
+        send_calls(backend, *backend->probe, FrameType::kPing, ping, &probe);
+        const CallResult result = probe.get();
         if (result.ok() && result.response.type == FrameType::kPong) {
           backend->pings_ok.fetch_add(1, std::memory_order_relaxed);
           backend->healthy.store(true, std::memory_order_relaxed);
@@ -435,17 +388,7 @@ struct ClientPool::Impl {
     return backend;
   }
 
-  void start_backend(Backend& backend) {
-    for (auto& conn : backend.conns) {
-      conn->reader = std::thread(
-          [this, b = &backend, c = conn.get()] { reader_loop(*b, *c); });
-    }
-    backend.probe->reader = std::thread(
-        [this, b = &backend] { reader_loop(*b, *b->probe); });
-  }
-
   void start() {
-    for (const auto& backend : *list()) start_backend(*backend);
     if (config.ping_interval_ms > 0) {
       prober = std::thread([this] { probe_loop(); });
     }
@@ -455,32 +398,150 @@ struct ClientPool::Impl {
     stop.store(true, std::memory_order_release);
     prober_cv.notify_all();
     // Pin the final list under grow_mutex: any add_backend that won the
-    // lock before us is fully in the list (threads included); any that
-    // loses it observes `stop` and refuses, so no thread escapes the
-    // joins below.
+    // lock before us is fully in the list; any that loses it observes
+    // `stop` and refuses, so every connection is closed below.
     std::shared_ptr<const BackendList> final_list;
     {
       std::lock_guard grow(grow_mutex);
       final_list = list();
     }
-    const auto poke = [](Conn& conn) {
+    const auto close_conn = [](Conn& conn) {
       std::lock_guard lock(conn.mutex);
-      if (conn.fd >= 0) ::shutdown(conn.fd, SHUT_RDWR);
+      conn.closed = true;
+      if (conn.fd >= 0) {
+        if (conn.reading) {
+          ::shutdown(conn.fd, SHUT_RDWR);  // the reader closes it
+        } else {
+          ::close(conn.fd);
+          conn.fd = -1;
+        }
+      }
+      fail_waiters(conn, CallStatus::kShutdown);
       conn.cv.notify_all();
     };
     for (const auto& backend : *final_list) {
-      for (auto& conn : backend->conns) poke(*conn);
-      poke(*backend->probe);
-    }
-    for (const auto& backend : *final_list) {
-      for (auto& conn : backend->conns) {
-        if (conn->reader.joinable()) conn->reader.join();
-      }
-      if (backend->probe->reader.joinable()) backend->probe->reader.join();
+      for (auto& conn : backend->conns) close_conn(*conn);
+      close_conn(*backend->probe);
     }
     if (prober.joinable()) prober.join();
   }
 };
+
+struct PendingCall::State {
+  // Owns `conn`, so the call may outlive the pool.
+  std::shared_ptr<ClientPool::Impl::Backend> backend;
+  ClientPool::Impl::Conn* conn = nullptr;
+  ClientPool::Impl::Slot slot;
+};
+
+PendingCall::PendingCall() = default;
+PendingCall::PendingCall(PendingCall&& other) noexcept = default;
+PendingCall::PendingCall(std::unique_ptr<State> state)
+    : state_(std::move(state)) {}
+
+PendingCall& PendingCall::operator=(PendingCall&& other) noexcept {
+  if (this != &other) {
+    if (state_) get();
+    state_ = std::move(other.state_);
+  }
+  return *this;
+}
+
+PendingCall::~PendingCall() {
+  if (state_) get();  // drain: the answer is owed to this slot
+}
+
+CallResult PendingCall::get() {
+  if (!state_) return {};
+  ClientPool::Impl::Conn& conn = *state_->conn;
+  ClientPool::Impl::Slot& slot = state_->slot;
+  {
+    std::unique_lock lock(conn.mutex);
+    conn.cv.wait(lock, [&] { return slot.done || !conn.reading; });
+    if (!slot.done) {
+      // Nobody is reading: take the role and keep it until our own
+      // answer is in, waking the waiters whose answers arrive first.
+      conn.reading = true;
+      do {
+        if (ClientPool::Impl::read_round(*state_->backend, conn, lock)) {
+          conn.cv.notify_all();
+        }
+      } while (!slot.done);
+      // The round that completed our call woke every waiter; once we
+      // unlock, one whose answer is still out finds the role free.
+      conn.reading = false;
+    }
+  }
+  CallResult result = std::move(slot.result);
+  state_.reset();
+  return result;
+}
+
+void ClientPool::Impl::send_calls(const std::shared_ptr<Backend>& backend,
+                                  Conn& conn, FrameType type,
+                                  std::span<const std::string_view> payloads,
+                                  PendingCall* out) {
+  for (std::size_t i = 0; i < payloads.size(); ++i) {
+    auto state = std::make_unique<PendingCall::State>();
+    state->backend = backend;
+    state->conn = &conn;
+    out[i] = PendingCall(std::move(state));
+  }
+  const auto fail_all = [&](CallStatus status) {
+    for (std::size_t i = 0; i < payloads.size(); ++i) {
+      out[i].state_->slot.result = CallResult{status, {}};
+      out[i].state_->slot.done = true;
+    }
+  };
+
+  std::lock_guard lock(conn.mutex);
+  if (conn.closed) {
+    fail_all(CallStatus::kShutdown);
+    return;
+  }
+  if (conn.fd < 0) {
+    const int fd = connect_backend(backend->endpoint,
+                                   config.connect_timeout_ms,
+                                   config.request_timeout_ms);
+    if (fd < 0) {
+      if (!conn.is_probe) {
+        backend->connect_errors.fetch_add(payloads.size(),
+                                          std::memory_order_relaxed);
+      }
+      mark_down(*backend);
+      fail_all(CallStatus::kConnectFailed);
+      return;
+    }
+    conn.fd = fd;
+    conn.decoder = FrameDecoder(config.max_frame_payload);
+    if (!conn.is_probe) {
+      backend->reconnects.fetch_add(1, std::memory_order_relaxed);
+    }
+  }
+  if (!send_frames(conn.fd, type, payloads)) {
+    if (!conn.is_probe) {
+      backend->io_errors.fetch_add(payloads.size(),
+                                   std::memory_order_relaxed);
+    }
+    mark_down(*backend);
+    if (conn.reading) {
+      ::shutdown(conn.fd, SHUT_RDWR);  // the reader owns the teardown
+    } else {
+      break_connection(*backend, conn, CallStatus::kIoError);
+      conn.cv.notify_all();
+    }
+    fail_all(CallStatus::kIoError);
+    return;
+  }
+  const Clock::time_point deadline =
+      Clock::now() + std::chrono::milliseconds(config.request_timeout_ms);
+  for (std::size_t i = 0; i < payloads.size(); ++i) {
+    Slot& slot = out[i].state_->slot;
+    slot.deadline = deadline;
+    conn.waiters.push_back(&slot);
+  }
+}
+
 
 ClientPool::ClientPool(std::vector<Endpoint> backends,
                        ClientPoolConfig config)
@@ -517,38 +578,32 @@ std::size_t ClientPool::add_backend(const Endpoint& endpoint) {
     }
   }
   if (impl_->stop.load(std::memory_order_acquire)) return kNoBackend;
-  std::shared_ptr<Impl::Backend> backend = impl_->make_backend(endpoint);
-  impl_->start_backend(*backend);
   auto next = std::make_shared<Impl::BackendList>(*cur);
-  next->push_back(std::move(backend));
+  next->push_back(impl_->make_backend(endpoint));
   impl_->backends.store(std::move(next), std::memory_order_release);
   return cur->size();
 }
 
-std::future<CallResult> ClientPool::call(std::size_t backend,
-                                         FrameType type,
-                                         std::string_view payload) {
+PendingCall ClientPool::call(std::size_t backend, FrameType type,
+                             std::string_view payload) {
   const std::shared_ptr<const Impl::BackendList> list = impl_->list();
-  Impl::Backend& b = *(*list)[backend];
-  b.requests.fetch_add(1, std::memory_order_relaxed);
-  Impl::Conn& conn =
-      *b.conns[b.next.fetch_add(1, std::memory_order_relaxed) %
-               b.conns.size()];
-  return impl_->call_on_conn(b, conn, type, payload);
+  const std::shared_ptr<Impl::Backend>& b = (*list)[backend];
+  b->requests.fetch_add(1, std::memory_order_relaxed);
+  const std::string_view payloads[1] = {payload};
+  PendingCall out;
+  impl_->send_calls(b, Impl::next_conn(*b), type, payloads, &out);
+  return out;
 }
 
-std::vector<std::future<CallResult>> ClientPool::call_many(
+std::vector<PendingCall> ClientPool::call_many(
     std::size_t backend, FrameType type,
     std::span<const std::string_view> payloads) {
-  std::vector<std::future<CallResult>> out;
+  std::vector<PendingCall> out(payloads.size());
   if (payloads.empty()) return out;
   const std::shared_ptr<const Impl::BackendList> list = impl_->list();
-  Impl::Backend& b = *(*list)[backend];
-  b.requests.fetch_add(payloads.size(), std::memory_order_relaxed);
-  Impl::Conn& conn =
-      *b.conns[b.next.fetch_add(1, std::memory_order_relaxed) %
-               b.conns.size()];
-  impl_->call_many_on_conn(b, conn, type, payloads, out);
+  const std::shared_ptr<Impl::Backend>& b = (*list)[backend];
+  b->requests.fetch_add(payloads.size(), std::memory_order_relaxed);
+  impl_->send_calls(b, Impl::next_conn(*b), type, payloads, out.data());
   return out;
 }
 

@@ -3,29 +3,34 @@
 //
 //  * Each backend gets a fixed set of persistent connections. A call()
 //    picks one (round-robin), appends the request frame, and returns a
-//    future; many calls share one connection in flight (pipelining), so
-//    a single TCP stream amortizes syscalls and keeps the backend's
-//    epoll loop busy.
+//    PendingCall; many calls share one connection in flight
+//    (pipelining), so a single TCP stream amortizes syscalls and keeps
+//    the backend's epoll loop busy.
 //  * Correlation is FIFO per connection: the server answers every frame
 //    on the connection it arrived on, in arrival order, so the oldest
 //    unanswered call owns the next response. (No request ids on the
 //    wire — ordering IS the correlation scheme. Responses across
 //    *different* connections complete out of order freely.)
-//  * One reader thread per connection parses responses and completes
-//    futures; the oldest waiter's deadline is the connection's read
-//    timeout. A timeout, EOF, or malformed response fails every call in
-//    flight on that connection (their responses are unidentifiable once
-//    the stream is broken) and the connection reconnects lazily.
+//  * No thread reads on the pool's behalf: the callers waiting on a
+//    connection read it themselves, leader/follower style. One of them
+//    holds the connection's reading role, polls and receives with the
+//    lock released, completes every call whose answer arrived (in FIFO
+//    order, its own or not) and passes the role on once its own answer
+//    is in; the others sleep until their call completes or the role is
+//    free. The oldest waiter's deadline is the read timeout. A timeout,
+//    EOF, or malformed response fails every call in flight on that
+//    connection (their responses are unidentifiable once the stream is
+//    broken) and the connection reconnects lazily.
 //  * A prober thread kPings every backend on a fixed cadence and flips
 //    its health bit; callers can route around unhealthy backends and
-//    the prober's successful ping marks them back up.
+//    the prober's successful ping marks them back up. It is the pool's
+//    only thread.
 //  * Counters are per-backend and per-error-class, since-start
 //    (requests, ok, connect errors, timeouts, io errors, pings ok/
 //    failed, mark-downs, reconnects) — the ROUTER-STATS raw material.
 #pragma once
 
 #include <cstdint>
-#include <future>
 #include <memory>
 #include <span>
 #include <string>
@@ -74,6 +79,32 @@ struct CallResult {
   bool ok() const { return status == CallStatus::kOk; }
 };
 
+/// One call in flight, returned by ClientPool::call/call_many. Move-only.
+/// get() blocks until the response arrives or the call fails, reading
+/// the connection itself when no other waiter is (see the header
+/// comment), and returns the result once; later get()s, like get() on a
+/// default-constructed or moved-from PendingCall, return kShutdown. A
+/// PendingCall destroyed before get() waits for its answer and discards
+/// it, so the calls behind it on the connection stay correlated. A
+/// PendingCall may outlive its pool: destroying the pool fails it with
+/// kShutdown.
+class PendingCall {
+ public:
+  PendingCall();
+  PendingCall(PendingCall&& other) noexcept;
+  PendingCall& operator=(PendingCall&& other) noexcept;
+  ~PendingCall();
+
+  CallResult get();
+
+ private:
+  friend class ClientPool;
+  struct State;
+  explicit PendingCall(std::unique_ptr<State> state);
+
+  std::unique_ptr<State> state_;
+};
+
 /// Since-start, per-backend counters (relaxed atomics under the hood;
 /// this is the copied-out view).
 struct BackendCounters {
@@ -93,7 +124,8 @@ struct BackendCounters {
 /// brings up successors at runtime) but never removed — indices handed
 /// out stay valid for the pool's lifetime, which is what lets the router
 /// publish routing tables that name backends by index. Destruction fails
-/// outstanding calls with kShutdown and joins every reader/prober thread.
+/// outstanding calls with kShutdown (a caller blocked in get() returns
+/// at once) and joins the prober thread.
 class ClientPool {
  public:
   /// add_backend's failure value (pool already shutting down).
@@ -117,19 +149,19 @@ class ClientPool {
   /// Returns kNoBackend if the pool is already shutting down.
   std::size_t add_backend(const Endpoint& endpoint);
 
-  /// Sends one request frame to `backend` and resolves the future when
-  /// its response arrives (or the call fails). Thread-safe; returns
-  /// immediately.
-  std::future<CallResult> call(std::size_t backend, FrameType type,
-                               std::string_view payload);
+  /// Sends one request frame to `backend` and returns the call; its
+  /// get() yields the response (or the failure). Thread-safe; returns
+  /// once the frame is sent.
+  PendingCall call(std::size_t backend, FrameType type,
+                   std::string_view payload);
 
   /// Pipelines payloads.size() same-typed request frames to `backend`
   /// over ONE pooled connection in one vectored send: one lock, one
-  /// sendmsg batch, N FIFO-correlated futures (result i answers
+  /// sendmsg batch, N FIFO-correlated calls (call i answers
   /// payloads[i]). A send failure fails every call in the batch. The
   /// frames are encoded scatter/gather straight from the payload views —
   /// no per-call frame string is built.
-  std::vector<std::future<CallResult>> call_many(
+  std::vector<PendingCall> call_many(
       std::size_t backend, FrameType type,
       std::span<const std::string_view> payloads);
 
@@ -140,6 +172,7 @@ class ClientPool {
   BackendCounters counters(std::size_t backend) const;
 
  private:
+  friend class PendingCall;  // a call reads its connection itself
   struct Impl;
   std::unique_ptr<Impl> impl_;
 };

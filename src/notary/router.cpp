@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cinttypes>
 #include <cstdio>
-#include <future>
 #include <mutex>
 #include <utility>
 
@@ -229,7 +228,7 @@ struct RouterService::Impl {
     struct SubBatch {
       std::size_t shard = 0;
       std::string request;
-      std::future<netio::CallResult> first_attempt;
+      netio::PendingCall first_attempt;
     };
     std::vector<SubBatch> subs;
     for (std::size_t s = 0; s < t->entries.size(); ++s) {

@@ -7,6 +7,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
@@ -944,6 +945,231 @@ TEST_F(EchoServerTest, DrainFlushesBackpressuredOutbufBeforeDeadline) {
   }
   EXPECT_EQ(server.counters().connections_closed,
             server.counters().connections_accepted);
+}
+
+
+// ---- ClientPool: callers read their own answers --------------------------
+
+namespace {
+
+std::size_t count_threads() {
+  std::size_t n = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    ++n;
+  }
+  return n;
+}
+
+ClientPoolConfig one_connection_pool() {
+  ClientPoolConfig config;
+  config.connections_per_backend = 1;
+  config.ping_interval_ms = 0;
+  return config;
+}
+
+}  // namespace
+
+// Many callers share one pipelined connection. Whoever holds the reading
+// role completes the others' calls too, so every answer must still reach
+// the caller that asked for it.
+TEST_F(EchoServerTest, ClientPoolManyThreadsShareOneConnection) {
+  TcpServer server(config_, echo);
+  ASSERT_TRUE(server.start());
+  ClientPool pool({{"127.0.0.1", server.port()}}, one_connection_pool());
+
+  constexpr int kThreads = 8;
+  constexpr int kCalls = 500;
+  std::vector<int> matched(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kCalls; ++i) {
+        const std::string payload =
+            "t" + std::to_string(t) + "-" + std::to_string(i);
+        const CallResult result =
+            pool.call(0, FrameType::kPing, payload).get();
+        if (result.ok() && result.response.type == FrameType::kPong &&
+            result.response.payload == payload) {
+          ++matched[t];
+        }
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(matched[t], kCalls) << "thread " << t;
+  }
+  const BackendCounters counters = pool.counters(0);
+  EXPECT_EQ(counters.requests,
+            static_cast<std::uint64_t>(kThreads) * kCalls);
+  EXPECT_EQ(counters.ok, counters.requests);
+  EXPECT_EQ(counters.timeouts, 0u);
+  EXPECT_EQ(counters.io_errors, 0u);
+  EXPECT_EQ(counters.reconnects, 1u);
+  server.shutdown();
+}
+
+// A slow first answer holds up the calls queued behind it on the same
+// connection; they wait for it rather than time out, then complete in
+// FIFO order, whichever waiter happens to read.
+TEST_F(EchoServerTest, ClientPoolSlowFirstAnswerKeepsFollowersInOrder) {
+  constexpr auto kSlow = std::chrono::milliseconds(300);
+  TcpServer server(config_, [&](FrameType type, std::string_view payload) {
+    if (payload == "slow") std::this_thread::sleep_for(kSlow);
+    return echo(type, payload);
+  });
+  ASSERT_TRUE(server.start());
+  ClientPoolConfig pool_config = one_connection_pool();
+  pool_config.request_timeout_ms = 5'000;
+  ClientPool pool({{"127.0.0.1", server.port()}}, pool_config);
+
+  const auto sent = std::chrono::steady_clock::now();
+  std::vector<std::string> payloads = {"slow", "f1", "f2", "f3", "f4"};
+  std::vector<PendingCall> calls;
+  for (const std::string& payload : payloads) {
+    calls.push_back(pool.call(0, FrameType::kPing, payload));
+  }
+  // Followers wait first, newest first, so one of them takes the
+  // reading role while the slow answer is still out.
+  std::vector<CallResult> results(payloads.size());
+  std::vector<std::chrono::steady_clock::time_point> done(payloads.size());
+  std::vector<std::thread> threads;
+  for (std::size_t i = payloads.size(); i-- > 1;) {
+    threads.emplace_back([&, i] {
+      results[i] = calls[i].get();
+      done[i] = std::chrono::steady_clock::now();
+    });
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  results[0] = calls[0].get();
+  done[0] = std::chrono::steady_clock::now();
+  for (auto& thread : threads) thread.join();
+
+  for (std::size_t i = 0; i < payloads.size(); ++i) {
+    ASSERT_TRUE(results[i].ok()) << "call " << i;
+    EXPECT_EQ(results[i].response.payload, payloads[i]);
+    EXPECT_GE(done[i] - sent, kSlow - std::chrono::milliseconds(10))
+        << "call " << i << " finished before the answer ahead of it";
+  }
+  const BackendCounters counters = pool.counters(0);
+  EXPECT_EQ(counters.timeouts, 0u);
+  EXPECT_EQ(counters.ok, payloads.size());
+  EXPECT_TRUE(pool.healthy(0));
+  server.shutdown();
+}
+
+// Destroying the pool wakes a caller blocked in get() with kShutdown at
+// once, not at the request deadline, and closes every pool socket — the
+// one being read included, whose close falls to that caller.
+TEST_F(EchoServerTest, ClientPoolDestructionFailsABlockedGetPromptly) {
+  std::atomic<bool> release{false};
+  TcpServer server(config_, [&](FrameType type, std::string_view payload) {
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!release.load() && std::chrono::steady_clock::now() < give_up) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+    return echo(type, payload);
+  });
+  ASSERT_TRUE(server.start());
+  const std::size_t fds_before = count_open_fds();
+
+  ClientPoolConfig pool_config = one_connection_pool();
+  pool_config.request_timeout_ms = 8'000;
+  auto pool = std::make_unique<ClientPool>(
+      std::vector<Endpoint>{{"127.0.0.1", server.port()}}, pool_config);
+  std::atomic<bool> sent{false};
+  CallResult result;
+  std::chrono::steady_clock::time_point returned;
+  std::thread caller([&] {
+    PendingCall call = pool->call(0, FrameType::kPing, "held");
+    sent.store(true);
+    result = call.get();
+    returned = std::chrono::steady_clock::now();
+  });
+  while (!sent.load()) std::this_thread::yield();
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  const auto destroyed = std::chrono::steady_clock::now();
+  pool.reset();
+  caller.join();
+
+  EXPECT_EQ(result.status, CallStatus::kShutdown);
+  EXPECT_LT(returned - destroyed, std::chrono::milliseconds(1'000));
+  release.store(true);
+  // The server closes its end once it sees ours gone.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (count_open_fds() != fds_before &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_EQ(count_open_fds(), fds_before);
+  server.shutdown();
+}
+
+// A PendingCall dropped (or overwritten) before get() still owns the
+// next answer on its connection; it drains it, so the calls behind it
+// get their own answers, not its.
+TEST_F(EchoServerTest, ClientPoolDroppedCallDoesNotDesyncTheConnection) {
+  TcpServer server(config_, echo);
+  ASSERT_TRUE(server.start());
+  ClientPool pool({{"127.0.0.1", server.port()}}, one_connection_pool());
+
+  { PendingCall dropped = pool.call(0, FrameType::kPing, "dropped"); }
+  EXPECT_EQ(pool.counters(0).ok, 1u);  // the drop waited for its answer
+  CallResult next = pool.call(0, FrameType::kPing, "next").get();
+  ASSERT_TRUE(next.ok());
+  EXPECT_EQ(next.response.payload, "next");
+
+  const std::string_view batch[] = {"b0", "b1", "b2"};
+  { auto unread = pool.call_many(0, FrameType::kPing, batch); }
+  PendingCall call = pool.call(0, FrameType::kPing, "overwritten");
+  call = pool.call(0, FrameType::kPing, "kept");
+  next = call.get();
+  ASSERT_TRUE(next.ok());
+  EXPECT_EQ(next.response.payload, "kept");
+  // A result is handed out once; an empty call reports kShutdown.
+  EXPECT_EQ(call.get().status, CallStatus::kShutdown);
+  EXPECT_EQ(PendingCall().get().status, CallStatus::kShutdown);
+
+  const BackendCounters counters = pool.counters(0);
+  EXPECT_EQ(counters.requests, 7u);
+  EXPECT_EQ(counters.ok, 7u);
+  server.shutdown();
+}
+
+// The pool runs no thread per connection: over four backends it adds
+// exactly one thread to the process, the prober, and calls add none.
+TEST_F(EchoServerTest, ClientPoolAddsOnlyTheProberThread) {
+  config_.workers = 1;
+  std::vector<std::unique_ptr<TcpServer>> servers;
+  std::vector<Endpoint> endpoints;
+  for (int i = 0; i < 4; ++i) {
+    servers.push_back(std::make_unique<TcpServer>(config_, echo));
+    ASSERT_TRUE(servers.back()->start());
+    endpoints.push_back({"127.0.0.1", servers.back()->port()});
+  }
+  const std::size_t before = count_threads();
+
+  ClientPoolConfig pool_config;
+  pool_config.ping_interval_ms = 20;
+  ClientPool pool(endpoints, pool_config);
+  EXPECT_EQ(count_threads(), before + 1);
+  for (std::size_t b = 0; b < endpoints.size(); ++b) {
+    for (int i = 0; i < 4; ++i) {
+      ASSERT_TRUE(pool.call(b, FrameType::kPing, "x").get().ok());
+    }
+  }
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (pool.counters(endpoints.size() - 1).pings_ok == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_GE(pool.counters(endpoints.size() - 1).pings_ok, 1u);
+  EXPECT_EQ(count_threads(), before + 1);
+  for (auto& server : servers) server->shutdown();
 }
 
 }  // namespace
