@@ -6,7 +6,7 @@
 // NotaryService::publish swap costs with precise cache invalidation.
 // Prints the per-segment ingest trace, then runs google-benchmark
 // timings. The daemon-side numbers (query p99 while segments land) come
-// from `sm_notaryd --ingest-bench`.
+// from perfbench's ingest workload (perfbench/README.md).
 #include <benchmark/benchmark.h>
 
 #include <chrono>

@@ -1,8 +1,10 @@
 // Notary benchmark: NotaryIndex construction over the paper-scale corpus
 // (thread sweep), in-process query throughput with the response cache on
 // and off (single- and multi-threaded), and full loopback round-trips
-// through the epoll server. Prints a summary, then runs google-benchmark
-// timings.
+// through the epoll server (over netio::FrameClient). Prints a summary,
+// then runs google-benchmark timings. Deployment-scale load — many
+// clients, Zipf popularity, batches, open-loop arrivals — is perfbench's
+// lookup and bulk workloads (perfbench/README.md).
 //
 // This binary links sm_alloc_hook (the counting operator new/delete
 // replacement), so the query benchmarks can report allocs_per_query —
@@ -11,14 +13,7 @@
 // vectored-write counter. scripts/bench_check.sh tracks both exactly.
 #include <benchmark/benchmark.h>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <atomic>
-#include <cerrno>
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
@@ -29,6 +24,7 @@
 #include "bench/common.h"
 #include "corpus/corpus_index.h"
 #include "netio/frame.h"
+#include "netio/frame_client.h"
 #include "netio/server.h"
 #include "notary/batch.h"
 #include "notary/index.h"
@@ -76,40 +72,6 @@ const std::vector<std::string>& query_wires() {
     return out;
   }();
   return wires;
-}
-
-// Blocking loopback client (mirrors tools/sm_notaryd --bench).
-int connect_loopback(std::uint16_t port) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return -1;
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
-    ::close(fd);
-    return -1;
-  }
-  int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-  return fd;
-}
-
-bool round_trip(int fd, netio::FrameDecoder& decoder,
-                const std::string& wire, netio::Frame& out) {
-  std::string_view rest = wire;
-  while (!rest.empty()) {
-    const ssize_t n = ::send(fd, rest.data(), rest.size(), MSG_NOSIGNAL);
-    if (n <= 0) return false;
-    rest.remove_prefix(static_cast<std::size_t>(n));
-  }
-  for (;;) {
-    if (decoder.next(out) == netio::DecodeStatus::kFrame) return true;
-    char buf[64 * 1024];
-    const ssize_t n = ::recv(fd, buf, sizeof buf, 0);
-    if (n <= 0) return false;
-    decoder.feed(buf, static_cast<std::size_t>(n));
-  }
 }
 
 void report() {
@@ -251,17 +213,16 @@ void BM_NotaryLoopbackRoundTrip(benchmark::State& state) {
     state.SkipWithError("server start failed");
     return;
   }
-  const int fd = connect_loopback(server.port());
-  if (fd < 0) {
+  netio::FrameClient client;
+  if (!client.connect({"127.0.0.1", server.port()})) {
     state.SkipWithError("connect failed");
     return;
   }
-  netio::FrameDecoder decoder;
   netio::Frame response;
   const std::size_t n = index.size();
   scan::CertId id = 0;
   for (auto _ : state) {
-    if (!round_trip(fd, decoder, query_wires()[id], response)) {
+    if (!client.send(query_wires()[id]) || !client.read_frame(response)) {
       state.SkipWithError("round trip failed");
       break;
     }
@@ -273,7 +234,6 @@ void BM_NotaryLoopbackRoundTrip(benchmark::State& state) {
   state.counters["send_syscalls_per_rtt"] = benchmark::Counter(
       static_cast<double>(counters.send_syscalls),
       benchmark::Counter::kAvgIterations);
-  ::close(fd);
   server.shutdown();
 }
 BENCHMARK(BM_NotaryLoopbackRoundTrip)->Arg(1)->Arg(4)
@@ -299,8 +259,8 @@ void BM_NotaryLoopbackBatch(benchmark::State& state) {
     state.SkipWithError("server start failed");
     return;
   }
-  const int fd = connect_loopback(server.port());
-  if (fd < 0) {
+  netio::FrameClient client;
+  if (!client.connect({"127.0.0.1", server.port()})) {
     state.SkipWithError("connect failed");
     return;
   }
@@ -316,11 +276,10 @@ void BM_NotaryLoopbackBatch(benchmark::State& state) {
     wires.push_back(netio::encode_frame(netio::FrameType::kBatchQuery,
                                         notary::encode_batch_query(fps)));
   }
-  netio::FrameDecoder decoder(32u << 20);
   netio::Frame response;
   std::size_t w = 0;
   for (auto _ : state) {
-    if (!round_trip(fd, decoder, wires[w], response)) {
+    if (!client.send(wires[w]) || !client.read_frame(response)) {
       state.SkipWithError("round trip failed");
       break;
     }
@@ -329,7 +288,6 @@ void BM_NotaryLoopbackBatch(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(batch));
-  ::close(fd);
   server.shutdown();
 }
 BENCHMARK(BM_NotaryLoopbackBatch)->Arg(8)->Arg(32)

@@ -20,6 +20,7 @@
 #include "corpus/corpus_index.h"
 #include "corpus/live.h"
 #include "netio/frame.h"
+#include "netio/frame_client.h"
 #include "netio/server.h"
 #include "notary/index.h"
 #include "notary/prefix_map.h"
@@ -27,12 +28,10 @@
 #include "notary/router.h"
 #include "notary/service.h"
 #include "scan/archive_io.h"
-#include "tests/loopback_client.h"
 
 namespace {
 
 using namespace sm;
-using sm::testing::LoopbackClient;
 
 const scan::ScanArchive& archive() { return bench::context().world.archive; }
 
@@ -100,10 +99,10 @@ std::string slice_send_payload(std::uint8_t lo, std::uint8_t hi,
 
 netio::Frame ask(std::uint16_t port, netio::FrameType type,
                  std::string_view payload) {
-  LoopbackClient client(port);
+  netio::FrameClient client;
   netio::Frame response;
-  if (!client.connected() || !client.send_frame(type, payload) ||
-      !client.read_frame(response)) {
+  if (!client.connect({"127.0.0.1", port}) ||
+      !client.call(type, payload, response)) {
     std::abort();
   }
   return response;
@@ -153,14 +152,13 @@ void report() {
   std::atomic<std::uint64_t> served{0};
   std::atomic<std::uint64_t> failed{0};
   std::thread load([&] {
-    LoopbackClient client(router_server.port());
-    if (!client.connected()) return;
+    netio::FrameClient client;
+    if (!client.connect({"127.0.0.1", router_server.port()})) return;
     netio::Frame response;
     std::size_t i = 0;
     while (!stop.load(std::memory_order_relaxed)) {
-      if (!client.send_frame(netio::FrameType::kQuery,
-                             fp_payload(probes[i++ % probes.size()])) ||
-          !client.read_frame(response) ||
+      if (!client.call(netio::FrameType::kQuery,
+                       fp_payload(probes[i++ % probes.size()]), response) ||
           response.type != netio::FrameType::kCertInfo) {
         failed.fetch_add(1, std::memory_order_relaxed);
         break;

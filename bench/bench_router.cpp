@@ -3,14 +3,10 @@
 // hammered with single queries, batched queries, a many-connection
 // sweep, and Zipf-popularity traffic. Prints a summary including the
 // batch-32 vs single-query amplification, then runs google-benchmark
-// timings.
+// timings. Clients are netio::FrameClient connections; the end-to-end
+// numbers with per-layer breakdowns come from perfbench's lookup and
+// bulk workloads (perfbench/README.md).
 #include <benchmark/benchmark.h>
-
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/socket.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <array>
@@ -27,6 +23,7 @@
 #include "corpus/corpus_index.h"
 #include "corpus/live.h"
 #include "netio/frame.h"
+#include "netio/frame_client.h"
 #include "netio/server.h"
 #include "notary/batch.h"
 #include "notary/index.h"
@@ -111,49 +108,14 @@ std::string fp_payload(const scan::CertFingerprint& fp) {
   return {reinterpret_cast<const char*>(fp.data()), fp.size()};
 }
 
-// Blocking loopback client (mirrors tools/sm_notaryd --bench).
-int connect_loopback(std::uint16_t port) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return -1;
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
-    ::close(fd);
-    return -1;
-  }
-  int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-  return fd;
-}
-
-bool round_trip(int fd, netio::FrameDecoder& decoder,
-                const std::string& wire, netio::Frame& out) {
-  std::string_view rest = wire;
-  while (!rest.empty()) {
-    const ssize_t n = ::send(fd, rest.data(), rest.size(), MSG_NOSIGNAL);
-    if (n <= 0) return false;
-    rest.remove_prefix(static_cast<std::size_t>(n));
-  }
-  for (;;) {
-    if (decoder.next(out) == netio::DecodeStatus::kFrame) return true;
-    char buf[64 * 1024];
-    const ssize_t n = ::recv(fd, buf, sizeof buf, 0);
-    if (n <= 0) return false;
-    decoder.feed(buf, static_cast<std::size_t>(n));
-  }
-}
-
 // Closed-loop lookups/s over one connection; `batch` == 0 means single
 // kQuery frames, otherwise kBatchQuery frames of that size.
 double measure_lookups_per_s(std::size_t batch, std::size_t total_lookups) {
   Deployment& d = deployment();
-  const int fd = connect_loopback(d.router_server->port());
-  if (fd < 0) return 0.0;
   // A batch response carries kShardCount scatter/gather sub-responses;
-  // give the decoder the same generous ceiling the router tools use.
-  netio::FrameDecoder decoder(32u << 20);
+  // FrameClient decodes up to netio::kMaxResponsePayload.
+  netio::FrameClient client;
+  if (!client.connect({"127.0.0.1", d.router_server->port()})) return 0.0;
   netio::Frame response;
   std::size_t cursor = 0;
   const auto next_fp = [&] {
@@ -177,13 +139,12 @@ double measure_lookups_per_s(std::size_t batch, std::size_t total_lookups) {
                                  notary::encode_batch_query(fps));
       done += batch;
     }
-    if (!round_trip(fd, decoder, wire, response)) break;
+    if (!client.send(wire) || !client.read_frame(response)) break;
     benchmark::DoNotOptimize(response);
   }
   const double secs = std::chrono::duration<double>(
                           std::chrono::steady_clock::now() - t0)
                           .count();
-  ::close(fd);
   return secs > 0 ? static_cast<double>(done) / secs : 0.0;
 }
 
@@ -212,19 +173,18 @@ void report() {
 // One connection, one in-flight kQuery through router + backend.
 void BM_RouterSingleQuery(benchmark::State& state) {
   Deployment& d = deployment();
-  const int fd = connect_loopback(d.router_server->port());
-  if (fd < 0) {
+  netio::FrameClient client;
+  if (!client.connect({"127.0.0.1", d.router_server->port()})) {
     state.SkipWithError("connect failed");
     return;
   }
-  netio::FrameDecoder decoder;
   netio::Frame response;
   std::size_t cursor = state.thread_index();
   for (auto _ : state) {
     const std::string wire = netio::encode_frame(
         netio::FrameType::kQuery,
         fp_payload(d.fingerprints[cursor % d.fingerprints.size()]));
-    if (!round_trip(fd, decoder, wire, response)) {
+    if (!client.send(wire) || !client.read_frame(response)) {
       state.SkipWithError("round trip failed");
       break;
     }
@@ -232,7 +192,6 @@ void BM_RouterSingleQuery(benchmark::State& state) {
     ++cursor;
   }
   state.SetItemsProcessed(state.iterations());
-  ::close(fd);
 }
 // Blocking loopback round trips: the main thread's CPU time misses the
 // router and backend work, so every per-query timing here is real time.
@@ -244,12 +203,11 @@ BENCHMARK(BM_RouterSingleQuery)->UseRealTime()->Unit(benchmark::kMicrosecond);
 void BM_RouterBatchQuery(benchmark::State& state) {
   Deployment& d = deployment();
   const auto batch = static_cast<std::size_t>(state.range(0));
-  const int fd = connect_loopback(d.router_server->port());
-  if (fd < 0) {
+  netio::FrameClient client;
+  if (!client.connect({"127.0.0.1", d.router_server->port()})) {
     state.SkipWithError("connect failed");
     return;
   }
-  netio::FrameDecoder decoder(32u << 20);
   netio::Frame response;
   std::size_t cursor = 0;
   for (auto _ : state) {
@@ -261,7 +219,7 @@ void BM_RouterBatchQuery(benchmark::State& state) {
     }
     const std::string wire = netio::encode_frame(
         netio::FrameType::kBatchQuery, notary::encode_batch_query(fps));
-    if (!round_trip(fd, decoder, wire, response)) {
+    if (!client.send(wire) || !client.read_frame(response)) {
       state.SkipWithError("round trip failed");
       break;
     }
@@ -269,7 +227,6 @@ void BM_RouterBatchQuery(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(batch));
-  ::close(fd);
 }
 BENCHMARK(BM_RouterBatchQuery)->Arg(8)->Arg(32)->Arg(128)
     ->UseRealTime()->Unit(benchmark::kMicrosecond);
@@ -278,19 +235,18 @@ BENCHMARK(BM_RouterBatchQuery)->Arg(8)->Arg(32)->Arg(128)
 // connection, so N threads == N concurrent closed-loop clients.
 void BM_RouterConnectionSweep(benchmark::State& state) {
   Deployment& d = deployment();
-  const int fd = connect_loopback(d.router_server->port());
-  if (fd < 0) {
+  netio::FrameClient client;
+  if (!client.connect({"127.0.0.1", d.router_server->port()})) {
     state.SkipWithError("connect failed");
     return;
   }
-  netio::FrameDecoder decoder;
   netio::Frame response;
   std::size_t cursor = static_cast<std::size_t>(state.thread_index()) * 131;
   for (auto _ : state) {
     const std::string wire = netio::encode_frame(
         netio::FrameType::kQuery,
         fp_payload(d.fingerprints[cursor % d.fingerprints.size()]));
-    if (!round_trip(fd, decoder, wire, response)) {
+    if (!client.send(wire) || !client.read_frame(response)) {
       state.SkipWithError("round trip failed");
       break;
     }
@@ -298,13 +254,12 @@ void BM_RouterConnectionSweep(benchmark::State& state) {
     ++cursor;
   }
   state.SetItemsProcessed(state.iterations());
-  ::close(fd);
 }
 BENCHMARK(BM_RouterConnectionSweep)->Threads(1)->Threads(4)->Threads(16)
     ->UseRealTime()->Unit(benchmark::kMicrosecond);
 
 // Zipf(1.1) popularity over the corpus: a hot head concentrating on a
-// few shards, the same skew tools/sm_notaryd --bench-zipf generates.
+// few shards, the skew perfbench's lookup workload draws from.
 void BM_RouterZipfQuery(benchmark::State& state) {
   Deployment& d = deployment();
   static const std::vector<double>* cdf = [] {
@@ -317,12 +272,11 @@ void BM_RouterZipfQuery(benchmark::State& state) {
     }
     return weights;
   }();
-  const int fd = connect_loopback(d.router_server->port());
-  if (fd < 0) {
+  netio::FrameClient client;
+  if (!client.connect({"127.0.0.1", d.router_server->port()})) {
     state.SkipWithError("connect failed");
     return;
   }
-  netio::FrameDecoder decoder;
   netio::Frame response;
   std::mt19937_64 rng(0x5eed'0001);
   std::uniform_real_distribution<double> uniform(0.0, cdf->back());
@@ -333,14 +287,13 @@ void BM_RouterZipfQuery(benchmark::State& state) {
         netio::FrameType::kQuery,
         fp_payload(d.fingerprints[std::min(rank,
                                            d.fingerprints.size() - 1)]));
-    if (!round_trip(fd, decoder, wire, response)) {
+    if (!client.send(wire) || !client.read_frame(response)) {
       state.SkipWithError("round trip failed");
       break;
     }
     benchmark::DoNotOptimize(response);
   }
   state.SetItemsProcessed(state.iterations());
-  ::close(fd);
 }
 BENCHMARK(BM_RouterZipfQuery)->UseRealTime()->Unit(benchmark::kMicrosecond);
 

@@ -55,6 +55,15 @@ check_rejects() {
 check_rejects ./build/tools/sm_notary_router --backend nonsense
 check_rejects ./build/tools/sm_notary_router --backend host:0
 check_rejects ./build/tools/sm_notary_router --backend 127.0.0.1:1,
+check_rejects ./build/tools/sm_notary_router --backend 127.0.0.1:1 \
+    --threads +7
+check_rejects ./build/tools/sm_notary_router --backend 127.0.0.1:1 \
+    --port ' 80'
+# The load generators live in perfbench now; their old flags must be
+# rejected, not silently ignored.
+check_rejects ./build/tools/sm_notaryd --bench 10
+check_rejects ./build/tools/sm_notaryd --ingest-bench 1
+check_rejects ./build/tools/sm_notaryd --clients 2
 check_rejects ./build/tools/sm_notaryd --shard-prefix 3/2
 check_rejects ./build/tools/sm_notaryd --shard-prefix 0/0
 check_rejects ./build/tools/sm_notaryd --shard-prefix 9-1

@@ -1,9 +1,5 @@
 #include "netio/client_pool.h"
 
-#include <arpa/inet.h>
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/uio.h>
@@ -41,53 +37,6 @@ int remaining_ms(Clock::time_point deadline) {
           .count();
   if (left <= 0) return 0;
   return static_cast<int>(std::min<long long>(left, kTickMs));
-}
-
-/// Connects with a bounded wait; returns -1 on any failure. The returned
-/// fd is blocking (writers use plain send loops bounded by SO_SNDTIMEO)
-/// and CLOEXEC.
-int connect_backend(const Endpoint& ep, int connect_timeout_ms,
-                    int send_timeout_ms) {
-  const int fd =
-      ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
-  if (fd < 0) return -1;
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(ep.port);
-  if (::inet_pton(AF_INET, ep.host.c_str(), &addr.sin_addr) != 1) {
-    ::close(fd);
-    return -1;
-  }
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
-    if (errno != EINPROGRESS) {
-      ::close(fd);
-      return -1;
-    }
-    pollfd pfd = {fd, POLLOUT, 0};
-    if (::poll(&pfd, 1, connect_timeout_ms) <= 0) {
-      ::close(fd);
-      return -1;
-    }
-    int err = 0;
-    socklen_t len = sizeof err;
-    if (::getsockopt(fd, SOL_SOCKET, SO_ERROR, &err, &len) != 0 ||
-        err != 0) {
-      ::close(fd);
-      return -1;
-    }
-  }
-  const int flags = ::fcntl(fd, F_GETFL);
-  if (flags < 0 || ::fcntl(fd, F_SETFL, flags & ~O_NONBLOCK) != 0) {
-    ::close(fd);
-    return -1;
-  }
-  int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-  timeval tv{};
-  tv.tv_sec = send_timeout_ms / 1000;
-  tv.tv_usec = (send_timeout_ms % 1000) * 1000;
-  ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof tv);
-  return fd;
 }
 
 void put_u32le_bytes(unsigned char* p, std::uint32_t value) {
@@ -500,9 +449,10 @@ void ClientPool::Impl::send_calls(const std::shared_ptr<Backend>& backend,
     return;
   }
   if (conn.fd < 0) {
-    const int fd = connect_backend(backend->endpoint,
-                                   config.connect_timeout_ms,
-                                   config.request_timeout_ms);
+    // request_timeout_ms bounds sends; reads poll against call deadlines.
+    std::string error;
+    const int fd = connect_tcp(backend->endpoint, config.connect_timeout_ms,
+                               config.request_timeout_ms, error);
     if (fd < 0) {
       if (!conn.is_probe) {
         backend->connect_errors.fetch_add(payloads.size(),
@@ -513,7 +463,7 @@ void ClientPool::Impl::send_calls(const std::shared_ptr<Backend>& backend,
       return;
     }
     conn.fd = fd;
-    conn.decoder = FrameDecoder(config.max_frame_payload);
+    conn.decoder = FrameDecoder(kMaxResponsePayload);
     if (!conn.is_probe) {
       backend->reconnects.fetch_add(1, std::memory_order_relaxed);
     }

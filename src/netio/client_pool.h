@@ -38,14 +38,9 @@
 #include <vector>
 
 #include "netio/frame.h"
+#include "netio/frame_client.h"
 
 namespace sm::netio {
-
-/// One backend address.
-struct Endpoint {
-  std::string host;
-  std::uint16_t port = 0;
-};
 
 /// Pool tunables.
 struct ClientPoolConfig {
@@ -57,10 +52,6 @@ struct ClientPoolConfig {
   int request_timeout_ms = 2'000;
   /// Health-probe cadence; 0 disables the prober thread.
   int ping_interval_ms = 200;
-  /// Response decoder ceiling. Batch responses aggregate many rendered
-  /// certificates, so this defaults well above the frame codec's
-  /// single-frame kMaxFramePayload.
-  std::size_t max_frame_payload = 32u << 20;
 };
 
 /// How a call() ended.

@@ -1,20 +1,12 @@
 #include "notary/reshard.h"
 
-#include <arpa/inet.h>
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <cerrno>
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
 #include <sstream>
 #include <utility>
 
+#include "netio/frame_client.h"
 #include "scan/archive_io.h"
 
 namespace sm::notary {
@@ -38,114 +30,29 @@ std::uint64_t get_u64le(const char* p) {
 constexpr std::uint8_t kMaxStatusByte =
     static_cast<std::uint8_t>(pki::RevocationStatus::kUnknown);
 
-/// A minimal blocking frame-protocol client for the outbound slice
-/// stream. One connection, strict request/response — the transfer is a
-/// bulk copy, not a latency path, so none of ClientPool's pipelining
-/// machinery is warranted here.
-class BlockingClient {
- public:
-  ~BlockingClient() {
-    if (fd_ >= 0) ::close(fd_);
-  }
+/// The outbound slice stream's handshake and per-frame I/O bounds. The
+/// transfer is a bulk copy, not a latency path: one FrameClient, strict
+/// request/response.
+constexpr int kSliceConnectTimeoutMs = 2'000;
+constexpr int kSliceIoTimeoutMs = 30'000;
 
-  bool connect(const netio::Endpoint& ep, int connect_timeout_ms,
-               int io_timeout_ms, std::string& error) {
-    fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
-    if (fd_ < 0) {
-      error = "slice send: socket() failed";
-      return false;
-    }
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(ep.port);
-    if (::inet_pton(AF_INET, ep.host.c_str(), &addr.sin_addr) != 1) {
-      error = "slice send: bad target address " + ep.host;
-      return false;
-    }
-    if (::connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof addr) !=
-        0) {
-      if (errno != EINPROGRESS) {
-        error = "slice send: connect to " + ep.host + " failed";
-        return false;
-      }
-      pollfd pfd = {fd_, POLLOUT, 0};
-      int err = 0;
-      socklen_t len = sizeof err;
-      if (::poll(&pfd, 1, connect_timeout_ms) <= 0 ||
-          ::getsockopt(fd_, SOL_SOCKET, SO_ERROR, &err, &len) != 0 ||
-          err != 0) {
-        error = "slice send: connect to " + ep.host + " timed out/failed";
-        return false;
-      }
-    }
-    const int flags = ::fcntl(fd_, F_GETFL);
-    if (flags < 0 || ::fcntl(fd_, F_SETFL, flags & ~O_NONBLOCK) != 0) {
-      error = "slice send: fcntl failed";
-      return false;
-    }
-    int one = 1;
-    ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-    timeval tv{};
-    tv.tv_sec = io_timeout_ms / 1000;
-    tv.tv_usec = (io_timeout_ms % 1000) * 1000;
-    ::setsockopt(fd_, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof tv);
-    ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
-    return true;
+/// One request on the slice stream, insisting on a kSliceInfo answer
+/// (kError payloads become the error message).
+bool expect_info(netio::FrameClient& client, netio::FrameType type,
+                 std::string_view payload, std::string& info,
+                 std::string& error) {
+  netio::Frame response;
+  if (!client.call(type, payload, response)) {
+    error = "slice send: " + client.error();
+    return false;
   }
-
-  bool call(netio::FrameType type, std::string_view payload,
-            netio::Frame& response, std::string& error) {
-    const std::string frame = netio::encode_frame(type, payload);
-    std::size_t sent = 0;
-    while (sent < frame.size()) {
-      const ssize_t n =
-          ::send(fd_, frame.data() + sent, frame.size() - sent, MSG_NOSIGNAL);
-      if (n <= 0) {
-        if (n < 0 && errno == EINTR) continue;
-        error = "slice send: send failed";
-        return false;
-      }
-      sent += static_cast<std::size_t>(n);
-    }
-    for (;;) {
-      switch (decoder_.next(response)) {
-        case netio::DecodeStatus::kFrame:
-          return true;
-        case netio::DecodeStatus::kMalformed:
-          error = "slice send: malformed response (" + decoder_.error() + ")";
-          return false;
-        case netio::DecodeStatus::kNeedMore:
-          break;
-      }
-      char buf[64 * 1024];
-      const ssize_t n = ::recv(fd_, buf, sizeof buf, 0);
-      if (n < 0 && errno == EINTR) continue;
-      if (n <= 0) {
-        error = "slice send: peer closed or read timed out";
-        return false;
-      }
-      decoder_.feed(buf, static_cast<std::size_t>(n));
-    }
+  if (response.type != netio::FrameType::kSliceInfo) {
+    error = "slice send: target refused: " + response.payload;
+    return false;
   }
-
-  /// call() + insist on a kSliceInfo answer (kError payloads become the
-  /// error message).
-  bool expect_info(netio::FrameType type, std::string_view payload,
-                   std::string& info, std::string& error) {
-    netio::Frame response;
-    if (!call(type, payload, response, error)) return false;
-    if (response.type != netio::FrameType::kSliceInfo) {
-      error = "slice send: target refused: " + response.payload;
-      return false;
-    }
-    info = std::move(response.payload);
-    return true;
-  }
-
- private:
-  int fd_ = -1;
-  netio::FrameDecoder decoder_{32u << 20};
-};
+  info = std::move(response.payload);
+  return true;
+}
 
 }  // namespace
 
@@ -217,15 +124,18 @@ bool parse_slice_sidecar(std::string_view payload,
   return true;
 }
 
-void publish_live_snapshot(const corpus::LiveSnapshot& snap,
-                           NotaryService& service, util::ThreadPool* pool) {
+std::shared_ptr<const NotaryIndex> build_live_index(
+    const corpus::LiveSnapshot& snap, util::ThreadPool* pool) {
   NotaryIndexOptions options;
   options.pool = pool;
   if (snap.key_counts) options.key_counts = snap.key_counts.get();
   if (snap.statuses) options.revocation_statuses = snap.statuses.get();
-  service.publish(
-      std::make_shared<const NotaryIndex>(*snap.spine, options),
-      snap.delta);
+  return std::make_shared<const NotaryIndex>(*snap.spine, options);
+}
+
+void publish_live_snapshot(const corpus::LiveSnapshot& snap,
+                           NotaryService& service, util::ThreadPool* pool) {
+  service.publish(build_live_index(snap, pool), snap.delta);
 }
 
 struct ReshardHost::Impl {
@@ -408,7 +318,7 @@ struct ReshardHost::Impl {
     return serialize_slice_sidecar(counts, statuses);
   }
 
-  bool stream_chunks(BlockingClient& client, std::uint8_t stream,
+  bool stream_chunks(netio::FrameClient& client, std::uint8_t stream,
                      std::string_view bytes, std::string& error) {
     std::string info;
     std::size_t offset = 0;
@@ -419,8 +329,8 @@ struct ReshardHost::Impl {
       payload.reserve(n + 1);
       payload.push_back(static_cast<char>(stream));
       payload.append(bytes.data() + offset, n);
-      if (!client.expect_info(netio::FrameType::kSliceSegment, payload, info,
-                              error)) {
+      if (!expect_info(client, netio::FrameType::kSliceSegment, payload,
+                       info, error)) {
         return false;
       }
       offset += n;
@@ -449,10 +359,9 @@ struct ReshardHost::Impl {
     target.host.assign(payload.data() + 5, host_len);
 
     std::string error;
-    BlockingClient client;
-    if (!client.connect(target, options.connect_timeout_ms,
-                        options.io_timeout_ms, error)) {
-      reply_error(out, error);
+    netio::FrameClient client;
+    if (!client.connect(target, kSliceConnectTimeoutMs, kSliceIoTimeoutMs)) {
+      reply_error(out, "slice send: " + client.error());
       return;
     }
 
@@ -482,12 +391,12 @@ struct ReshardHost::Impl {
       }
       const std::string sidecar = build_sidecar(*snap, lo, hi);
       std::string info;
-      if (!client.expect_info(netio::FrameType::kSliceBegin,
-                              std::string_view(range, 2), info, error) ||
+      if (!expect_info(client, netio::FrameType::kSliceBegin,
+                       std::string_view(range, 2), info, error) ||
           !stream_chunks(client, 0, sidecar, error) ||
           !stream_chunks(client, 1, smar.view(), error) ||
-          !client.expect_info(netio::FrameType::kSliceDone, {},
-                              last_merge_info, error)) {
+          !expect_info(client, netio::FrameType::kSliceDone, {},
+                       last_merge_info, error)) {
         reply_error(out, error);
         return;
       }

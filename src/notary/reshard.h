@@ -40,7 +40,6 @@
 #include <string_view>
 
 #include "corpus/live.h"
-#include "netio/client_pool.h"
 #include "netio/frame.h"
 #include "notary/service.h"
 
@@ -56,8 +55,6 @@ struct ReshardHostOptions {
   /// Catch-up rounds before an outbound send gives up on a corpus that
   /// keeps growing faster than it streams.
   int max_rounds = 8;
-  int connect_timeout_ms = 2'000;
-  int io_timeout_ms = 30'000;
   /// Pool for index rebuilds (null = the process-global pool).
   util::ThreadPool* pool = nullptr;
 };
@@ -73,10 +70,15 @@ bool parse_slice_sidecar(std::string_view payload,
                          corpus::RevocationStatusMap& statuses,
                          std::string& error);
 
-/// Builds a NotaryIndex over `snap` (injecting its sidecar maps) and
-/// publishes it to `service` with the snapshot's delta. The shared
-/// epoch-publication helper of every live daemon path — ingest loops and
-/// slice merges go through the same door.
+/// Builds a NotaryIndex over `snap`, injecting its sidecar maps
+/// (revocation statuses, full-corpus key-sharing degrees). Live mode
+/// serves no linked-device ids: the iterative linker is corpus-global.
+std::shared_ptr<const NotaryIndex> build_live_index(
+    const corpus::LiveSnapshot& snap, util::ThreadPool* pool = nullptr);
+
+/// build_live_index + publish to `service` with the snapshot's delta. The
+/// shared epoch-publication helper of every live daemon path — ingest
+/// loops and slice merges go through the same door.
 void publish_live_snapshot(const corpus::LiveSnapshot& snap,
                            NotaryService& service,
                            util::ThreadPool* pool = nullptr);

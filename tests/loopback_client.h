@@ -1,145 +1,87 @@
-// Minimal blocking loopback client for the netio/notary tests: connect to
-// a TcpServer under test, push raw bytes, and pull decoded frames. Tests
-// exercise the server's non-blocking path; the client side can stay simple
-// and synchronous.
+// Loopback client for the netio/notary tests: a netio::FrameClient to a
+// TcpServer under test on 127.0.0.1, plus the socket tweaks only tests
+// want — a shrunken receive window, half-close, an abortive (RST) close,
+// and reading every frame until the server hangs up.
 #pragma once
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <cerrno>
 #include <cstdint>
+#include <string>
 #include <string_view>
 #include <vector>
 
 #include "netio/frame.h"
+#include "netio/frame_client.h"
 
 namespace sm::testing {
 
-/// A blocking TCP connection to 127.0.0.1:port.
 class LoopbackClient {
  public:
   /// `rcvbuf` > 0 shrinks SO_RCVBUF before connecting (the backpressure
   /// tests use a tiny receive window to keep response bytes queued on the
-  /// server).
+  /// server; the window scale is fixed at the handshake).
   explicit LoopbackClient(std::uint16_t port, int rcvbuf = 0) {
-    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd_ < 0) return;
-    if (rcvbuf > 0) {
-      ::setsockopt(fd_, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof rcvbuf);
-    }
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(port);
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    if (::connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof addr) !=
-        0) {
-      ::close(fd_);
-      fd_ = -1;
+    const netio::Endpoint ep{"127.0.0.1", port};
+    if (rcvbuf <= 0) {
+      client_.connect(ep);
       return;
     }
-    int one = 1;
-    ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
+    const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+    if (fd < 0) return;
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof rcvbuf);
+    std::string error;
+    if (!netio::connect_socket(fd, ep, 0, 0, error)) {
+      ::close(fd);
+      return;
+    }
+    client_ = netio::FrameClient(fd);
   }
 
-  ~LoopbackClient() { close(); }
-  LoopbackClient(const LoopbackClient&) = delete;
-  LoopbackClient& operator=(const LoopbackClient&) = delete;
-
-  bool connected() const { return fd_ >= 0; }
+  bool connected() const { return client_.connected(); }
 
   /// Sends every byte (raw — callers encode frames themselves when they
   /// want to corrupt them).
-  bool send_raw(std::string_view data) {
-    while (!data.empty()) {
-      const ssize_t n = ::send(fd_, data.data(), data.size(), MSG_NOSIGNAL);
-      if (n <= 0) {
-        if (n < 0 && errno == EINTR) continue;
-        return false;
-      }
-      data.remove_prefix(static_cast<std::size_t>(n));
-    }
-    return true;
-  }
+  bool send_raw(std::string_view data) { return client_.send(data); }
 
   bool send_frame(netio::FrameType type, std::string_view payload) {
-    return send_raw(netio::encode_frame(type, payload));
+    return client_.send_frame(type, payload);
   }
 
   /// Half-closes the write side so the server sees EOF while we can still
   /// read its final responses.
   void shutdown_write() {
-    if (fd_ >= 0) ::shutdown(fd_, SHUT_WR);
+    if (client_.connected()) ::shutdown(client_.fd(), SHUT_WR);
   }
 
   /// Blocks until one well-formed frame arrives. False on EOF, error, or a
   /// framing violation from the server (which would be a server bug).
-  bool read_frame(netio::Frame& out) {
-    for (;;) {
-      switch (decoder_.next(out)) {
-        case netio::DecodeStatus::kFrame:
-          return true;
-        case netio::DecodeStatus::kMalformed:
-          return false;
-        case netio::DecodeStatus::kNeedMore:
-          break;
-      }
-      char buf[64 * 1024];
-      const ssize_t n = ::recv(fd_, buf, sizeof buf, 0);
-      if (n <= 0) {
-        if (n < 0 && errno == EINTR) continue;
-        return false;
-      }
-      decoder_.feed(buf, static_cast<std::size_t>(n));
-    }
-  }
+  bool read_frame(netio::Frame& out) { return client_.read_frame(out); }
 
   /// Reads until the server closes, collecting every frame it sent. False
-  /// if any received bytes failed to decode as frames.
+  /// if any received bytes failed to decode as frames, or the stream
+  /// ended mid-frame.
   bool read_until_eof(std::vector<netio::Frame>& frames) {
     netio::Frame frame;
-    for (;;) {
-      const auto status = decoder_.next(frame);
-      if (status == netio::DecodeStatus::kFrame) {
-        frames.push_back(frame);
-        continue;
-      }
-      if (status == netio::DecodeStatus::kMalformed) return false;
-      char buf[64 * 1024];
-      const ssize_t n = ::recv(fd_, buf, sizeof buf, 0);
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        return false;
-      }
-      if (n == 0) return decoder_.buffered() == 0;  // no torn trailing bytes
-      decoder_.feed(buf, static_cast<std::size_t>(n));
-    }
+    while (client_.read_frame(frame)) frames.push_back(frame);
+    return client_.failure() == netio::FrameClient::Failure::kClosed;
   }
 
-  void close() {
-    if (fd_ >= 0) {
-      ::close(fd_);
-      fd_ = -1;
-    }
-  }
+  void close() { client_.close(); }
 
   /// Aborts the connection: SO_LINGER(0) makes close() send RST instead
   /// of FIN, so the server sees EPOLLERR/EPOLLHUP rather than clean EOF —
   /// the fd-churn tests use this to recycle server-side fd numbers fast.
   void abortive_close() {
-    if (fd_ < 0) return;
+    if (!client_.connected()) return;
     const linger lg{1, 0};
-    ::setsockopt(fd_, SOL_SOCKET, SO_LINGER, &lg, sizeof lg);
-    ::close(fd_);
-    fd_ = -1;
+    ::setsockopt(client_.fd(), SOL_SOCKET, SO_LINGER, &lg, sizeof lg);
+    client_.close();
   }
 
  private:
-  int fd_ = -1;
-  netio::FrameDecoder decoder_;
+  netio::FrameClient client_;
 };
 
 }  // namespace sm::testing

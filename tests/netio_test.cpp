@@ -1,8 +1,12 @@
 // Tests for sm::netio: the frame codec (round-trips, incremental decode,
-// truncation/bit-flip rejection) and the epoll TcpServer (echo traffic,
-// pipelining, malformed-frame handling, idle timeouts, graceful drain).
+// truncation/bit-flip rejection), endpoint parsing, the epoll TcpServer
+// (echo traffic, pipelining, malformed-frame handling, idle timeouts,
+// graceful drain), ClientPool, and the blocking FrameClient.
+#include <arpa/inet.h>
 #include <fcntl.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
 #include <sys/resource.h>
 #include <unistd.h>
 
@@ -20,6 +24,7 @@
 #include "loopback_client.h"
 #include "netio/client_pool.h"
 #include "netio/frame.h"
+#include "netio/frame_client.h"
 #include "netio/server.h"
 
 namespace sm::netio {
@@ -175,6 +180,57 @@ TEST(FrameCodec, NoSingleBitFlipDecodesAsAFrame) {
           << "byte " << byte << " bit " << bit;
     }
   }
+}
+
+TEST(ParseEndpoint, AcceptsHostAndDecimalPort) {
+  Endpoint ep;
+  ASSERT_TRUE(parse_endpoint("127.0.0.1:7433", ep));
+  EXPECT_EQ(ep.host, "127.0.0.1");
+  EXPECT_EQ(ep.port, 7433);
+  ASSERT_TRUE(parse_endpoint("h:65535", ep));
+  EXPECT_EQ(ep.host, "h");
+  EXPECT_EQ(ep.port, 65535);
+}
+
+TEST(ParseEndpoint, RejectsEmptyHost) {
+  Endpoint ep;
+  EXPECT_FALSE(parse_endpoint(":1", ep));
+}
+
+TEST(ParseEndpoint, RejectsEmptyPort) {
+  Endpoint ep;
+  EXPECT_FALSE(parse_endpoint("h:", ep));
+  EXPECT_FALSE(parse_endpoint("h", ep));
+}
+
+TEST(ParseEndpoint, RejectsPortZero) {
+  Endpoint ep;
+  EXPECT_FALSE(parse_endpoint("h:0", ep));
+}
+
+TEST(ParseEndpoint, RejectsPortAbove65535) {
+  Endpoint ep;
+  EXPECT_FALSE(parse_endpoint("h:65536", ep));
+  EXPECT_FALSE(parse_endpoint("h:1000000", ep));
+}
+
+TEST(ParseEndpoint, RejectsTrailingAndLeadingJunk) {
+  Endpoint ep;
+  EXPECT_FALSE(parse_endpoint("h:1x", ep));
+  EXPECT_FALSE(parse_endpoint("h:+7", ep));
+  EXPECT_FALSE(parse_endpoint("h: 7", ep));
+  EXPECT_FALSE(parse_endpoint("h:-0", ep));
+}
+
+TEST(ParseEndpoint, ParsesCommaSeparatedLists) {
+  std::vector<Endpoint> eps;
+  ASSERT_TRUE(parse_endpoints("127.0.0.1:1,h:2", eps));
+  ASSERT_EQ(eps.size(), 2u);
+  EXPECT_EQ(eps[1].host, "h");
+  EXPECT_EQ(eps[1].port, 2);
+  EXPECT_FALSE(parse_endpoints("h:1,", eps));
+  EXPECT_FALSE(parse_endpoints(",h:1", eps));
+  EXPECT_FALSE(parse_endpoints("", eps));
 }
 
 // ---- live server ---------------------------------------------------------
@@ -1170,6 +1226,109 @@ TEST_F(EchoServerTest, ClientPoolAddsOnlyTheProberThread) {
   EXPECT_GE(pool.counters(endpoints.size() - 1).pings_ok, 1u);
   EXPECT_EQ(count_threads(), before + 1);
   for (auto& server : servers) server->shutdown();
+}
+
+
+// ---- FrameClient -----------------------------------------------------------
+
+TEST_F(EchoServerTest, FrameClientRefusedConnectFailsPromptly) {
+  // A bound socket that never listens: connects to it are refused.
+  const int holder = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  ASSERT_GE(holder, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  socklen_t len = sizeof addr;
+  ASSERT_EQ(::bind(holder, reinterpret_cast<sockaddr*>(&addr), sizeof addr),
+            0);
+  ASSERT_EQ(::getsockname(holder, reinterpret_cast<sockaddr*>(&addr), &len),
+            0);
+
+  FrameClient client;
+  const auto begin = std::chrono::steady_clock::now();
+  EXPECT_FALSE(client.connect({"127.0.0.1", ntohs(addr.sin_port)}, 5'000));
+  EXPECT_LT(std::chrono::steady_clock::now() - begin,
+            std::chrono::seconds(1));
+  EXPECT_FALSE(client.connected());
+  EXPECT_EQ(client.failure(), FrameClient::Failure::kConnect);
+  EXPECT_NE(client.error().find("connect to 127.0.0.1"), std::string::npos)
+      << client.error();
+  ::close(holder);
+}
+
+TEST_F(EchoServerTest, FrameClientSilentServerTimesOutTheCall) {
+  std::atomic<bool> release{false};
+  TcpServer server(config_, [&](FrameType type, std::string_view payload) {
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!release.load() && std::chrono::steady_clock::now() < give_up) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+    return echo(type, payload);
+  });
+  ASSERT_TRUE(server.start());
+
+  FrameClient client;
+  ASSERT_TRUE(client.connect({"127.0.0.1", server.port()}, 1'000, 200));
+  Frame response;
+  const auto begin = std::chrono::steady_clock::now();
+  EXPECT_FALSE(client.call(FrameType::kPing, "unanswered", response));
+  const auto waited = std::chrono::steady_clock::now() - begin;
+  EXPECT_GE(waited, std::chrono::milliseconds(150));
+  EXPECT_LT(waited, std::chrono::seconds(5));
+  EXPECT_EQ(client.failure(), FrameClient::Failure::kTimeout);
+  EXPECT_EQ(client.error(), "read timed out");
+  release.store(true);
+  client.close();
+  server.shutdown();
+}
+
+TEST_F(EchoServerTest, FrameClientReportsTheDecodersErrorOnMalformedResponse) {
+  // An 0xff-filled header announces a payload far above any limit.
+  const std::string garbage(16, '\xff');
+  TcpServer server(config_, [&](FrameType, std::string_view, std::string& out) {
+    out += garbage;
+  });
+  ASSERT_TRUE(server.start());
+  FrameDecoder reference(kMaxResponsePayload);
+  reference.feed(garbage);
+  Frame unused;
+  ASSERT_EQ(reference.next(unused), DecodeStatus::kMalformed);
+
+  FrameClient client;
+  ASSERT_TRUE(client.connect({"127.0.0.1", server.port()}));
+  Frame response;
+  EXPECT_FALSE(client.call(FrameType::kPing, "x", response));
+  EXPECT_EQ(client.failure(), FrameClient::Failure::kMalformed);
+  EXPECT_NE(client.error().find(reference.error()), std::string::npos)
+      << client.error();
+  client.close();
+  server.shutdown();
+}
+
+TEST_F(EchoServerTest, FrameClientDecodesResponsesUpToTheResponseCap) {
+  // Requests stay under kMaxFramePayload; responses (batch answers) may
+  // grow to kMaxResponsePayload.
+  TcpServer server(config_, [](FrameType, std::string_view payload,
+                               std::string& out) {
+    const std::size_t size = payload == "cap" ? kMaxResponsePayload
+                                              : kMaxFramePayload + 1;
+    encode_frame_into(out, FrameType::kPong, std::string(size, 'r'));
+  });
+  ASSERT_TRUE(server.start());
+
+  FrameClient client;
+  ASSERT_TRUE(client.connect({"127.0.0.1", server.port()}));
+  Frame response;
+  ASSERT_TRUE(client.call(FrameType::kPing, "above", response))
+      << client.error();
+  EXPECT_EQ(response.type, FrameType::kPong);
+  EXPECT_EQ(response.payload.size(), kMaxFramePayload + 1);
+  ASSERT_TRUE(client.call(FrameType::kPing, "cap", response))
+      << client.error();
+  EXPECT_EQ(response.payload.size(), kMaxResponsePayload);
+  client.close();
+  server.shutdown();
 }
 
 }  // namespace

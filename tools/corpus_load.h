@@ -1,21 +1,26 @@
 // Shared corpus bootstrapping for the command-line tools (sm_survey,
 // sm_notaryd): the load-or-simulate path behind `--in bundle.smwb`,
-// `--archive archive.smar`, and the `--seed/--devices/--websites/--scale`
-// simulation fallback, plus the strict numeric flag parsers. One
-// implementation so both tools accept the same flags, print the same
-// diagnostics, and exit 2 on bad input.
+// `--archive archive.smar` (plus its optional `archive.smar.rev`
+// revocation sidecar), and the `--seed/--devices/--websites/--scale`
+// simulation fallback. One implementation so both tools accept the same
+// flags, print the same diagnostics, and exit 2 on bad input.
 #pragma once
 
-#include <cerrno>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <utility>
 
+#include "corpus/live.h"
+#include "flags.h"
 #include "net/route_table.h"
+#include "notary/reshard.h"
 #include "scan/archive.h"
 #include "scan/archive_io.h"
 #include "simworld/world.h"
@@ -23,36 +28,6 @@
 #include "util/thread_pool.h"
 
 namespace sm::tools {
-
-/// Strict unsigned parse: rejects empty values, trailing garbage, negative
-/// numbers, and out-of-range input (strtoull would silently return 0 or
-/// wrap). Exits 2 with a uniform diagnostic on bad input.
-inline std::uint64_t parse_u64_or_die(const char* flag, const char* value,
-                                      std::uint64_t max) {
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long parsed = std::strtoull(value, &end, 10);
-  if (*value < '0' || *value > '9' || end == nullptr || *end != '\0' ||
-      errno == ERANGE || parsed > max) {
-    std::fprintf(stderr, "invalid %s value '%s' (want an integer 0-%llu)\n",
-                 flag, value, static_cast<unsigned long long>(max));
-    std::exit(2);
-  }
-  return parsed;
-}
-
-/// Strict (0, 1] double parse for --scale-style flags; exits 2 on bad input.
-inline double parse_scale_or_die(const char* flag, const char* value) {
-  char* end = nullptr;
-  const double parsed = std::strtod(value, &end);
-  if (*value == '\0' || end == nullptr || *end != '\0' || !(parsed > 0.0) ||
-      parsed > 1.0) {
-    std::fprintf(stderr, "invalid %s value '%s' (want 0 < F <= 1)\n", flag,
-                 value);
-    std::exit(2);
-  }
-  return parsed;
-}
 
 /// Where the corpus comes from: a world bundle, a bare binary archive, or
 /// (when both paths are empty) a fresh simulation.
@@ -70,9 +45,15 @@ struct CorpusSpec {
 struct LoadedCorpus {
   std::optional<simworld::WorldResult> world;
   scan::ScanArchive archive;
+  /// A bare archive's revocation statuses, from its `.rev` sidecar.
+  corpus::RevocationStatusMap archive_statuses;
 
   const scan::ScanArchive& archive_ref() const {
     return world.has_value() ? world->archive : archive;
+  }
+  /// Known revocation statuses (empty when the corpus carries none).
+  const corpus::RevocationStatusMap& statuses() const {
+    return world.has_value() ? world->revocation.statuses : archive_statuses;
   }
   /// Routing history for AS resolution; null for bare archives.
   const net::RoutingHistory* routing() const {
@@ -80,9 +61,37 @@ struct LoadedCorpus {
   }
 };
 
+/// Revocation sidecar I/O: `path` holds the slice-sidecar binary format
+/// (notary/reshard.h) with statuses only. `ARCHIVE.smar.rev` travels next
+/// to an archive or ingest segment and carries the statuses known for its
+/// certificates.
+inline bool save_revocation_sidecar(
+    const std::string& path, const corpus::RevocationStatusMap& statuses) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  const std::string blob = notary::serialize_slice_sidecar({}, statuses);
+  return static_cast<bool>(
+      out.write(blob.data(), static_cast<std::streamsize>(blob.size())));
+}
+
+inline bool load_revocation_sidecar(const std::string& path,
+                                    corpus::RevocationStatusMap& statuses,
+                                    std::string& error) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream bytes;
+  bytes << in.rdbuf();
+  if (!in) {
+    error = "unreadable";
+    return false;
+  }
+  corpus::KeyCountMap unused_counts;
+  return notary::parse_slice_sidecar(bytes.view(), unused_counts, statuses,
+                                     error);
+}
+
 /// Loads `spec.in_path` or `spec.archive_path`, or simulates a world from
 /// the seed parameters when both are empty. Prints progress diagnostics to
-/// stderr; exits 2 when an input file is unreadable or corrupt.
+/// stderr; exits 2 when an input file (or an archive's `.rev` sidecar) is
+/// unreadable or corrupt.
 inline LoadedCorpus load_or_simulate(const CorpusSpec& spec) {
   LoadedCorpus corpus;
   if (!spec.in_path.empty()) {
@@ -111,6 +120,19 @@ inline LoadedCorpus load_or_simulate(const CorpusSpec& spec) {
                  spec.archive_path.c_str(), corpus.archive.scans().size(),
                  corpus.archive.certs().size(),
                  corpus.archive.observation_count());
+    const std::string rev_path = spec.archive_path + ".rev";
+    std::error_code ec;
+    if (std::filesystem::exists(rev_path, ec)) {
+      std::string error;
+      if (!load_revocation_sidecar(rev_path, corpus.archive_statuses,
+                                   error)) {
+        std::fprintf(stderr, "bad revocation sidecar %s: %s\n",
+                     rev_path.c_str(), error.c_str());
+        std::exit(2);
+      }
+      std::fprintf(stderr, "loaded %s: %zu revocation statuses\n",
+                   rev_path.c_str(), corpus.archive_statuses.size());
+    }
     return corpus;
   }
 

@@ -17,12 +17,13 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "flags.h"
 #include "netio/client_pool.h"
 #include "netio/server.h"
 #include "notary/router.h"
@@ -63,39 +64,13 @@ void usage() {
 
 std::uint64_t parse_u64_or_die(const char* flag, const char* text,
                                std::uint64_t max) {
-  char* end = nullptr;
-  const unsigned long long value = std::strtoull(text, &end, 10);
-  if (end == text || *end != '\0' || value > max) {
+  std::uint64_t value = 0;
+  if (!tools::parse_u64(text, max, value)) {
     std::fprintf(stderr, "bad value for %s: %s\n", flag, text);
     usage();
     std::exit(2);
   }
   return value;
-}
-
-/// Parses one --backend flag: HOST:PORT[,HOST:PORT...].
-std::optional<notary::RouterShard> parse_shard(const std::string& text) {
-  notary::RouterShard shard;
-  std::size_t start = 0;
-  while (start <= text.size()) {
-    std::size_t comma = text.find(',', start);
-    if (comma == std::string::npos) comma = text.size();
-    const std::string part = text.substr(start, comma - start);
-    const std::size_t colon = part.rfind(':');
-    if (colon == std::string::npos || colon == 0 ||
-        colon + 1 >= part.size()) {
-      return std::nullopt;
-    }
-    char* end = nullptr;
-    const unsigned long port = std::strtoul(part.c_str() + colon + 1, &end,
-                                            10);
-    if (*end != '\0' || port == 0 || port > 65535) return std::nullopt;
-    shard.replicas.push_back(
-        {part.substr(0, colon), static_cast<std::uint16_t>(port)});
-    start = comma + 1;
-  }
-  if (shard.replicas.empty()) return std::nullopt;
-  return shard;
 }
 
 std::optional<Options> parse(int argc, char** argv) {
@@ -110,12 +85,12 @@ std::optional<Options> parse(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--backend") {
-      auto shard = parse_shard(next());
-      if (!shard.has_value()) {
+      notary::RouterShard shard;
+      if (!netio::parse_endpoints(next(), shard.replicas)) {
         std::fprintf(stderr, "bad --backend list: %s\n", argv[i]);
         return std::nullopt;
       }
-      opts.shards.push_back(std::move(*shard));
+      opts.shards.push_back(std::move(shard));
     } else if (arg == "--port") {
       opts.port = static_cast<std::uint16_t>(
           parse_u64_or_die("--port", next(), 65535));

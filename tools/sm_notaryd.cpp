@@ -9,7 +9,9 @@
 //       Build the NotaryIndex and serve the framed binary protocol
 //       (src/netio/frame.h) until SIGTERM/SIGINT, then drain cleanly.
 //       With neither --in nor --archive, a world is simulated from
-//       --seed/--devices/--websites/--scale (handy for demos).
+//       --seed/--devices/--websites/--scale (handy for demos). An
+//       `archive.smar.rev` sidecar next to --archive supplies revocation
+//       statuses in every serving mode.
 //
 //   sm_notaryd --shard-prefix LO-HI|i/n ...
 //       Shard mode: serve only the certificates whose fingerprint's first
@@ -29,15 +31,6 @@
 //       and wait for a reshard driver to stream a slice in. Key-sharing
 //       degrees and revocation statuses arrive in the slice sidecar, so
 //       the successor answers byte-identically to the shard it relieves.
-//
-//   sm_notaryd --bench N [--clients C] ...
-//       Load-generator mode: serve on an ephemeral loopback port, drive N
-//       lookups from C concurrent client connections, and report
-//       throughput and client-side latency percentiles. --bench-batch B
-//       groups lookups into kBatchQuery frames, --bench-zipf S draws
-//       fingerprints from a Zipf(S) popularity curve, and
-//       --bench-open-loop QPS switches to open-loop arrivals (latency
-//       measured from the scheduled send time, so queueing counts).
 //
 //   sm_notaryd --query HEX --port N [--host ADDR]
 //       One-shot client: look up a fingerprint (16- or 32-byte hex) on a
@@ -66,41 +59,29 @@
 //
 //   sm_notaryd --split-segments K DIR ...
 //       Segment producer: write DIR/base.smar (all but the last K scans
-//       of the corpus) plus one segment-NNN.smar per held-out scan —
-//       ready to serve with `--archive base.smar --ingest DIR`.
+//       of the corpus) plus one segment-NNN.smar per held-out scan, each
+//       with its `.rev` revocation sidecar — ready to serve with
+//       `--archive base.smar --ingest DIR`.
 //
-//   sm_notaryd --ingest-bench K ...
-//       Self-contained ingestion benchmark: holds out the last K scans
-//       of the corpus, serves the rest, then appends the K held-out
-//       segments while loopback clients query continuously — reporting
-//       per-epoch swap latency and the query p50/p99 during ingestion.
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
+// Load generation lives in perfbench (perfbench/README.md): its lookup,
+// bulk and ingest workloads drive the same NotaryService, ClientPool and
+// LiveCorpus paths this daemon serves.
 #include <algorithm>
 #include <atomic>
-#include <cerrno>
 #include <chrono>
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <optional>
-#include <random>
 #include <set>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <tuple>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -110,14 +91,12 @@
 #include "corpus_load.h"
 #include "linking/linker.h"
 #include "netio/frame.h"
+#include "netio/frame_client.h"
 #include "netio/server.h"
-#include "notary/batch.h"
 #include "notary/index.h"
 #include "notary/reshard.h"
 #include "notary/service.h"
 #include "scan/archive_io.h"
-#include "simworld/world.h"
-#include "simworld/world_io.h"
 #include "util/hex.h"
 #include "util/thread_pool.h"
 
@@ -140,11 +119,6 @@ struct Options {
   std::size_t cache_mb = 64;
   int idle_ms = 60'000;
   bool link = false;
-  std::uint64_t bench = 0;
-  std::size_t clients = 4;
-  std::size_t bench_batch = 0;   // fingerprints per kBatchQuery; 0 = singles
-  double bench_zipf = 0;         // Zipf exponent; 0 = uniform round-robin
-  double bench_open_loop = 0;    // target arrival rate (qps); 0 = closed loop
   bool has_shard = false;        // --shard-prefix LO-HI
   std::uint8_t shard_lo = 0;
   std::uint8_t shard_hi = 255;
@@ -154,7 +128,6 @@ struct Options {
   std::string query_hex;
   std::string ingest_dir;
   int ingest_poll_ms = 500;
-  std::uint64_t ingest_bench = 0;
   std::uint64_t split_count = 0;
   std::string split_dir;
   // Simulation fallback when no input file is given.
@@ -191,13 +164,6 @@ void usage() {
       "                 failures (and zero oracle mismatches)\n"
       "  --oracle H:P   also fetch every --probe response from this\n"
       "                 unsharded daemon and require byte-identity\n"
-      "  --bench N      loopback load generator: N queries, then exit\n"
-      "  --clients C    concurrent bench connections (default 4)\n"
-      "  --bench-batch M      group M fingerprints per kBatchQuery frame\n"
-      "  --bench-zipf S       Zipf(S)-distributed fingerprint popularity\n"
-      "                 (S > 0, e.g. 0.99) instead of a uniform sweep\n"
-      "  --bench-open-loop R  open-loop arrivals at R requests/s: sends\n"
-      "                 are scheduled, latency includes queue delay\n"
       "  --query HEX    one-shot client query against a running daemon:\n"
       "                 prints the knowledge render plus the revocation\n"
       "                 status line; exits 0 found, 3 not in the index,\n"
@@ -206,9 +172,6 @@ void usage() {
       "  --ingest DIR   live mode: poll DIR for new .smar segments and\n"
       "                 publish each as a fresh index epoch (no --link)\n"
       "  --ingest-poll-ms N  directory poll interval (default 500)\n"
-      "  --ingest-bench K    append the corpus's last K scans as live\n"
-      "                 segments under loopback query load; report swap\n"
-      "                 latency and query p99 during ingestion\n"
       "  --split-segments K DIR  write DIR/base.smar (all but the last K\n"
       "                 scans) plus one segment-NNN.smar per held-out\n"
       "                 scan, then exit — the producer side of --ingest\n",
@@ -216,17 +179,6 @@ void usage() {
 }
 
 using tools::parse_u64_or_die;
-
-double parse_positive_double_or_die(const char* flag, const char* text) {
-  char* end = nullptr;
-  const double value = std::strtod(text, &end);
-  if (end == text || *end != '\0' || !(value > 0) || value > 1e9) {
-    std::fprintf(stderr, "%s wants a positive number, got \"%s\"\n", flag,
-                 text);
-    std::exit(2);
-  }
-  return value;
-}
 
 std::pair<std::uint8_t, std::uint8_t> parse_prefix_range_or_die(
     const char* text) {
@@ -294,19 +246,6 @@ std::optional<Options> parse(int argc, char** argv) {
           parse_u64_or_die("--idle-ms", value(), 86'400'000));
     } else if (arg == "--link") {
       opts.link = true;
-    } else if (arg == "--bench") {
-      opts.bench = parse_u64_or_die("--bench", value(), ~std::uint64_t{0});
-    } else if (arg == "--clients") {
-      opts.clients = parse_u64_or_die("--clients", value(), 1024);
-      if (opts.clients == 0) opts.clients = 1;
-    } else if (arg == "--bench-batch") {
-      opts.bench_batch = parse_u64_or_die("--bench-batch", value(),
-                                          notary::kMaxBatchEntries);
-    } else if (arg == "--bench-zipf") {
-      opts.bench_zipf = parse_positive_double_or_die("--bench-zipf", value());
-    } else if (arg == "--bench-open-loop") {
-      opts.bench_open_loop =
-          parse_positive_double_or_die("--bench-open-loop", value());
     } else if (arg == "--shard-prefix") {
       std::tie(opts.shard_lo, opts.shard_hi) =
           parse_prefix_range_or_die(value());
@@ -330,9 +269,6 @@ std::optional<Options> parse(int argc, char** argv) {
       opts.split_count =
           parse_u64_or_die("--split-segments", value(), 100'000);
       opts.split_dir = value();
-    } else if (arg == "--ingest-bench") {
-      opts.ingest_bench =
-          parse_u64_or_die("--ingest-bench", value(), 100'000);
     } else if (arg == "--seed") {
       opts.seed = parse_u64_or_die("--seed", value(), ~std::uint64_t{0});
     } else if (arg == "--devices") {
@@ -349,57 +285,7 @@ std::optional<Options> parse(int argc, char** argv) {
   return opts;
 }
 
-// ---- blocking-socket client helpers (bench + --query modes) -------------
-
-int connect_tcp(const std::string& host, std::uint16_t port) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return -1;
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1 ||
-      ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
-    ::close(fd);
-    return -1;
-  }
-  int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-  return fd;
-}
-
-bool send_all(int fd, std::string_view data) {
-  while (!data.empty()) {
-    const ssize_t n = ::send(fd, data.data(), data.size(), MSG_NOSIGNAL);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      return false;
-    }
-    data.remove_prefix(static_cast<std::size_t>(n));
-  }
-  return true;
-}
-
-bool read_frame(int fd, netio::FrameDecoder& decoder, netio::Frame& out) {
-  for (;;) {
-    switch (decoder.next(out)) {
-      case netio::DecodeStatus::kFrame:
-        return true;
-      case netio::DecodeStatus::kMalformed:
-        return false;
-      case netio::DecodeStatus::kNeedMore:
-        break;
-    }
-    char buf[64 * 1024];
-    const ssize_t n = ::recv(fd, buf, sizeof buf, 0);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      return false;
-    }
-    decoder.feed(buf, static_cast<std::size_t>(n));
-  }
-}
-
-// ---- modes ---------------------------------------------------------------
+// ---- clients ---------------------------------------------------------------
 
 int run_query_client(const Options& opts) {
   const auto bytes = util::hex_decode(opts.query_hex);
@@ -410,8 +296,8 @@ int run_query_client(const Options& opts) {
                  "fingerprint)\n");
     return 2;
   }
-  const int fd = connect_tcp(opts.host, opts.port);
-  if (fd < 0) {
+  netio::FrameClient client;
+  if (!client.connect({opts.host, opts.port})) {
     std::fprintf(stderr, "cannot connect to %s:%u\n", opts.host.c_str(),
                  opts.port);
     return 1;
@@ -420,13 +306,8 @@ int run_query_client(const Options& opts) {
   // revocation verdict. Exit codes stay distinct so scripts can branch:
   // 0 found, 3 not in the index, 2 bad hex, 1 transport/protocol failure.
   const std::string payload(bytes->begin(), bytes->end());
-  netio::FrameDecoder decoder;
   netio::Frame response;
-  const bool ok =
-      send_all(fd, netio::encode_frame(netio::FrameType::kQuery, payload)) &&
-      read_frame(fd, decoder, response);
-  if (!ok) {
-    ::close(fd);
+  if (!client.call(netio::FrameType::kQuery, payload, response)) {
     std::fprintf(stderr, "no response from %s:%u\n", opts.host.c_str(),
                  opts.port);
     return 1;
@@ -435,21 +316,11 @@ int run_query_client(const Options& opts) {
   if (!response.payload.empty() && response.payload.back() != '\n') {
     std::fputc('\n', stdout);
   }
-  if (response.type == netio::FrameType::kNotFound) {
-    ::close(fd);
-    return 3;
-  }
-  if (response.type != netio::FrameType::kCertInfo) {
-    ::close(fd);
-    return 1;
-  }
+  if (response.type == netio::FrameType::kNotFound) return 3;
+  if (response.type != netio::FrameType::kCertInfo) return 1;
   netio::Frame revocation;
-  const bool rev_ok =
-      send_all(fd, netio::encode_frame(netio::FrameType::kRevocationQuery,
-                                       payload)) &&
-      read_frame(fd, decoder, revocation);
-  ::close(fd);
-  if (!rev_ok) {
+  if (!client.call(netio::FrameType::kRevocationQuery, payload,
+                   revocation)) {
     std::fprintf(stderr, "no revocation response from %s:%u\n",
                  opts.host.c_str(), opts.port);
     return 1;
@@ -464,188 +335,156 @@ int run_query_client(const Options& opts) {
   return 0;
 }
 
-int run_bench(const Options& opts, notary::NotaryService& service,
-              const scan::ScanArchive& archive) {
+// The resharding e2e check: hammer a router (or daemon) with kQuery +
+// kRevocationQuery lookups and — with --oracle — require byte-identical
+// responses from an unsharded daemon. Any transport failure or mismatch
+// is fatal; a resharding deployment must mask the handoff completely.
+int run_probe_client(const Options& opts, const scan::ScanArchive& archive) {
+  const auto& certs = archive.certs();
+  if (certs.empty()) {
+    std::fprintf(stderr, "--probe: empty corpus, nothing to query\n");
+    return 2;
+  }
+  netio::Endpoint oracle_ep;
+  if (!opts.oracle.empty() && !netio::parse_endpoint(opts.oracle, oracle_ep)) {
+    std::fprintf(stderr, "--oracle wants HOST:PORT, got \"%s\"\n",
+                 opts.oracle.c_str());
+    return 2;
+  }
+
+  netio::FrameClient client;
+  if (!client.connect({opts.host, opts.port})) {
+    std::fprintf(stderr, "--probe: cannot connect to %s:%u\n",
+                 opts.host.c_str(), opts.port);
+    return 1;
+  }
+  netio::FrameClient oracle;
+  if (oracle_ep.port != 0 && !oracle.connect(oracle_ep)) {
+    std::fprintf(stderr, "--probe: cannot connect to oracle %s:%u\n",
+                 oracle_ep.host.c_str(), oracle_ep.port);
+    return 1;
+  }
+
+  netio::Frame response;
+  netio::Frame oracle_response;
+  std::uint64_t sent = 0;
+  std::uint64_t mismatches = 0;
+  const netio::FrameType kinds[2] = {netio::FrameType::kQuery,
+                                     netio::FrameType::kRevocationQuery};
+  for (std::uint64_t q = 0; q < opts.probe; ++q) {
+    const auto& fp = certs[q % certs.size()].fingerprint;
+    const std::string_view payload(
+        reinterpret_cast<const char*>(fp.data()), fp.size());
+    for (const netio::FrameType kind : kinds) {
+      ++sent;
+      if (!client.call(kind, payload, response)) {
+        std::fprintf(stderr,
+                     "--probe: transport failure on query %llu of %llu\n",
+                     static_cast<unsigned long long>(sent),
+                     static_cast<unsigned long long>(opts.probe * 2));
+        return 1;
+      }
+      if (response.type == netio::FrameType::kError) {
+        std::fprintf(stderr, "--probe: query %llu answered kError: %s\n",
+                     static_cast<unsigned long long>(sent),
+                     response.payload.c_str());
+        return 1;
+      }
+      if (!oracle.connected()) continue;
+      if (!oracle.call(kind, payload, oracle_response)) {
+        std::fprintf(stderr, "--probe: oracle transport failure\n");
+        return 1;
+      }
+      if (response.type != oracle_response.type ||
+          response.payload != oracle_response.payload) {
+        if (++mismatches <= 3) {
+          std::fprintf(
+              stderr,
+              "--probe: MISMATCH on query %llu (type %u vs %u)\n--- "
+              "got ---\n%s\n--- oracle ---\n%s\n",
+              static_cast<unsigned long long>(sent),
+              static_cast<unsigned>(response.type),
+              static_cast<unsigned>(oracle_response.type),
+              response.payload.c_str(), oracle_response.payload.c_str());
+        }
+      }
+    }
+  }
+  std::printf("probe: %llu lookups, %llu mismatches%s\n",
+              static_cast<unsigned long long>(sent),
+              static_cast<unsigned long long>(mismatches),
+              opts.oracle.empty() ? "" : " (oracle-checked)");
+  return mismatches == 0 ? 0 : 1;
+}
+
+// ---- the serve path ----------------------------------------------------------
+
+/// Runs until the stop flag is raised; the --ingest directory poller.
+using IngestPoller = std::function<void(const std::atomic<bool>& stop)>;
+
+// Every serving mode ends here: one TcpServer over the service (with the
+// reshard control frames intercepted first when a ReshardHost is
+// mounted), an optional ingest poller thread, a wait for SIGTERM/SIGINT,
+// then a drain and its summary.
+int serve(const Options& opts, notary::NotaryService& service,
+          notary::ReshardHost* reshard, const IngestPoller& ingest) {
   netio::ServerConfig config;
-  config.bind_address = "127.0.0.1";
-  config.port = 0;  // ephemeral: the bench is self-contained
+  config.bind_address = opts.bind_address;
+  config.port = opts.port;
   config.workers = opts.threads;
   config.idle_timeout_ms = opts.idle_ms;
-  netio::TcpServer server(config, [&service](netio::FrameType type,
-                                             std::string_view payload,
-                                             std::string& out) {
-    service.handle_into(type, payload, out);
-  });
+  netio::TcpServer server(
+      config, [&service, reshard](netio::FrameType type,
+                                  std::string_view payload,
+                                  std::string& out) {
+        if (reshard == nullptr || !reshard->handle(type, payload, out)) {
+          service.handle_into(type, payload, out);
+        }
+      });
   std::string error;
   if (!server.start(&error)) {
     std::fprintf(stderr, "server start failed: %s\n", error.c_str());
     return 1;
   }
-
-  const auto& certs = archive.certs();
-  if (certs.empty()) {
-    std::fprintf(stderr, "empty corpus, nothing to query\n");
-    return 1;
+  std::signal(SIGTERM, on_signal);
+  std::signal(SIGINT, on_signal);
+  std::string mode;
+  if (reshard != nullptr) mode = ", reshard-capable";
+  if (ingest) {
+    mode = ", ingesting " + opts.ingest_dir + " every " +
+           std::to_string(opts.ingest_poll_ms) + "ms";
   }
-  const std::size_t clients = opts.clients;
-  const std::size_t batch = std::max<std::size_t>(opts.bench_batch, 1);
-  // Round requests up so every client issues whole frames.
-  const std::uint64_t frames_per_client =
-      (opts.bench + clients * batch - 1) / (clients * batch);
+  std::fprintf(stderr, "sm_notaryd listening on %s:%u (%zu certificates%s)\n",
+               opts.bind_address.c_str(), server.port(),
+               service.index().size(), mode.c_str());
 
-  // Zipf(S) popularity over certificate ranks: one shared CDF, sampled
-  // per client by binary search. Rank r (1-based) gets weight r^-S —
-  // with S near 1 a few fingerprints dominate, which is what a notary
-  // fronting real TLS clients would see (and what makes the LRU earn
-  // its keep).
-  std::vector<double> zipf_cdf;
-  if (opts.bench_zipf > 0) {
-    zipf_cdf.resize(certs.size());
-    double total = 0;
-    for (std::size_t r = 0; r < certs.size(); ++r) {
-      total += std::pow(static_cast<double>(r + 1), -opts.bench_zipf);
-      zipf_cdf[r] = total;
-    }
-    for (double& v : zipf_cdf) v /= total;
+  std::atomic<bool> stop{false};
+  std::thread poller;
+  if (ingest) poller = std::thread([&] { ingest(stop); });
+  while (g_stop == 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
   }
-
-  // Open-loop arrivals: each client sends on a fixed schedule regardless
-  // of responses, so latency includes the queueing a closed loop hides
-  // (coordinated omission). Latency is measured from the *scheduled*
-  // send time.
-  const std::uint64_t interval_ns =
-      opts.bench_open_loop > 0
-          ? static_cast<std::uint64_t>(1e9 * static_cast<double>(clients) /
-                                       opts.bench_open_loop)
-          : 0;
-
-  std::atomic<std::uint64_t> failures{0};
-  notary::LatencyHistogram latency;
-
-  std::fprintf(
-      stderr, "bench: %llu lookups over %zu connections (batch %zu%s%s)...\n",
-      static_cast<unsigned long long>(frames_per_client * clients * batch),
-      clients, batch, opts.bench_zipf > 0 ? ", zipf" : "",
-      interval_ns > 0 ? ", open-loop" : "");
-  const auto begin = std::chrono::steady_clock::now();
-  std::vector<std::thread> threads;
-  threads.reserve(clients);
-  for (std::size_t c = 0; c < clients; ++c) {
-    threads.emplace_back([&, c] {
-      const int fd = connect_tcp("127.0.0.1", server.port());
-      if (fd < 0) {
-        failures.fetch_add(frames_per_client * batch,
-                           std::memory_order_relaxed);
-        return;
-      }
-      netio::FrameDecoder decoder(32u << 20);  // batch responses are big
-      netio::Frame response;
-      std::mt19937_64 rng(0x5eed0000 + c);
-      std::uniform_real_distribution<double> uniform(0.0, 1.0);
-      std::vector<scan::CertFingerprint> fps(batch);
-      std::uint64_t serial = 0;
-      const auto pick = [&]() -> const scan::CertFingerprint& {
-        std::size_t index;
-        if (!zipf_cdf.empty()) {
-          index = static_cast<std::size_t>(
-              std::upper_bound(zipf_cdf.begin(), zipf_cdf.end(),
-                               uniform(rng)) -
-              zipf_cdf.begin());
-          if (index >= certs.size()) index = certs.size() - 1;
-        } else {
-          index = (serial * clients + c) % certs.size();
-        }
-        ++serial;
-        return certs[index].fingerprint;
-      };
-      for (std::uint64_t q = 0; q < frames_per_client; ++q) {
-        std::string request;
-        if (opts.bench_batch > 0) {
-          for (std::size_t i = 0; i < batch; ++i) fps[i] = pick();
-          request = netio::encode_frame(netio::FrameType::kBatchQuery,
-                                        notary::encode_batch_query(fps));
-        } else {
-          const auto& fp = pick();
-          request = netio::encode_frame(
-              netio::FrameType::kQuery,
-              std::string_view(reinterpret_cast<const char*>(fp.data()),
-                               fp.size()));
-        }
-        auto t0 = std::chrono::steady_clock::now();
-        if (interval_ns > 0) {
-          t0 = begin + std::chrono::nanoseconds(q * interval_ns +
-                                                c * interval_ns / clients);
-          std::this_thread::sleep_until(t0);
-        }
-        const netio::FrameType want = opts.bench_batch > 0
-                                          ? netio::FrameType::kBatchInfo
-                                          : netio::FrameType::kCertInfo;
-        if (!send_all(fd, request) || !read_frame(fd, decoder, response) ||
-            response.type != want) {
-          failures.fetch_add(batch, std::memory_order_relaxed);
-          continue;
-        }
-        latency.record(static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                std::chrono::steady_clock::now() - t0)
-                .count()));
-      }
-      ::close(fd);
-    });
-  }
-  for (auto& thread : threads) thread.join();
-  const double seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - begin)
-          .count();
-
-  const auto summary = latency.summarize();
-  const std::uint64_t lookups_ok =
-      summary.count * static_cast<std::uint64_t>(batch);
-  std::printf("lookups:    %llu ok, %llu failed in %.3fs\n",
-              static_cast<unsigned long long>(lookups_ok),
-              static_cast<unsigned long long>(
-                  failures.load(std::memory_order_relaxed)),
-              seconds);
-  std::printf("throughput: %.0f lookups/s, %.0f frames/s (%zu client "
-              "connections, %zu workers)\n",
-              static_cast<double>(lookups_ok) / seconds,
-              static_cast<double>(summary.count) / seconds, clients,
-              opts.threads == 0
-                  ? static_cast<std::size_t>(
-                        std::thread::hardware_concurrency())
-                  : opts.threads);
-  std::printf("rtt:        p50 %.1fus  p99 %.1fus  max %.1fus%s\n",
-              summary.p50_us, summary.p99_us, summary.max_us,
-              interval_ns > 0 ? "  (from scheduled send)" : "");
-
-  // The server's own view, through the protocol like any client.
-  const int fd = connect_tcp("127.0.0.1", server.port());
-  if (fd >= 0) {
-    netio::FrameDecoder decoder;
-    netio::Frame response;
-    if (send_all(fd, netio::encode_frame(netio::FrameType::kStats, "")) &&
-        read_frame(fd, decoder, response)) {
-      std::printf("\n%s", response.payload.c_str());
-    }
-    ::close(fd);
-  }
+  std::fprintf(stderr, "signal received, draining...\n");
+  stop.store(true, std::memory_order_relaxed);
+  if (poller.joinable()) poller.join();
   server.shutdown();
-  return failures.load(std::memory_order_relaxed) == 0 ? 0 : 1;
+  const auto counters = server.counters();
+  std::fprintf(stderr,
+               "drained: %llu connections, %llu frames (%llu malformed, "
+               "%llu idle-closed)\n",
+               static_cast<unsigned long long>(counters.connections_accepted),
+               static_cast<unsigned long long>(counters.frames_handled),
+               static_cast<unsigned long long>(counters.malformed_frames),
+               static_cast<unsigned long long>(counters.idle_closed));
+  std::fputs(service.render_stats().c_str(), stderr);
+  std::fputs(service.render_snapshot_info().c_str(), stderr);
+  return 0;
 }
 
-// ---- live ingestion ------------------------------------------------------
-
-// Builds the notary index over one published corpus epoch (no linking:
-// the iterative linker is corpus-global, so live mode serves observation
-// history without linked-device ids). The snapshot's sidecar maps —
-// revocation statuses and injected full-corpus key-sharing degrees —
-// ride into every epoch's index, not just the first.
-std::shared_ptr<const notary::NotaryIndex> build_epoch_index(
-    const corpus::LiveSnapshot& snap) {
-  notary::NotaryIndexOptions options;
-  if (snap.key_counts) options.key_counts = snap.key_counts.get();
-  if (snap.statuses) options.revocation_statuses = snap.statuses.get();
-  return std::make_shared<const notary::NotaryIndex>(*snap.spine, options);
+notary::NotaryServiceConfig service_config(const Options& opts) {
+  notary::NotaryServiceConfig config;
+  config.cache_bytes = opts.cache_mb << 20;
+  return config;
 }
 
 // Moves the archive out of a loaded corpus (the routing history, when
@@ -655,13 +494,85 @@ scan::ScanArchive take_archive(tools::LoadedCorpus& corpus) {
                                   : std::move(corpus.archive);
 }
 
+// Logs a fresh LiveCorpus's first epoch.
+void report_epoch0(const corpus::LiveSnapshot& snap,
+                   std::chrono::steady_clock::time_point begin) {
+  std::fprintf(stderr,
+               "live corpus: epoch 0 over %zu scans, %zu certificates in "
+               "%.2fs\n",
+               snap.spine->scan_count(), snap.spine->cert_count(),
+               std::chrono::duration<double>(
+                   std::chrono::steady_clock::now() - begin)
+                   .count());
+}
+
+// ---- corpus setups -----------------------------------------------------------
+
+// The static daemon: one columnar spine over the corpus; the linker
+// (under --link) and the notary index both consume it.
+int run_static_server(const Options& opts, const tools::LoadedCorpus& corpus) {
+  const auto spine_begin = std::chrono::steady_clock::now();
+  corpus::CorpusOptions spine_options;
+  spine_options.routing = corpus.routing();
+  const corpus::CorpusIndex spine(corpus.archive_ref(), spine_options);
+  std::fprintf(stderr, "corpus spine: %zu certificates, %zu observations "
+               "in %.2fs\n",
+               spine.cert_count(), spine.observation_count(),
+               std::chrono::duration<double>(
+                   std::chrono::steady_clock::now() - spine_begin)
+                   .count());
+
+  std::vector<std::vector<scan::CertId>> device_groups;
+  if (opts.link) {
+    if (corpus.routing() == nullptr) {
+      std::fprintf(stderr,
+                   "--link needs routing data (--in bundle or a simulated "
+                   "world, not --archive)\n");
+      return 1;
+    }
+    const auto begin = std::chrono::steady_clock::now();
+    const analysis::DatasetIndex index(spine);
+    const linking::Linker linker(index);
+    const auto linked = linker.link_iteratively();
+    device_groups.reserve(linked.groups.size());
+    for (const auto& group : linked.groups) {
+      device_groups.push_back(group.certs);
+    }
+    std::fprintf(stderr, "linking: %zu device groups in %.2fs\n",
+                 device_groups.size(),
+                 std::chrono::duration<double>(
+                     std::chrono::steady_clock::now() - begin)
+                     .count());
+  }
+
+  const auto begin = std::chrono::steady_clock::now();
+  notary::NotaryIndexOptions index_options;
+  if (!device_groups.empty()) {
+    index_options.device_groups = &device_groups;
+  }
+  // Revocation verdicts ride along when the corpus carries them (a
+  // simulated world or an archive's .rev sidecar; otherwise kUnknown).
+  if (!corpus.statuses().empty()) {
+    index_options.revocation_statuses = &corpus.statuses();
+  }
+  const notary::NotaryIndex index(spine, index_options);
+  std::fprintf(stderr, "notary index: %zu certificates in %.2fs\n",
+               index.size(),
+               std::chrono::duration<double>(
+                   std::chrono::steady_clock::now() - begin)
+                   .count());
+
+  notary::NotaryService service(index, service_config(opts));
+  return serve(opts, service, nullptr, {});
+}
+
 // The --ingest poller: watches a directory for new .smar segments,
 // appends each through the LiveCorpus, and publishes the fresh epoch to
 // the service. Files are processed once, in name order — producers must
 // write segments atomically (write elsewhere, rename into place).
 void poll_ingest_dir(const Options& opts, corpus::LiveCorpus& live,
                      notary::NotaryService& service,
-                     std::atomic<bool>& stop) {
+                     const std::atomic<bool>& stop) {
   std::set<std::string> seen;
   while (!stop.load(std::memory_order_relaxed)) {
     std::vector<std::string> fresh;
@@ -688,20 +599,15 @@ void poll_ingest_dir(const Options& opts, corpus::LiveCorpus& live,
         continue;
       }
       // An optional SEG.smar.rev sidecar carries revocation statuses
-      // learned with the segment (slice-sidecar binary format; the key
-      // count section is unused here).
+      // learned with the segment.
       corpus::RevocationStatusMap segment_statuses;
       const corpus::RevocationStatusMap* statuses_arg = nullptr;
       std::error_code rev_ec;
       const std::string rev_path = path + ".rev";
       if (std::filesystem::is_regular_file(rev_path, rev_ec)) {
-        std::ifstream rev(rev_path, std::ios::binary);
-        std::ostringstream bytes;
-        bytes << rev.rdbuf();
-        corpus::KeyCountMap unused_counts;
         std::string rev_error;
-        if (rev && notary::parse_slice_sidecar(bytes.view(), unused_counts,
-                                               segment_statuses, rev_error)) {
+        if (tools::load_revocation_sidecar(rev_path, segment_statuses,
+                                           rev_error)) {
           statuses_arg = &segment_statuses;
         } else {
           std::fprintf(stderr, "ingest: ignoring bad sidecar %s: %s\n",
@@ -716,7 +622,7 @@ void poll_ingest_dir(const Options& opts, corpus::LiveCorpus& live,
         continue;
       }
       const auto snap = live.snapshot();
-      service.publish(build_epoch_index(*snap), snap->delta);
+      notary::publish_live_snapshot(*snap, service);
       const double seconds = std::chrono::duration<double>(
                                  std::chrono::steady_clock::now() - begin)
                                  .count();
@@ -735,6 +641,72 @@ void poll_ingest_dir(const Options& opts, corpus::LiveCorpus& live,
       std::this_thread::sleep_for(std::chrono::milliseconds(20));
     }
   }
+}
+
+// --ingest: a LiveCorpus over the whole loaded archive; the segment
+// sidecars update its revocation statuses epoch over epoch.
+int run_ingest_server(const Options& opts, tools::LoadedCorpus corpus) {
+  std::error_code ec;
+  if (!std::filesystem::is_directory(opts.ingest_dir, ec)) {
+    std::fprintf(stderr, "--ingest: %s is not a directory\n",
+                 opts.ingest_dir.c_str());
+    return 2;
+  }
+  const auto begin = std::chrono::steady_clock::now();
+  corpus::RevocationStatusMap statuses = corpus.statuses();
+  corpus::LiveCorpus live(take_archive(corpus), corpus.routing(), nullptr,
+                          std::move(statuses));
+  const auto snap0 = live.snapshot();
+  report_epoch0(*snap0, begin);
+
+  notary::NotaryService service(notary::build_live_index(*snap0),
+                                service_config(opts));
+  return serve(opts, service, nullptr,
+               [&](const std::atomic<bool>& stop) {
+                 poll_ingest_dir(opts, live, service, stop);
+               });
+}
+
+// --shard-prefix / --empty: a live, reshardable backend. The slice lives
+// in a LiveCorpus (so kSliceBegin/Segment/Done merges and kSliceRetire
+// publish fresh epochs) and a notary::ReshardHost intercepts the reshard
+// control frames in front of the NotaryService.
+int run_live_server(const Options& opts, const tools::LoadedCorpus& corpus) {
+  scan::ScanArchive initial;
+  corpus::RevocationStatusMap statuses;
+  corpus::KeyCountMap key_counts;
+  if (opts.empty_corpus) {
+    std::fprintf(stderr,
+                 "successor: empty corpus, awaiting a reshard slice\n");
+  } else {
+    const scan::ScanArchive& full = corpus.archive_ref();
+    // Key-sharing degree is a property of the FULL corpus (an SPKI's
+    // other holders live on other shards): count before slicing and
+    // carry the counts as this slice's sidecar, so they survive merges
+    // and retires.
+    key_counts.reserve(full.certs().size());
+    for (const scan::CertRecord& cert : full.certs()) {
+      ++key_counts[cert.key_fingerprint];
+    }
+    statuses = corpus.statuses();
+    initial =
+        corpus::extract_prefix_slice(full, opts.shard_lo, opts.shard_hi);
+    std::fprintf(stderr, "shard: prefix %u-%u, %zu of %zu certificates\n",
+                 static_cast<unsigned>(opts.shard_lo),
+                 static_cast<unsigned>(opts.shard_hi),
+                 initial.certs().size(), full.certs().size());
+  }
+
+  const auto begin = std::chrono::steady_clock::now();
+  corpus::LiveCorpus live(std::move(initial), corpus.routing(), nullptr,
+                          std::move(statuses), std::move(key_counts));
+  const auto snap0 = live.snapshot();
+  report_epoch0(*snap0, begin);
+
+  notary::NotaryService service(notary::build_live_index(*snap0),
+                                service_config(opts));
+  notary::ReshardHost reshard(live, service);
+  return serve(opts, service, &reshard, {});
 }
 
 // The producer side of --ingest: split the corpus into a base archive
@@ -760,32 +732,21 @@ int run_split_segments(const Options& opts, tools::LoadedCorpus corpus) {
   }
   const std::size_t base_count =
       total - static_cast<std::size_t>(opts.split_count);
-  const corpus::RevocationStatusMap* statuses =
-      corpus.world.has_value() && !corpus.world->revocation.statuses.empty()
-          ? &corpus.world->revocation.statuses
-          : nullptr;
+  const corpus::RevocationStatusMap& statuses = corpus.statuses();
   const auto write = [&](const scan::ScanArchive& archive,
                          const std::string& name) {
     const auto path = std::filesystem::path(opts.split_dir) / name;
     // Revocation sidecar first: the ingest poller keys on the .smar
     // appearing, so NAME.smar.rev must already be in place by then.
-    if (statuses != nullptr) {
-      corpus::RevocationStatusMap subset;
-      for (const scan::CertRecord& cert : archive.certs()) {
-        const auto it = statuses->find(cert.fingerprint);
-        if (it != statuses->end()) subset.emplace(it->first, it->second);
-      }
-      if (!subset.empty()) {
-        std::ofstream rev(path.string() + ".rev",
-                          std::ios::binary | std::ios::trunc);
-        const std::string blob =
-            notary::serialize_slice_sidecar({}, subset);
-        if (!rev.write(blob.data(),
-                       static_cast<std::streamsize>(blob.size()))) {
-          std::fprintf(stderr, "cannot write %s.rev\n", path.c_str());
-          return false;
-        }
-      }
+    corpus::RevocationStatusMap subset;
+    for (const scan::CertRecord& cert : archive.certs()) {
+      const auto it = statuses.find(cert.fingerprint);
+      if (it != statuses.end()) subset.emplace(it->first, it->second);
+    }
+    if (!subset.empty() &&
+        !tools::save_revocation_sidecar(path.string() + ".rev", subset)) {
+      std::fprintf(stderr, "cannot write %s.rev\n", path.c_str());
+      return false;
     }
     const std::string tmp = path.string() + ".tmp";
     if (!scan::save_archive_file(archive, tmp)) {
@@ -819,483 +780,6 @@ int run_split_segments(const Options& opts, tools::LoadedCorpus corpus) {
   return 0;
 }
 
-int run_ingest_server(const Options& opts, tools::LoadedCorpus corpus) {
-  std::error_code ec;
-  if (!std::filesystem::is_directory(opts.ingest_dir, ec)) {
-    std::fprintf(stderr, "--ingest: %s is not a directory\n",
-                 opts.ingest_dir.c_str());
-    return 2;
-  }
-  const net::RoutingHistory* routing = corpus.routing();
-  const auto begin = std::chrono::steady_clock::now();
-  // Seed the revocation sidecar from the world when it carries one; the
-  // .smar.rev segment sidecars update it epoch over epoch.
-  corpus::RevocationStatusMap initial_statuses;
-  if (corpus.world.has_value()) {
-    initial_statuses = corpus.world->revocation.statuses;
-  }
-  corpus::LiveCorpus live(take_archive(corpus), routing, nullptr,
-                          std::move(initial_statuses));
-  const auto snap0 = live.snapshot();
-  std::fprintf(stderr, "live corpus: epoch 0 over %zu scans, %zu "
-               "certificates in %.2fs\n",
-               snap0->spine->scan_count(), snap0->spine->cert_count(),
-               std::chrono::duration<double>(
-                   std::chrono::steady_clock::now() - begin)
-                   .count());
-
-  notary::NotaryServiceConfig service_config;
-  service_config.cache_bytes = opts.cache_mb << 20;
-  notary::NotaryService service(build_epoch_index(*snap0), service_config);
-
-  netio::ServerConfig config;
-  config.bind_address = opts.bind_address;
-  config.port = opts.port;
-  config.workers = opts.threads;
-  config.idle_timeout_ms = opts.idle_ms;
-  netio::TcpServer server(config, [&service](netio::FrameType type,
-                                             std::string_view payload,
-                                             std::string& out) {
-    service.handle_into(type, payload, out);
-  });
-  std::string error;
-  if (!server.start(&error)) {
-    std::fprintf(stderr, "server start failed: %s\n", error.c_str());
-    return 1;
-  }
-  std::signal(SIGTERM, on_signal);
-  std::signal(SIGINT, on_signal);
-  std::fprintf(stderr,
-               "sm_notaryd listening on %s:%u, ingesting %s every %dms\n",
-               opts.bind_address.c_str(), server.port(),
-               opts.ingest_dir.c_str(), opts.ingest_poll_ms);
-
-  std::atomic<bool> stop{false};
-  std::thread poller([&] { poll_ingest_dir(opts, live, service, stop); });
-  while (g_stop == 0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  }
-  std::fprintf(stderr, "signal received, draining...\n");
-  stop.store(true, std::memory_order_relaxed);
-  poller.join();
-  server.shutdown();
-  std::fputs(service.render_stats().c_str(), stderr);
-  std::fputs(service.render_snapshot_info().c_str(), stderr);
-  return 0;
-}
-
-int run_ingest_bench(const Options& opts, tools::LoadedCorpus corpus) {
-  const net::RoutingHistory* routing = corpus.routing();
-  const scan::ScanArchive full = take_archive(corpus);
-  const std::size_t segments = opts.ingest_bench;
-  if (full.scans().size() < segments + 1) {
-    std::fprintf(stderr,
-                 "--ingest-bench %zu needs a corpus with more than %zu "
-                 "scans (have %zu)\n",
-                 segments, segments, full.scans().size());
-    return 2;
-  }
-  const std::size_t base_scans = full.scans().size() - segments;
-
-  // Serialize the held-out scans as standalone segments up front, so the
-  // timed loop measures ingestion (parse + archive copy + spine extension
-  // + index build + publish), not segment production.
-  std::vector<std::string> segment_bytes;
-  segment_bytes.reserve(segments);
-  for (std::size_t i = 0; i < segments; ++i) {
-    std::ostringstream out;
-    if (!scan::save_archive(
-            corpus::extract_segment(full, base_scans + i, base_scans + i + 1),
-            out)) {
-      std::fprintf(stderr, "failed to serialize segment %zu\n", i);
-      return 1;
-    }
-    segment_bytes.push_back(std::move(out).str());
-  }
-
-  corpus::LiveCorpus live(corpus::extract_segment(full, 0, base_scans),
-                          routing, nullptr);
-  notary::NotaryServiceConfig service_config;
-  service_config.cache_bytes = opts.cache_mb << 20;
-  notary::NotaryService service(build_epoch_index(*live.snapshot()),
-                                service_config);
-
-  netio::ServerConfig config;
-  config.bind_address = "127.0.0.1";
-  config.port = 0;  // ephemeral: the bench is self-contained
-  config.workers = opts.threads;
-  config.idle_timeout_ms = opts.idle_ms;
-  netio::TcpServer server(config, [&service](netio::FrameType type,
-                                             std::string_view payload,
-                                             std::string& out) {
-    service.handle_into(type, payload, out);
-  });
-  std::string error;
-  if (!server.start(&error)) {
-    std::fprintf(stderr, "server start failed: %s\n", error.c_str());
-    return 1;
-  }
-
-  // Query load for the whole run: every client walks the *full* corpus's
-  // fingerprints, so lookups hit certs from both the base and the not-
-  // yet-appended segments (kNotFound until their epoch lands).
-  std::atomic<bool> done{false};
-  std::atomic<bool> ingesting{false};
-  std::atomic<std::uint64_t> failures{0};
-  notary::LatencyHistogram overall;
-  notary::LatencyHistogram during_ingest;
-  std::vector<std::thread> clients;
-  clients.reserve(opts.clients);
-  for (std::size_t c = 0; c < opts.clients; ++c) {
-    clients.emplace_back([&, c] {
-      const int fd = connect_tcp("127.0.0.1", server.port());
-      if (fd < 0) {
-        failures.fetch_add(1, std::memory_order_relaxed);
-        return;
-      }
-      netio::FrameDecoder decoder;
-      netio::Frame response;
-      std::string payload(16, '\0');
-      const auto& certs = full.certs();
-      for (std::uint64_t q = c * 131;
-           !done.load(std::memory_order_relaxed); ++q) {
-        const auto& fp = certs[q % certs.size()].fingerprint;
-        payload.assign(reinterpret_cast<const char*>(fp.data()), fp.size());
-        const auto t0 = std::chrono::steady_clock::now();
-        if (!send_all(fd, netio::encode_frame(netio::FrameType::kQuery,
-                                              payload)) ||
-            !read_frame(fd, decoder, response) ||
-            (response.type != netio::FrameType::kCertInfo &&
-             response.type != netio::FrameType::kNotFound)) {
-          failures.fetch_add(1, std::memory_order_relaxed);
-          break;
-        }
-        const auto nanos = static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                std::chrono::steady_clock::now() - t0)
-                .count());
-        overall.record(nanos);
-        if (ingesting.load(std::memory_order_relaxed)) {
-          during_ingest.record(nanos);
-        }
-      }
-      ::close(fd);
-    });
-  }
-
-  std::fprintf(stderr,
-               "ingest-bench: %zu base scans + %zu segments, %zu query "
-               "connections\n",
-               base_scans, segments, opts.clients);
-  std::vector<double> swap_seconds;
-  swap_seconds.reserve(segments);
-  bool append_failed = false;
-  for (std::size_t i = 0; i < segments; ++i) {
-    // Let the query load run against the settled epoch between swaps.
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    std::istringstream in(segment_bytes[i]);
-    ingesting.store(true, std::memory_order_relaxed);
-    const auto t0 = std::chrono::steady_clock::now();
-    const corpus::AppendResult result = live.append_segment(in);
-    if (!result.ok) {
-      std::fprintf(stderr, "append %zu failed: %s\n", i,
-                   result.error.c_str());
-      append_failed = true;
-      ingesting.store(false, std::memory_order_relaxed);
-      break;
-    }
-    const auto snap = live.snapshot();
-    service.publish(build_epoch_index(*snap), snap->delta);
-    const double seconds = std::chrono::duration<double>(
-                               std::chrono::steady_clock::now() - t0)
-                               .count();
-    ingesting.store(false, std::memory_order_relaxed);
-    swap_seconds.push_back(seconds);
-    std::fprintf(stderr,
-                 "  epoch %llu: +%zu certs, %zu changed, swap %.3fs\n",
-                 static_cast<unsigned long long>(snap->epoch),
-                 result.new_certs, result.delta_size, seconds);
-  }
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  done.store(true, std::memory_order_relaxed);
-  for (auto& thread : clients) thread.join();
-  server.shutdown();
-
-  double swap_total = 0;
-  double swap_max = 0;
-  for (const double s : swap_seconds) {
-    swap_total += s;
-    swap_max = std::max(swap_max, s);
-  }
-  const auto all = overall.summarize();
-  const auto during = during_ingest.summarize();
-  std::printf("segments:   %zu appended, final epoch %llu\n",
-              swap_seconds.size(),
-              static_cast<unsigned long long>(live.epochs_published()));
-  if (!swap_seconds.empty()) {
-    std::printf("swap:       mean %.3fs  max %.3fs\n",
-                swap_total / static_cast<double>(swap_seconds.size()),
-                swap_max);
-  }
-  std::printf("queries:    %llu total (%llu failed)\n",
-              static_cast<unsigned long long>(all.count),
-              static_cast<unsigned long long>(
-                  failures.load(std::memory_order_relaxed)));
-  std::printf("rtt:        p50 %.1fus  p99 %.1fus  max %.1fus\n",
-              all.p50_us, all.p99_us, all.max_us);
-  std::printf("rtt-during-ingest: %llu queries, p50 %.1fus  p99 %.1fus\n",
-              static_cast<unsigned long long>(during.count), during.p50_us,
-              during.p99_us);
-  std::printf("\n%s%s", service.render_stats().c_str(),
-              service.render_snapshot_info().c_str());
-  return (!append_failed &&
-          failures.load(std::memory_order_relaxed) == 0)
-             ? 0
-             : 1;
-}
-
-// --shard-prefix / --empty: a live, reshardable backend. The slice lives
-// in a LiveCorpus (so kSliceBegin/Segment/Done merges and kSliceRetire
-// publish fresh epochs) and a notary::ReshardHost intercepts the reshard
-// control frames in front of the NotaryService.
-int run_live_server(const Options& opts, tools::LoadedCorpus corpus) {
-  const net::RoutingHistory* routing = corpus.routing();
-  scan::ScanArchive initial;
-  corpus::RevocationStatusMap statuses;
-  corpus::KeyCountMap key_counts;
-  if (opts.empty_corpus) {
-    std::fprintf(stderr,
-                 "successor: empty corpus, awaiting a reshard slice\n");
-  } else {
-    const scan::ScanArchive& full = corpus.archive_ref();
-    // Key-sharing degree is a property of the FULL corpus (an SPKI's
-    // other holders live on other shards): count before slicing and
-    // carry the counts as this slice's sidecar, so they survive merges
-    // and retires.
-    key_counts.reserve(full.certs().size());
-    for (const scan::CertRecord& cert : full.certs()) {
-      ++key_counts[cert.key_fingerprint];
-    }
-    if (corpus.world.has_value()) {
-      statuses = corpus.world->revocation.statuses;
-    }
-    initial =
-        corpus::extract_prefix_slice(full, opts.shard_lo, opts.shard_hi);
-    std::fprintf(stderr, "shard: prefix %u-%u, %zu of %zu certificates\n",
-                 static_cast<unsigned>(opts.shard_lo),
-                 static_cast<unsigned>(opts.shard_hi),
-                 initial.certs().size(), full.certs().size());
-  }
-
-  const auto begin = std::chrono::steady_clock::now();
-  corpus::LiveCorpus live(std::move(initial), routing, nullptr,
-                          std::move(statuses), std::move(key_counts));
-  const auto snap0 = live.snapshot();
-  std::fprintf(stderr,
-               "live corpus: epoch 0 over %zu scans, %zu certificates in "
-               "%.2fs\n",
-               snap0->spine->scan_count(), snap0->spine->cert_count(),
-               std::chrono::duration<double>(
-                   std::chrono::steady_clock::now() - begin)
-                   .count());
-
-  notary::NotaryServiceConfig service_config;
-  service_config.cache_bytes = opts.cache_mb << 20;
-  notary::NotaryService service(build_epoch_index(*snap0), service_config);
-  notary::ReshardHost reshard(live, service);
-
-  if (opts.bench > 0) return run_bench(opts, service, *snap0->archive);
-
-  netio::ServerConfig config;
-  config.bind_address = opts.bind_address;
-  config.port = opts.port;
-  config.workers = opts.threads;
-  config.idle_timeout_ms = opts.idle_ms;
-  netio::TcpServer server(
-      config, [&service, &reshard](netio::FrameType type,
-                                   std::string_view payload,
-                                   std::string& out) {
-        if (!reshard.handle(type, payload, out)) {
-          service.handle_into(type, payload, out);
-        }
-      });
-  std::string error;
-  if (!server.start(&error)) {
-    std::fprintf(stderr, "server start failed: %s\n", error.c_str());
-    return 1;
-  }
-  std::signal(SIGTERM, on_signal);
-  std::signal(SIGINT, on_signal);
-  std::fprintf(stderr,
-               "sm_notaryd listening on %s:%u (%zu certificates, "
-               "reshard-capable)\n",
-               opts.bind_address.c_str(), server.port(),
-               service.index().size());
-  while (g_stop == 0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  }
-  std::fprintf(stderr, "signal received, draining...\n");
-  server.shutdown();
-  std::fputs(service.render_stats().c_str(), stderr);
-  std::fputs(service.render_snapshot_info().c_str(), stderr);
-  return 0;
-}
-
-// ---- probe client (--probe) ----------------------------------------------
-
-bool parse_host_port(const std::string& text, std::string& host,
-                     std::uint16_t& port) {
-  const std::size_t colon = text.rfind(':');
-  if (colon == std::string::npos || colon == 0 || colon + 1 >= text.size()) {
-    return false;
-  }
-  char* end = nullptr;
-  const unsigned long value = std::strtoul(text.c_str() + colon + 1, &end,
-                                           10);
-  if (*end != '\0' || value == 0 || value > 65535) return false;
-  host = text.substr(0, colon);
-  port = static_cast<std::uint16_t>(value);
-  return true;
-}
-
-// The resharding e2e check: hammer a router (or daemon) with kQuery +
-// kRevocationQuery lookups and — with --oracle — require byte-identical
-// responses from an unsharded daemon. Any transport failure or mismatch
-// is fatal; a resharding deployment must mask the handoff completely.
-int run_probe_client(const Options& opts, const scan::ScanArchive& archive) {
-  const auto& certs = archive.certs();
-  if (certs.empty()) {
-    std::fprintf(stderr, "--probe: empty corpus, nothing to query\n");
-    return 2;
-  }
-  std::string oracle_host;
-  std::uint16_t oracle_port = 0;
-  if (!opts.oracle.empty() &&
-      !parse_host_port(opts.oracle, oracle_host, oracle_port)) {
-    std::fprintf(stderr, "--oracle wants HOST:PORT, got \"%s\"\n",
-                 opts.oracle.c_str());
-    return 2;
-  }
-
-  const int fd = connect_tcp(opts.host, opts.port);
-  if (fd < 0) {
-    std::fprintf(stderr, "--probe: cannot connect to %s:%u\n",
-                 opts.host.c_str(), opts.port);
-    return 1;
-  }
-  int oracle_fd = -1;
-  if (oracle_port != 0) {
-    oracle_fd = connect_tcp(oracle_host, oracle_port);
-    if (oracle_fd < 0) {
-      std::fprintf(stderr, "--probe: cannot connect to oracle %s:%u\n",
-                   oracle_host.c_str(), oracle_port);
-      ::close(fd);
-      return 1;
-    }
-  }
-
-  netio::FrameDecoder decoder(32u << 20);
-  netio::FrameDecoder oracle_decoder(32u << 20);
-  netio::Frame response;
-  netio::Frame oracle_response;
-  std::uint64_t sent = 0;
-  std::uint64_t mismatches = 0;
-  const netio::FrameType kinds[2] = {netio::FrameType::kQuery,
-                                     netio::FrameType::kRevocationQuery};
-  for (std::uint64_t q = 0; q < opts.probe; ++q) {
-    const auto& fp = certs[q % certs.size()].fingerprint;
-    const std::string_view payload(
-        reinterpret_cast<const char*>(fp.data()), fp.size());
-    for (const netio::FrameType kind : kinds) {
-      ++sent;
-      if (!send_all(fd, netio::encode_frame(kind, payload)) ||
-          !read_frame(fd, decoder, response)) {
-        std::fprintf(stderr,
-                     "--probe: transport failure on query %llu of %llu\n",
-                     static_cast<unsigned long long>(sent),
-                     static_cast<unsigned long long>(opts.probe * 2));
-        ::close(fd);
-        if (oracle_fd >= 0) ::close(oracle_fd);
-        return 1;
-      }
-      if (response.type == netio::FrameType::kError) {
-        std::fprintf(stderr, "--probe: query %llu answered kError: %s\n",
-                     static_cast<unsigned long long>(sent),
-                     response.payload.c_str());
-        ::close(fd);
-        if (oracle_fd >= 0) ::close(oracle_fd);
-        return 1;
-      }
-      if (oracle_fd < 0) continue;
-      if (!send_all(oracle_fd, netio::encode_frame(kind, payload)) ||
-          !read_frame(oracle_fd, oracle_decoder, oracle_response)) {
-        std::fprintf(stderr, "--probe: oracle transport failure\n");
-        ::close(fd);
-        ::close(oracle_fd);
-        return 1;
-      }
-      if (response.type != oracle_response.type ||
-          response.payload != oracle_response.payload) {
-        if (++mismatches <= 3) {
-          std::fprintf(
-              stderr,
-              "--probe: MISMATCH on query %llu (type %u vs %u)\n--- "
-              "got ---\n%s\n--- oracle ---\n%s\n",
-              static_cast<unsigned long long>(sent),
-              static_cast<unsigned>(response.type),
-              static_cast<unsigned>(oracle_response.type),
-              response.payload.c_str(), oracle_response.payload.c_str());
-        }
-      }
-    }
-  }
-  ::close(fd);
-  if (oracle_fd >= 0) ::close(oracle_fd);
-  std::printf("probe: %llu lookups, %llu mismatches%s\n",
-              static_cast<unsigned long long>(sent),
-              static_cast<unsigned long long>(mismatches),
-              opts.oracle.empty() ? "" : " (oracle-checked)");
-  return mismatches == 0 ? 0 : 1;
-}
-
-int run_server(const Options& opts, notary::NotaryService& service) {
-  netio::ServerConfig config;
-  config.bind_address = opts.bind_address;
-  config.port = opts.port;
-  config.workers = opts.threads;
-  config.idle_timeout_ms = opts.idle_ms;
-  netio::TcpServer server(config, [&service](netio::FrameType type,
-                                             std::string_view payload,
-                                             std::string& out) {
-    service.handle_into(type, payload, out);
-  });
-  std::string error;
-  if (!server.start(&error)) {
-    std::fprintf(stderr, "server start failed: %s\n", error.c_str());
-    return 1;
-  }
-  std::signal(SIGTERM, on_signal);
-  std::signal(SIGINT, on_signal);
-  std::fprintf(stderr, "sm_notaryd listening on %s:%u (%zu certificates)\n",
-               opts.bind_address.c_str(), server.port(),
-               service.index().size());
-  while (g_stop == 0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  }
-  std::fprintf(stderr, "signal received, draining...\n");
-  server.shutdown();
-  const auto counters = server.counters();
-  std::fprintf(stderr,
-               "drained: %llu connections, %llu frames (%llu malformed, "
-               "%llu idle-closed)\n",
-               static_cast<unsigned long long>(counters.connections_accepted),
-               static_cast<unsigned long long>(counters.frames_handled),
-               static_cast<unsigned long long>(counters.malformed_frames),
-               static_cast<unsigned long long>(counters.idle_closed));
-  std::fputs(service.render_stats().c_str(), stderr);
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -1314,7 +798,7 @@ int main(int argc, char** argv) {
   if (opts->threads != 0) {
     util::ThreadPool::set_global_threads(opts->threads);
   }
-  if ((!opts->ingest_dir.empty() || opts->ingest_bench > 0) && opts->link) {
+  if (!opts->ingest_dir.empty() && opts->link) {
     std::fprintf(stderr,
                  "--link is incompatible with live ingestion: the "
                  "iterative linker is corpus-global and cannot be "
@@ -1322,11 +806,10 @@ int main(int argc, char** argv) {
     return 2;
   }
   if ((opts->has_shard || opts->empty_corpus) &&
-      (opts->link || !opts->ingest_dir.empty() || opts->ingest_bench > 0 ||
-       opts->split_count > 0)) {
+      (opts->link || !opts->ingest_dir.empty() || opts->split_count > 0)) {
     std::fprintf(stderr,
                  "--shard-prefix/--empty serve a live slice; they are "
-                 "incompatible with --link, --ingest, --ingest-bench and "
+                 "incompatible with --link, --ingest and "
                  "--split-segments\n");
     return 2;
   }
@@ -1343,9 +826,6 @@ int main(int argc, char** argv) {
   if (opts->split_count > 0) {
     return run_split_segments(*opts, std::move(corpus));
   }
-  if (opts->ingest_bench > 0) {
-    return run_ingest_bench(*opts, std::move(corpus));
-  }
   if (!opts->ingest_dir.empty()) {
     return run_ingest_server(*opts, std::move(corpus));
   }
@@ -1356,73 +836,8 @@ int main(int argc, char** argv) {
     }
     return run_probe_client(*opts, corpus.archive_ref());
   }
-  // --shard-prefix / --empty: the live, reshardable backend path (its
-  // LiveCorpus carries the full-corpus key-sharing degrees and the
-  // revocation statuses as sidecars).
   if (opts->has_shard || opts->empty_corpus) {
-    return run_live_server(*opts, std::move(corpus));
+    return run_live_server(*opts, corpus);
   }
-  const scan::ScanArchive& archive = corpus.archive_ref();
-
-  // One columnar spine over the corpus: the linker (under --link) and the
-  // notary index both consume it; nothing below re-derives observations.
-  const auto spine_begin = std::chrono::steady_clock::now();
-  corpus::CorpusOptions spine_options;
-  spine_options.routing = corpus.routing();
-  const corpus::CorpusIndex spine(archive, spine_options);
-  std::fprintf(stderr, "corpus spine: %zu certificates, %zu observations "
-               "in %.2fs\n",
-               spine.cert_count(), spine.observation_count(),
-               std::chrono::duration<double>(
-                   std::chrono::steady_clock::now() - spine_begin)
-                   .count());
-
-  std::vector<std::vector<scan::CertId>> device_groups;
-  if (opts->link) {
-    if (corpus.routing() == nullptr) {
-      std::fprintf(stderr,
-                   "--link needs routing data (--in bundle or a simulated "
-                   "world, not --archive)\n");
-      return 1;
-    }
-    const auto begin = std::chrono::steady_clock::now();
-    const analysis::DatasetIndex index(spine);
-    const linking::Linker linker(index);
-    const auto linked = linker.link_iteratively();
-    device_groups.reserve(linked.groups.size());
-    for (const auto& group : linked.groups) {
-      device_groups.push_back(group.certs);
-    }
-    std::fprintf(stderr, "linking: %zu device groups in %.2fs\n",
-                 device_groups.size(),
-                 std::chrono::duration<double>(
-                     std::chrono::steady_clock::now() - begin)
-                     .count());
-  }
-
-  const auto begin = std::chrono::steady_clock::now();
-  notary::NotaryIndexOptions index_options;
-  if (!device_groups.empty()) {
-    index_options.device_groups = &device_groups;
-  }
-  // Revocation verdicts ride along when the corpus carries them (a
-  // simulated world; bundles and bare archives serve kUnknown). The map
-  // is fingerprint-keyed, so a prefix slice picks up its subset for free.
-  if (corpus.world.has_value() &&
-      !corpus.world->revocation.statuses.empty()) {
-    index_options.revocation_statuses = &corpus.world->revocation.statuses;
-  }
-  const notary::NotaryIndex index(spine, index_options);
-  std::fprintf(stderr, "notary index: %zu certificates in %.2fs\n",
-               index.size(),
-               std::chrono::duration<double>(
-                   std::chrono::steady_clock::now() - begin)
-                   .count());
-
-  notary::NotaryServiceConfig service_config;
-  service_config.cache_bytes = opts->cache_mb << 20;
-  notary::NotaryService service(index, service_config);
-
-  if (opts->bench > 0) return run_bench(*opts, service, archive);
-  return run_server(*opts, service);
+  return run_static_server(*opts, corpus);
 }

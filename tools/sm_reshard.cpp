@@ -31,25 +31,18 @@
 //
 // Exit codes: 0 success, 1 protocol/transport failure, 2 bad flags
 // (usage to stderr).
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <cerrno>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "netio/client_pool.h"
+#include "flags.h"
 #include "netio/frame.h"
+#include "netio/frame_client.h"
 #include "notary/prefix_map.h"
 
 namespace {
@@ -88,20 +81,6 @@ void usage() {
       "(default 200)\n");
 }
 
-bool parse_endpoint(const std::string& text, netio::Endpoint& out) {
-  const std::size_t colon = text.rfind(':');
-  if (colon == std::string::npos || colon == 0 || colon + 1 >= text.size()) {
-    return false;
-  }
-  char* end = nullptr;
-  const unsigned long port = std::strtoul(text.c_str() + colon + 1, &end,
-                                          10);
-  if (*end != '\0' || port == 0 || port > 65535) return false;
-  out.host = text.substr(0, colon);
-  out.port = static_cast<std::uint16_t>(port);
-  return true;
-}
-
 std::optional<Options> parse(int argc, char** argv) {
   Options opts;
   for (int i = 1; i < argc; ++i) {
@@ -115,7 +94,7 @@ std::optional<Options> parse(int argc, char** argv) {
     };
     if (arg == "--router") {
       netio::Endpoint ep;
-      if (!parse_endpoint(next(), ep)) {
+      if (!netio::parse_endpoint(next(), ep)) {
         std::fprintf(stderr, "bad --router endpoint: %s\n", argv[i]);
         return std::nullopt;
       }
@@ -124,41 +103,29 @@ std::optional<Options> parse(int argc, char** argv) {
     } else if (arg == "--show") {
       opts.show = true;
     } else if (arg == "--split") {
-      char* end = nullptr;
-      const unsigned long value = std::strtoul(next(), &end, 10);
-      if (*end != '\0' || value > 255) {
+      std::uint64_t value = 0;
+      if (!tools::parse_u64(next(), 255, value)) {
         std::fprintf(stderr, "bad --split entry index: %s\n", argv[i]);
         return std::nullopt;
       }
       opts.entry = value;
       opts.has_split = true;
     } else if (arg == "--merge") {
-      char* end = nullptr;
-      const unsigned long value = std::strtoul(next(), &end, 10);
-      if (*end != '\0' || value > 255) {
+      std::uint64_t value = 0;
+      if (!tools::parse_u64(next(), 255, value)) {
         std::fprintf(stderr, "bad --merge entry index: %s\n", argv[i]);
         return std::nullopt;
       }
       opts.entry = value;
       opts.has_merge = true;
     } else if (arg == "--to") {
-      const std::string list = next();
-      std::size_t start = 0;
-      while (start <= list.size()) {
-        std::size_t comma = list.find(',', start);
-        if (comma == std::string::npos) comma = list.size();
-        netio::Endpoint ep;
-        if (!parse_endpoint(list.substr(start, comma - start), ep)) {
-          std::fprintf(stderr, "bad --to endpoint in: %s\n", list.c_str());
-          return std::nullopt;
-        }
-        opts.to.push_back(std::move(ep));
-        start = comma + 1;
+      if (!netio::parse_endpoints(next(), opts.to)) {
+        std::fprintf(stderr, "bad --to endpoint in: %s\n", argv[i]);
+        return std::nullopt;
       }
     } else if (arg == "--drain-ms") {
-      char* end = nullptr;
-      const unsigned long value = std::strtoul(next(), &end, 10);
-      if (*end != '\0' || value > 60'000) {
+      std::uint64_t value = 0;
+      if (!tools::parse_u64(next(), 60'000, value)) {
         std::fprintf(stderr, "bad --drain-ms: %s\n", argv[i]);
         return std::nullopt;
       }
@@ -193,71 +160,11 @@ std::optional<Options> parse(int argc, char** argv) {
   return opts;
 }
 
-// ---- one blocking frame connection per peer ------------------------------
-
-class Conn {
- public:
-  ~Conn() {
-    if (fd_ >= 0) ::close(fd_);
-  }
-
-  bool connect(const std::string& host, std::uint16_t port) {
-    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd_ < 0) return false;
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(port);
-    if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1 ||
-        ::connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof addr) !=
-            0) {
-      ::close(fd_);
-      fd_ = -1;
-      return false;
-    }
-    int one = 1;
-    ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-    return true;
-  }
-
-  bool call(netio::FrameType type, std::string_view payload,
-            netio::Frame& response) {
-    std::string frame = netio::encode_frame(type, payload);
-    std::string_view left = frame;
-    while (!left.empty()) {
-      const ssize_t n = ::send(fd_, left.data(), left.size(), MSG_NOSIGNAL);
-      if (n <= 0) {
-        if (n < 0 && errno == EINTR) continue;
-        return false;
-      }
-      left.remove_prefix(static_cast<std::size_t>(n));
-    }
-    for (;;) {
-      switch (decoder_.next(response)) {
-        case netio::DecodeStatus::kFrame:
-          return true;
-        case netio::DecodeStatus::kMalformed:
-          return false;
-        case netio::DecodeStatus::kNeedMore:
-          break;
-      }
-      char buf[64 * 1024];
-      const ssize_t n = ::recv(fd_, buf, sizeof buf, 0);
-      if (n < 0 && errno == EINTR) continue;
-      if (n <= 0) return false;
-      decoder_.feed(buf, static_cast<std::size_t>(n));
-    }
-  }
-
- private:
-  int fd_ = -1;
-  netio::FrameDecoder decoder_{32u << 20};
-};
-
 bool call_peer(const netio::Endpoint& ep, netio::FrameType type,
                std::string_view payload, netio::FrameType want,
                std::string& response_payload) {
-  Conn conn;
-  if (!conn.connect(ep.host, ep.port)) {
+  netio::FrameClient conn;
+  if (!conn.connect(ep)) {
     std::fprintf(stderr, "sm_reshard: cannot connect to %s:%u\n",
                  ep.host.c_str(), ep.port);
     return false;

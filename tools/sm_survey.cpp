@@ -89,7 +89,8 @@ void usage() {
       "  --in FILE      load a world bundle instead of simulating\n"
       "  --out FILE     (simulate) write a world bundle\n"
       "  --tsv FILE     (simulate) export the archive as TSV\n"
-      "  --archive FILE (simulate) write a checksummed binary archive;\n"
+      "  --archive FILE (simulate) write a checksummed binary archive\n"
+      "                 plus FILE.rev, its revocation statuses;\n"
       "                 (stat) stream one without loading it whole\n"
       "  --outdir DIR   (figures) output directory (default ./figures)\n"
       "  --pem FILE     (lint) PEM bundle to lint\n"
@@ -197,6 +198,15 @@ int cmd_simulate(const Options& opts) {
       return 1;
     }
     std::printf("archive:      %s\n", opts.archive_path.c_str());
+    // The statuses ride next to the archive, so a daemon serving it
+    // answers what this world knows.
+    const std::string rev_path = opts.archive_path + ".rev";
+    if (!world.revocation.statuses.empty() &&
+        !tools::save_revocation_sidecar(rev_path,
+                                        world.revocation.statuses)) {
+      std::fprintf(stderr, "failed to write %s\n", rev_path.c_str());
+      return 1;
+    }
   }
   return 0;
 }
