@@ -1,8 +1,9 @@
-// Archive I/O benchmark: v1 (legacy unframed) vs v2 (framed + CRC32,
-// sharded, parallel) save/load on a simulated-world archive, plus the
-// streaming ArchiveReader path. Prints a size/time/RSS comparison, then
-// runs google-benchmark timings — the v2 save/load benchmarks sweep the
-// thread count to show the parallel shard pipeline scaling.
+// Archive I/O benchmark: SMAR v2 (framed + CRC32, sharded, parallel)
+// save/load on a simulated-world archive, plus the streaming
+// ArchiveReader path. Prints a size/time/RSS summary, then runs
+// google-benchmark timings — the save/load benchmarks sweep the thread
+// count (wall-clock, since the work runs on the pool) to show the
+// parallel shard pipeline scaling.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -20,13 +21,12 @@
 namespace {
 
 using namespace sm;
-using scan::ArchiveVersion;
 
 const scan::ScanArchive& archive() { return bench::context().world.archive; }
 
-std::string serialize(ArchiveVersion version) {
+std::string serialize() {
   std::stringstream out;
-  scan::save_archive(archive(), out, version);
+  scan::save_archive(archive(), out);
   return out.str();
 }
 
@@ -44,26 +44,15 @@ double timed_ms(const std::function<void()>& fn) {
 }
 
 void report() {
-  bench::print_banner("archive-io",
-                      "Archive save/load: v1 legacy vs v2 framed+CRC32");
-  const std::string v1 = serialize(ArchiveVersion::kV1);
-  const std::string v2 = serialize(ArchiveVersion::kV2);
+  bench::print_banner("archive-io", "Archive save/load: SMAR v2 framed+CRC32");
+  const std::string bytes = serialize();
 
-  const double save_v1_ms =
-      timed_ms([&] { benchmark::DoNotOptimize(serialize(ArchiveVersion::kV1)); });
-  const double save_v2_ms =
-      timed_ms([&] { benchmark::DoNotOptimize(serialize(ArchiveVersion::kV2)); });
-  double load_v1_ms = 0, load_v2_ms = 0;
+  const double save_ms =
+      timed_ms([&] { benchmark::DoNotOptimize(serialize()); });
+  double load_ms = 0;
   {
-    std::stringstream in(v1);
-    load_v1_ms = timed_ms([&] {
-      auto loaded = scan::load_archive(in);
-      benchmark::DoNotOptimize(loaded);
-    });
-  }
-  {
-    std::stringstream in(v2);
-    load_v2_ms = timed_ms([&] {
+    std::stringstream in(bytes);
+    load_ms = timed_ms([&] {
       auto loaded = scan::load_archive(in);
       benchmark::DoNotOptimize(loaded);
     });
@@ -73,7 +62,7 @@ void report() {
   std::size_t streamed_obs = 0;
   double stream_ms = 0;
   {
-    std::stringstream in(v2);
+    std::stringstream in(bytes);
     stream_ms = timed_ms([&] {
       scan::ArchiveReader reader(in);
       reader.for_each_scan([&](const scan::ScanData& scan) {
@@ -85,14 +74,9 @@ void report() {
   std::printf("archive: %zu certs, %zu scans, %zu observations\n",
               archive().certs().size(), archive().scans().size(),
               archive().observation_count());
-  std::printf("  v1 bytes: %zu   v2 bytes: %zu (x%.3f)\n", v1.size(),
-              v2.size(),
-              static_cast<double>(v2.size()) / static_cast<double>(v1.size()));
-  std::printf("  save: v1 %.1f ms   v2 %.1f ms (x%.2f)\n", save_v1_ms,
-              save_v2_ms, save_v1_ms / save_v2_ms);
-  std::printf("  load: v1 %.1f ms   v2 %.1f ms (x%.2f)\n", load_v1_ms,
-              load_v2_ms, load_v1_ms / load_v2_ms);
-  std::printf("  v2 streaming scan pass: %.1f ms (%zu observations)\n",
+  std::printf("  bytes: %zu   save: %.1f ms   load: %.1f ms\n", bytes.size(),
+              save_ms, load_ms);
+  std::printf("  streaming scan pass: %.1f ms (%zu observations)\n",
               stream_ms, streamed_obs);
 
   // Intern throughput — the certificate-table hot path on every load.
@@ -112,45 +96,26 @@ void report() {
   std::printf("  peak RSS: %ld KiB\n\n", peak_rss_kib());
 }
 
-void BM_SaveV1(benchmark::State& state) {
-  for (auto _ : state) {
-    auto bytes = serialize(ArchiveVersion::kV1);
-    benchmark::DoNotOptimize(bytes);
-    state.SetBytesProcessed(state.iterations() *
-                            static_cast<std::int64_t>(bytes.size()));
-  }
-}
-BENCHMARK(BM_SaveV1);
-
-void BM_LoadV1(benchmark::State& state) {
-  const std::string bytes = serialize(ArchiveVersion::kV1);
-  for (auto _ : state) {
-    std::stringstream in(bytes);
-    auto loaded = scan::load_archive(in);
-    benchmark::DoNotOptimize(loaded);
-  }
-  state.SetBytesProcessed(state.iterations() *
-                          static_cast<std::int64_t>(bytes.size()));
-}
-BENCHMARK(BM_LoadV1);
-
 void BM_SaveV2(benchmark::State& state) {
   util::ThreadPool::set_global_threads(
       static_cast<std::size_t>(state.range(0)));
+  std::size_t size = 0;
   for (auto _ : state) {
-    auto bytes = serialize(ArchiveVersion::kV2);
+    auto bytes = serialize();
+    size = bytes.size();
     benchmark::DoNotOptimize(bytes);
-    state.SetBytesProcessed(state.iterations() *
-                            static_cast<std::int64_t>(bytes.size()));
   }
+  // Inside the loop iterations() still reads 0, so set the rate after it.
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(size));
   util::ThreadPool::set_global_threads(0);
 }
-BENCHMARK(BM_SaveV2)->Arg(1)->Arg(2)->Arg(8);
+BENCHMARK(BM_SaveV2)->Arg(1)->Arg(2)->Arg(8)->UseRealTime();
 
 void BM_LoadV2(benchmark::State& state) {
   util::ThreadPool::set_global_threads(
       static_cast<std::size_t>(state.range(0)));
-  const std::string bytes = serialize(ArchiveVersion::kV2);
+  const std::string bytes = serialize();
   for (auto _ : state) {
     std::stringstream in(bytes);
     auto loaded = scan::load_archive(in);
@@ -160,10 +125,10 @@ void BM_LoadV2(benchmark::State& state) {
                           static_cast<std::int64_t>(bytes.size()));
   util::ThreadPool::set_global_threads(0);
 }
-BENCHMARK(BM_LoadV2)->Arg(1)->Arg(2)->Arg(8);
+BENCHMARK(BM_LoadV2)->Arg(1)->Arg(2)->Arg(8)->UseRealTime();
 
 void BM_StreamScansV2(benchmark::State& state) {
-  const std::string bytes = serialize(ArchiveVersion::kV2);
+  const std::string bytes = serialize();
   for (auto _ : state) {
     std::stringstream in(bytes);
     scan::ArchiveReader reader(in);

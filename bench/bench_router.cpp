@@ -80,8 +80,10 @@ struct Deployment {
       config.workers = 2;
       backend.server.emplace(config,
                              [&backend](netio::FrameType type,
-                                        std::string_view payload) {
-                               return backend.service->handle(type, payload);
+                                        std::string_view payload,
+                                        std::string& out) {
+                               backend.service->handle_into(type, payload,
+                                                            out);
                              });
       if (!backend.server->start()) std::abort();
       router_config.shards.push_back(
@@ -92,8 +94,8 @@ struct Deployment {
     server_config.workers = 8;
     router_server.emplace(server_config,
                           [this](netio::FrameType type,
-                                 std::string_view payload) {
-                            return router->handle(type, payload);
+                                 std::string_view payload, std::string& out) {
+                            router->handle_into(type, payload, out);
                           });
     if (!router_server->start()) std::abort();
   }

@@ -6,6 +6,7 @@
 #include <cstring>
 #include <string>
 
+#include "tools/flags.h"
 #include "util/thread_pool.h"
 
 namespace sm::bench {
@@ -35,34 +36,21 @@ const Context& context() {
   return ctx;
 }
 
-namespace {
-
-std::size_t parse_threads(const char* text) {
-  char* end = nullptr;
-  const std::size_t threads = std::strtoull(text, &end, 10);
-  if (*text == '\0' || end == nullptr || *end != '\0' || threads > 4096) {
-    std::fprintf(stderr, "invalid thread count '%s' (want 0-4096)\n", text);
-    std::exit(2);
-  }
-  return threads;
-}
-
-}  // namespace
-
 void configure_threads(int* argc, char** argv) {
+  constexpr std::uint64_t kMaxThreads = 4096;
   std::size_t threads = 0;  // 0 = hardware default
   bool configured = false;
   if (const char* env = std::getenv("SM_THREADS")) {
-    threads = parse_threads(env);
+    threads = tools::parse_u64_or_die("SM_THREADS", env, kMaxThreads);
     configured = true;
   }
   int out = 1;
   for (int i = 1; i < *argc; ++i) {
     if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < *argc) {
-      threads = parse_threads(argv[++i]);
+      threads = tools::parse_u64_or_die("--threads", argv[++i], kMaxThreads);
       configured = true;
     } else if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-      threads = parse_threads(argv[i] + 10);
+      threads = tools::parse_u64_or_die("--threads", argv[i] + 10, kMaxThreads);
       configured = true;
     } else {
       argv[out++] = argv[i];

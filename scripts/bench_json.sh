@@ -1,13 +1,16 @@
 #!/usr/bin/env bash
 # Runs every bench binary with google-benchmark JSON output, writing one
 # BENCH_<name>.json per binary so the perf trajectory is recorded across
-# PRs. The banner/report tables still go to stdout; the machine-readable
-# timings land in the JSON files (--benchmark_out, not --benchmark_format,
-# because the report() preamble would corrupt a stdout JSON stream).
+# PRs: BENCH_paper.json holds every paper table/figure's kernels, the
+# other files one subsystem each. The banner/report tables still go to
+# stdout; the machine-readable timings land in the JSON files
+# (--benchmark_out, not --benchmark_format, because the report preamble
+# would corrupt a stdout JSON stream).
 #
 # Usage: scripts/bench_json.sh [OUTDIR] [-- extra benchmark args...]
-#   OUTDIR defaults to bench-results/. SM_THREADS / --threads are honored
-#   by each binary as usual, e.g.:
+#   OUTDIR defaults to bench-results/. SM_THREADS sizes the shared thread
+#   pool of every binary that has one (all but bench_micro_primitives,
+#   whose primitives are single-threaded), e.g.:
 #     SM_THREADS=8 scripts/bench_json.sh
 #     scripts/bench_json.sh out -- --benchmark_filter=BM_WorldBuild
 set -euo pipefail

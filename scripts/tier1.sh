@@ -43,7 +43,7 @@ cmake -B build -S . >/dev/null
 cmake --build build -j >/dev/null
 ctest --test-dir build --output-on-failure -j
 
-echo "== tier 1: strict flag validation (exit 2 + usage on stderr) =="
+echo "== tier 1: strict flag validation (exit 2 + usage or invalid-value message) =="
 check_rejects() {
   local out rc=0
   out="$("$@" 2>&1 >/dev/null)" || rc=$?
@@ -69,6 +69,20 @@ check_rejects ./build/tools/sm_notaryd --shard-prefix 0/0
 check_rejects ./build/tools/sm_notaryd --shard-prefix 9-1
 check_rejects ./build/tools/sm_reshard --split 1
 check_rejects ./build/tools/sm_reshard --router x:1 --split 0 --merge 0
+# Tools that reject a bad number before printing any usage text: exit 2
+# plus the shared tools/flags.h diagnostic.
+check_invalid_value() {
+  local out rc=0
+  out="$("$@" 2>&1 >/dev/null)" || rc=$?
+  if [[ "$rc" != 2 ]] || ! grep -q "^invalid .* value '" <<<"$out"; then
+    echo "expected exit 2 + invalid-value message from: $*  (got exit $rc)" >&2
+    exit 1
+  fi
+}
+check_invalid_value ./build/tools/sm_survey simulate --threads +7
+check_invalid_value ./build/tools/sm_survey lint --threads ' 7' --pem x
+check_invalid_value ./build/bench/bench_paper --threads +7
+check_invalid_value env SM_THREADS=+7 ./build/bench/bench_paper
 
 echo "== tier 1: resharding e2e smoke (split + merge back under load) =="
 smoke_dir="$(mktemp -d)"

@@ -623,15 +623,6 @@ struct TcpServer::Impl {
   }
 };
 
-TcpServer::TcpServer(ServerConfig config, Handler handler)
-    : TcpServer(std::move(config),
-                StreamHandler([h = std::move(handler)](
-                                  FrameType type, std::string_view payload,
-                                  std::string& out) {
-                  const Frame response = h(type, payload);
-                  encode_frame_into(out, response.type, response.payload);
-                })) {}
-
 TcpServer::TcpServer(ServerConfig config, StreamHandler handler)
     : impl_(std::make_unique<Impl>()) {
   impl_->config = std::move(config);

@@ -83,24 +83,17 @@ struct ServerCounters {
 /// The server. Construct, start(), serve until shutdown().
 class TcpServer {
  public:
-  /// Called on a worker thread once per well-formed request frame; the
-  /// returned frame is sent back on the same connection. Must be
-  /// thread-safe; must not block indefinitely (it stalls that worker's
-  /// event loop).
-  using Handler = std::function<Frame(FrameType, std::string_view payload)>;
-
-  /// The zero-copy handler shape: appends the complete, already-encoded
-  /// response frame (header, payload, CRC) directly to `out`, which is
-  /// the connection's output buffer — no intermediate Frame, no payload
-  /// copy. Same threading rules as Handler. Must append exactly one
-  /// well-formed frame per call.
+  /// The request handler, called on a worker thread once per well-formed
+  /// request frame. It appends the complete, already-encoded response
+  /// frame (header, payload, CRC) directly to `out`, which is the
+  /// connection's output buffer — no intermediate Frame, no payload copy.
+  /// Must append exactly one well-formed frame per call (e.g. with
+  /// encode_frame_into). Must be thread-safe; must not block indefinitely
+  /// (it stalls that worker's event loop).
   using StreamHandler =
       std::function<void(FrameType, std::string_view payload,
                          std::string& out)>;
 
-  /// The Handler form re-encodes the returned frame into the connection
-  /// buffer; the StreamHandler form skips that copy.
-  TcpServer(ServerConfig config, Handler handler);
   TcpServer(ServerConfig config, StreamHandler handler);
   ~TcpServer();  ///< implies shutdown()
 

@@ -494,19 +494,6 @@ void RouterService::handle_into(netio::FrameType type,
   }
 }
 
-netio::Frame RouterService::handle(netio::FrameType type,
-                                   std::string_view payload) {
-  std::string buf;
-  handle_into(type, payload, buf);
-  netio::Frame response;
-  response.type =
-      static_cast<netio::FrameType>(static_cast<std::uint8_t>(buf[0]));
-  response.payload.assign(
-      buf.data() + netio::kFrameHeaderSize,
-      buf.size() - netio::kFrameHeaderSize - netio::kFrameTrailerSize);
-  return response;
-}
-
 std::size_t RouterService::shard_of(std::uint8_t first_byte) const {
   return impl_->snapshot()->entry_of[first_byte];
 }

@@ -69,13 +69,11 @@ class RouterService {
   RouterService& operator=(const RouterService&) = delete;
 
   /// The netio::TcpServer handler: routes/scatters request frames to the
-  /// backends and returns the (re)assembled response.
-  netio::Frame handle(netio::FrameType type, std::string_view payload);
-
-  /// StreamHandler form: appends the complete encoded response frame to
-  /// `out` (the connection's output buffer). kPing echoes the request
-  /// payload straight into `out` — no intermediate response string at
-  /// all; other frame types encode their assembled response in place.
+  /// backends and appends the complete encoded (re)assembled response
+  /// frame to `out` (the connection's output buffer). kPing echoes the
+  /// request payload straight into `out` — no intermediate response
+  /// string at all; other frame types encode their assembled response in
+  /// place.
   void handle_into(netio::FrameType type, std::string_view payload,
                    std::string& out);
 

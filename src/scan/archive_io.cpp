@@ -19,8 +19,9 @@ namespace sm::scan {
 namespace {
 
 constexpr char kMagic[4] = {'S', 'M', 'A', 'R'};
+constexpr std::uint32_t kVersion = 2;
 
-// Format limits shared by the writer and both loaders. The writer fails
+// Format limits shared by the writer and the loaders. The writer fails
 // loudly on anything outside them (instead of silently truncating counts);
 // the loaders reject before allocating, so a hostile or corrupted header
 // cannot force a large allocation.
@@ -40,7 +41,7 @@ constexpr std::size_t kScanHeaderBytes = 25;  // campaign + start + dur + count
 constexpr std::uint64_t kMaxObsPerScan =
     (kMaxFrameBytes - kScanHeaderBytes) / kObsBytes;
 
-// v2 frame types, in required stream order.
+// Frame types, in required stream order.
 constexpr std::uint8_t kFrameHeader = 'H';
 constexpr std::uint8_t kFrameCerts = 'C';
 constexpr std::uint8_t kFrameScan = 'S';
@@ -78,7 +79,7 @@ bool read_exact(std::istream& in, std::string& out, std::uint64_t size) {
   return true;
 }
 
-// --- buffer (v2 frame payload) primitives ------------------------------------
+// --- buffer (frame payload) primitives ---------------------------------------
 
 template <typename T>
 void put_buf(std::string& out, T value) {
@@ -128,28 +129,7 @@ struct Cursor {
   }
 };
 
-// The same record-reading interface over a raw stream (the v1 path).
-struct StreamSource {
-  std::istream& in;
-
-  template <typename T>
-  bool get(T& value) {
-    return read_pod(in, value);
-  }
-
-  bool get_bytes(void* out, std::size_t size) {
-    in.read(static_cast<char*>(out), static_cast<std::streamsize>(size));
-    return static_cast<std::size_t>(in.gcount()) == size;
-  }
-
-  bool get_string(std::string& s) {
-    std::uint32_t len = 0;
-    if (!get(len) || len > kMaxStringBytes) return false;
-    return read_exact(in, s, len);
-  }
-};
-
-// --- certificate record (shared by v1 stream and v2 frames) ------------------
+// --- certificate record ------------------------------------------------------
 
 bool cert_within_limits(const CertRecord& cert) {
   if (cert.san.size() > kMaxSanEntries) return false;
@@ -180,10 +160,7 @@ std::uint64_t serialized_cert_bytes(const CertRecord& cert) {
   return n;
 }
 
-// Serializes one record. The byte layout is shared by v1 (records
-// concatenated directly in the stream) and v2 (records inside checksummed
-// cert frames), which is what keeps the two writers byte-compatible at the
-// record level.
+// Serializes one record into a cert frame payload.
 void append_cert(std::string& out, const CertRecord& cert) {
   out.append(reinterpret_cast<const char*>(cert.fingerprint.data()),
              cert.fingerprint.size());
@@ -208,8 +185,7 @@ void append_cert(std::string& out, const CertRecord& cert) {
   put_buf<std::uint8_t>(out, static_cast<std::uint8_t>(cert.invalid_reason));
 }
 
-template <typename Source>
-bool read_cert(Source& src, CertRecord& cert) {
+bool read_cert(Cursor& src, CertRecord& cert) {
   std::uint32_t san_count = 0;
   std::uint8_t flags = 0, reason = 0;
   if (!src.get_bytes(cert.fingerprint.data(), cert.fingerprint.size()) ||
@@ -241,7 +217,7 @@ bool read_cert(Source& src, CertRecord& cert) {
   return true;
 }
 
-// --- v2 frames ---------------------------------------------------------------
+// --- frames ------------------------------------------------------------------
 
 struct RawFrame {
   std::uint8_t type = 0;
@@ -323,91 +299,9 @@ bool parse_scan_frame(const RawFrame& frame, std::uint64_t cert_count,
   return cursor.done();
 }
 
-// --- v1 writer/loader --------------------------------------------------------
+// --- writer/loader -----------------------------------------------------------
 
-bool save_v1(const ScanArchive& archive, std::ostream& out) {
-  const auto& certs = archive.certs();
-  const auto& scans = archive.scans();
-  if (certs.size() > kMaxCerts ||
-      scans.size() > std::numeric_limits<std::uint32_t>::max()) {
-    return false;
-  }
-  for (const CertRecord& cert : certs) {
-    if (!cert_within_limits(cert)) return false;
-  }
-  for (const ScanData& scan : scans) {
-    if (scan.observations.size() > std::numeric_limits<std::uint32_t>::max()) {
-      return false;
-    }
-  }
-
-  out.write(kMagic, sizeof(kMagic));
-  put<std::uint32_t>(out, 1);
-  put<std::uint32_t>(out, static_cast<std::uint32_t>(certs.size()));
-  std::string buf;
-  for (const CertRecord& cert : certs) {
-    buf.clear();
-    append_cert(buf, cert);
-    out.write(buf.data(), static_cast<std::streamsize>(buf.size()));
-  }
-
-  put<std::uint32_t>(out, static_cast<std::uint32_t>(scans.size()));
-  for (const ScanData& scan : scans) {
-    put<std::uint8_t>(out, static_cast<std::uint8_t>(scan.event.campaign));
-    put(out, scan.event.start);
-    put(out, scan.event.duration_seconds);
-    put<std::uint32_t>(out,
-                       static_cast<std::uint32_t>(scan.observations.size()));
-    for (const Observation& obs : scan.observations) {
-      put(out, obs.cert);
-      put(out, obs.ip);
-      put(out, obs.device);
-    }
-  }
-  return out.good();
-}
-
-std::optional<ScanArchive> load_v1(std::istream& in) {
-  ScanArchive archive;
-  StreamSource src{in};
-  std::uint32_t cert_count = 0;
-  if (!read_pod(in, cert_count)) return std::nullopt;
-  for (std::uint32_t i = 0; i < cert_count; ++i) {
-    CertRecord cert;
-    if (!read_cert(src, cert)) return std::nullopt;
-    if (archive.intern(std::move(cert)) != i) return std::nullopt;  // dup fp
-  }
-
-  std::uint32_t scan_count = 0;
-  if (!read_pod(in, scan_count)) return std::nullopt;
-  util::UnixTime prev_start = std::numeric_limits<util::UnixTime>::min();
-  for (std::uint32_t s = 0; s < scan_count; ++s) {
-    std::uint8_t campaign = 0;
-    ScanEvent event;
-    std::uint32_t obs_count = 0;
-    if (!read_pod(in, campaign) || campaign > 1 || !read_pod(in, event.start) ||
-        !read_pod(in, event.duration_seconds) || !read_pod(in, obs_count)) {
-      return std::nullopt;
-    }
-    if (event.start < prev_start) return std::nullopt;  // non-chronological
-    prev_start = event.start;
-    event.campaign = static_cast<Campaign>(campaign);
-    const std::size_t scan_index = archive.begin_scan(event);
-    for (std::uint32_t i = 0; i < obs_count; ++i) {
-      Observation obs;
-      if (!read_pod(in, obs.cert) || !read_pod(in, obs.ip) || !read_pod(in, obs.device)) {
-        return std::nullopt;
-      }
-      if (obs.cert >= cert_count) return std::nullopt;
-      archive.add_observation(scan_index, obs.cert, obs.ip, obs.device);
-    }
-  }
-  return archive;
-}
-
-// --- v2 writer/loader --------------------------------------------------------
-
-bool save_v2(const ScanArchive& archive, std::ostream& out) {
+bool save_frames(const ScanArchive& archive, std::ostream& out) {
   const auto& certs = archive.certs();
   const auto& scans = archive.scans();
   if (certs.size() > kMaxCerts || scans.size() > kMaxScans) return false;
@@ -466,7 +360,7 @@ bool save_v2(const ScanArchive& archive, std::ostream& out) {
   });
 
   out.write(kMagic, sizeof(kMagic));
-  put<std::uint32_t>(out, 2);
+  put(out, kVersion);
 
   std::string header;
   put_buf<std::uint64_t>(header, certs.size());
@@ -490,14 +384,25 @@ bool save_v2(const ScanArchive& archive, std::ostream& out) {
   return out.good();
 }
 
-struct HeaderV2 {
+// Reads the magic and checks the format version: any other version,
+// including the checksum-less version 1, is rejected.
+bool read_preamble(std::istream& in) {
+  char magic[4];
+  in.read(magic, sizeof(magic));
+  std::uint32_t version = 0;
+  return static_cast<std::size_t>(in.gcount()) == sizeof(magic) &&
+         std::memcmp(magic, kMagic, sizeof(kMagic)) == 0 &&
+         read_pod(in, version) && version == kVersion;
+}
+
+struct Header {
   std::uint64_t cert_count = 0;
   std::uint64_t scan_count = 0;
   std::uint64_t obs_count = 0;
   std::uint32_t cert_chunk = 0;
 };
 
-bool parse_header_v2(std::istream& in, HeaderV2& header) {
+bool parse_header(std::istream& in, Header& header) {
   RawFrame frame;
   if (!read_frame(in, frame) || frame.type != kFrameHeader ||
       !frame_checksum_ok(frame)) {
@@ -513,7 +418,7 @@ bool parse_header_v2(std::istream& in, HeaderV2& header) {
          header.cert_chunk > 0 && header.cert_chunk <= kMaxCertsPerFrame;
 }
 
-bool parse_end_v2(const RawFrame& frame, const HeaderV2& header) {
+bool parse_end(const RawFrame& frame, const Header& header) {
   if (frame.type != kFrameEnd || !frame_checksum_ok(frame)) return false;
   Cursor cursor(frame.payload);
   std::uint64_t certs = 0, scans = 0, obs = 0;
@@ -525,9 +430,9 @@ bool parse_end_v2(const RawFrame& frame, const HeaderV2& header) {
          obs == header.obs_count;
 }
 
-std::optional<ScanArchive> load_v2(std::istream& in) {
-  HeaderV2 header;
-  if (!parse_header_v2(in, header)) return std::nullopt;
+std::optional<ScanArchive> load_frames(std::istream& in) {
+  Header header;
+  if (!parse_header(in, header)) return std::nullopt;
   const std::uint64_t n_chunks =
       (header.cert_count + header.cert_chunk - 1) / header.cert_chunk;
 
@@ -550,7 +455,7 @@ std::optional<ScanArchive> load_v2(std::istream& in) {
     scan_frames.push_back(std::move(frame));
   }
   RawFrame end_frame;
-  if (!read_frame(in, end_frame) || !parse_end_v2(end_frame, header)) {
+  if (!read_frame(in, end_frame) || !parse_end(end_frame, header)) {
     return std::nullopt;
   }
 
@@ -693,24 +598,20 @@ std::vector<std::string> split_tabs(const std::string& line) {
   }
 }
 
-// Splits the SAN column into still-escaped entries. Current exports
-// terminate every entry with '|' (so empty entries and empty lists are
-// distinguishable); legacy exports joined entries with '|' and no
-// terminator, which the missing final '|' identifies.
-std::vector<std::string> split_san_field(const std::string& field) {
+// Splits the SAN column into still-escaped entries. Every entry is
+// terminated by '|' (so empty entries and empty lists are
+// distinguishable); a non-empty field without the final '|' is malformed.
+std::optional<std::vector<std::string>> split_san_field(
+    const std::string& field) {
   std::vector<std::string> entries;
-  if (field.empty()) return entries;
   std::size_t pos = 0;
-  for (;;) {
+  while (pos < field.size()) {
     const std::size_t bar = field.find('|', pos);
-    if (bar == std::string::npos) {
-      entries.push_back(field.substr(pos));  // legacy unterminated tail
-      return entries;
-    }
+    if (bar == std::string::npos) return std::nullopt;  // unterminated
     entries.push_back(field.substr(pos, bar - pos));
     pos = bar + 1;
-    if (pos == field.size()) return entries;  // terminated form
   }
+  return entries;
 }
 
 template <typename T>
@@ -723,37 +624,14 @@ bool parse_int(const std::string& s, T& out) {
 
 // --- public binary API -------------------------------------------------------
 
-bool save_archive(const ScanArchive& archive, std::ostream& out,
-                  ArchiveVersion version) {
-  switch (version) {
-    case ArchiveVersion::kV1:
-      return save_v1(archive, out);
-    case ArchiveVersion::kV2:
-      return save_v2(archive, out);
-  }
-  return false;
+bool save_archive(const ScanArchive& archive, std::ostream& out) {
+  return save_frames(archive, out);
 }
 
 std::optional<ScanArchive> load_archive(std::istream& in,
                                         ArchiveLoadReport* report) {
-  char magic[4];
-  in.read(magic, sizeof(magic));
-  if (static_cast<std::size_t>(in.gcount()) != sizeof(magic) ||
-      std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
-    return std::nullopt;
-  }
-  std::uint32_t version = 0;
-  if (!read_pod(in, version)) return std::nullopt;
-  if (report != nullptr) report->version = version;
-
-  std::optional<ScanArchive> archive;
-  if (version == 1) {
-    archive = load_v1(in);
-  } else if (version == 2) {
-    archive = load_v2(in);
-  } else {
-    return std::nullopt;
-  }
+  if (!read_preamble(in)) return std::nullopt;
+  std::optional<ScanArchive> archive = load_frames(in);
   if (archive && report != nullptr) {
     // Peeking consumes nothing but may set eofbit — only safe because a
     // caller asking for a report is not resuming reads on this stream.
@@ -762,11 +640,10 @@ std::optional<ScanArchive> load_archive(std::istream& in,
   return archive;
 }
 
-bool save_archive_file(const ScanArchive& archive, const std::string& path,
-                       ArchiveVersion version) {
+bool save_archive_file(const ScanArchive& archive, const std::string& path) {
   std::ofstream out(path, std::ios::binary);
   if (!out) return false;
-  return save_archive(archive, out, version) && out.good();
+  return save_archive(archive, out) && out.good();
 }
 
 std::optional<ScanArchive> load_archive_file(const std::string& path) {
@@ -774,9 +651,8 @@ std::optional<ScanArchive> load_archive_file(const std::string& path) {
   if (!in) return std::nullopt;
   ArchiveLoadReport report;
   auto archive = load_archive(in, &report);
-  // A file holds exactly one archive; for v1 (no end marker) this is the
-  // only place trailing garbage — e.g. a truncated concatenation — can be
-  // detected at all.
+  // A file holds exactly one archive: bytes past its end marker are
+  // garbage (e.g. a concatenation), not a second archive.
   if (archive && report.trailing_bytes) return std::nullopt;
   return archive;
 }
@@ -784,67 +660,33 @@ std::optional<ScanArchive> load_archive_file(const std::string& path) {
 // --- streaming reader --------------------------------------------------------
 
 ArchiveReader::ArchiveReader(std::istream& in) : in_(in) {
-  char magic[4];
-  in_.read(magic, sizeof(magic));
-  if (static_cast<std::size_t>(in_.gcount()) != sizeof(magic) ||
-      std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
-    return;
-  }
-  if (!read_pod(in_, version_)) return;
-  if (version_ == 1) {
-    std::uint32_t cert_count = 0;
-    if (!read_pod(in_, cert_count)) return;
-    cert_count_ = cert_count;
-    state_ = State::kCerts;
-  } else if (version_ == 2) {
-    HeaderV2 header;
-    if (!parse_header_v2(in_, header)) return;
-    cert_count_ = header.cert_count;
-    scan_count_ = header.scan_count;
-    obs_count_ = header.obs_count;
-    cert_chunk_ = header.cert_chunk;
-    state_ = State::kCerts;
-  }
+  Header header;
+  if (!read_preamble(in_) || !parse_header(in_, header)) return;
+  cert_count_ = header.cert_count;
+  scan_count_ = header.scan_count;
+  obs_count_ = header.obs_count;
+  cert_chunk_ = header.cert_chunk;
+  state_ = State::kCerts;
 }
 
 bool ArchiveReader::for_each_cert(const CertFn& fn) {
   if (state_ != State::kCerts) return false;
   CertId id = 0;
-  if (version_ == 1) {
-    StreamSource src{in_};
-    for (std::uint64_t i = 0; i < cert_count_; ++i) {
-      CertRecord cert;
-      if (!read_cert(src, cert)) {
-        state_ = State::kError;
-        return false;
-      }
-      if (fn) fn(id, cert);
-      ++id;
-    }
-    std::uint32_t scan_count = 0;
-    if (!read_pod(in_, scan_count)) {
+  const std::uint64_t n_chunks = (cert_count_ + cert_chunk_ - 1) / cert_chunk_;
+  std::vector<CertRecord> chunk;
+  for (std::uint64_t f = 0; f < n_chunks; ++f) {
+    RawFrame frame;
+    const std::uint64_t lo = f * cert_chunk_;
+    const std::uint64_t n =
+        std::min<std::uint64_t>(cert_chunk_, cert_count_ - lo);
+    if (!read_frame(in_, frame) || frame.type != kFrameCerts ||
+        !parse_cert_frame(frame, n, chunk)) {
       state_ = State::kError;
       return false;
     }
-    scan_count_ = scan_count;
-  } else {
-    const std::uint64_t n_chunks =
-        (cert_count_ + cert_chunk_ - 1) / cert_chunk_;
-    std::vector<CertRecord> chunk;
-    for (std::uint64_t f = 0; f < n_chunks; ++f) {
-      RawFrame frame;
-      const std::uint64_t lo = f * cert_chunk_;
-      const std::uint64_t n =
-          std::min<std::uint64_t>(cert_chunk_, cert_count_ - lo);
-      if (!read_frame(in_, frame) || frame.type != kFrameCerts ||
-          !parse_cert_frame(frame, n, chunk)) {
-        state_ = State::kError;
-        return false;
-      }
-      for (const CertRecord& cert : chunk) {
-        if (fn) fn(id, cert);
-        ++id;
-      }
+    for (const CertRecord& cert : chunk) {
+      if (fn) fn(id, cert);
+      ++id;
     }
   }
   state_ = State::kScans;
@@ -852,10 +694,6 @@ bool ArchiveReader::for_each_cert(const CertFn& fn) {
 }
 
 bool ArchiveReader::skip_certs() {
-  if (version_ == 1) {
-    // v1 records are unframed, so skipping still means parsing.
-    return for_each_cert(CertFn());
-  }
   const std::uint64_t n_chunks = (cert_count_ + cert_chunk_ - 1) / cert_chunk_;
   for (std::uint64_t f = 0; f < n_chunks; ++f) {
     RawFrame frame;
@@ -879,48 +717,24 @@ bool ArchiveReader::for_each_scan(const ScanFn& fn) {
 
   util::UnixTime prev_start = std::numeric_limits<util::UnixTime>::min();
   std::uint64_t total_obs = 0;
-  if (version_ == 1) {
-    for (std::uint64_t s = 0; s < scan_count_; ++s) {
-      std::uint8_t campaign = 0;
-      std::uint32_t obs_count = 0;
-      ScanData scan;
-      if (!read_pod(in_, campaign) || campaign > 1 || !read_pod(in_, scan.event.start) ||
-          !read_pod(in_, scan.event.duration_seconds) || !read_pod(in_, obs_count)) {
-        return fail();
-      }
-      if (scan.event.start < prev_start) return fail();
-      prev_start = scan.event.start;
-      scan.event.campaign = static_cast<Campaign>(campaign);
-      scan.observations.resize(obs_count);
-      for (Observation& obs : scan.observations) {
-        if (!read_pod(in_, obs.cert) || !read_pod(in_, obs.ip) ||
-            !read_pod(in_, obs.device) || obs.cert >= cert_count_) {
-          return fail();
-        }
-      }
-      total_obs += obs_count;
-      if (fn) fn(scan);
-    }
-  } else {
-    for (std::uint64_t s = 0; s < scan_count_; ++s) {
-      RawFrame frame;
-      ScanData scan;
-      if (!read_frame(in_, frame) || frame.type != kFrameScan ||
-          !parse_scan_frame(frame, cert_count_, scan)) {
-        return fail();
-      }
-      if (scan.event.start < prev_start) return fail();
-      prev_start = scan.event.start;
-      total_obs += scan.observations.size();
-      if (fn) fn(scan);
-    }
-    RawFrame end_frame;
-    HeaderV2 header{cert_count_, scan_count_, obs_count_,
-                    static_cast<std::uint32_t>(cert_chunk_)};
-    if (!read_frame(in_, end_frame) || !parse_end_v2(end_frame, header) ||
-        total_obs != obs_count_) {
+  for (std::uint64_t s = 0; s < scan_count_; ++s) {
+    RawFrame frame;
+    ScanData scan;
+    if (!read_frame(in_, frame) || frame.type != kFrameScan ||
+        !parse_scan_frame(frame, cert_count_, scan)) {
       return fail();
     }
+    if (scan.event.start < prev_start) return fail();
+    prev_start = scan.event.start;
+    total_obs += scan.observations.size();
+    if (fn) fn(scan);
+  }
+  RawFrame end_frame;
+  const Header header{cert_count_, scan_count_, obs_count_,
+                      static_cast<std::uint32_t>(cert_chunk_)};
+  if (!read_frame(in_, end_frame) || !parse_end(end_frame, header) ||
+      total_obs != obs_count_) {
+    return fail();
   }
   state_ = State::kDone;
   return true;
@@ -1019,7 +833,9 @@ std::optional<ScanArchive> import_tsv(std::istream& in) {
       cert.aia_url = *aia;
       cert.ocsp_url = *ocsp;
       cert.policy_oid = *oid;
-      for (const std::string& entry : split_san_field(fields[9])) {
+      const auto san_entries = split_san_field(fields[9]);
+      if (!san_entries) return std::nullopt;
+      for (const std::string& entry : *san_entries) {
         auto san = unescape(entry);
         if (!san) return std::nullopt;
         cert.san.push_back(std::move(*san));

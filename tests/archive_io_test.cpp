@@ -1,11 +1,13 @@
-// Tests for sm::scan archive persistence — v1/v2 binary and TSV
+// Tests for sm::scan archive persistence — SMAR v2 binary and TSV
 // round-trips, hostile-string (adversarial) round-trip properties, format
-// limit enforcement, v1 byte-format pinning + v1→v2 migration, parallel
-// determinism, trailing-garbage detection, the streaming ArchiveReader,
-// and a full simulated-world round-trip. The truncation/bit-flip
-// corruption sweeps live in archive_corruption_test.cpp.
+// limit enforcement, v2 byte-format pinning, rejection of retired v1
+// bytes, parallel determinism, trailing-garbage detection, the streaming
+// ArchiveReader, and a full simulated-world round-trip. The
+// truncation/bit-flip corruption sweeps live in
+// archive_corruption_test.cpp.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -14,6 +16,8 @@
 
 #include "scan/archive_io.h"
 #include "simworld/world.h"
+#include "smar_v1_fixture.h"
+#include "util/crc32.h"
 #include "util/thread_pool.h"
 
 namespace sm::scan {
@@ -138,14 +142,39 @@ void expect_equal(const ScanArchive& a, const ScanArchive& b) {
   }
 }
 
-std::string save_to_string(const ScanArchive& archive,
-                           ArchiveVersion version = ArchiveVersion::kV2) {
+std::string save_to_string(const ScanArchive& archive) {
   std::stringstream buffer;
-  EXPECT_TRUE(save_archive(archive, buffer, version));
+  EXPECT_TRUE(save_archive(archive, buffer));
   return buffer.str();
 }
 
-// --- binary: v2 (default) ----------------------------------------------------
+// A saved sample_archive() with `value` written at `offset` into the
+// payload of frame `index` (0 = header, 1 = the cert frame, then one per
+// scan) and that frame re-checksummed, so only the loader's own checks —
+// not the CRC — can reject it.
+template <typename T>
+std::string patched_sample(std::size_t index, std::size_t offset, T value) {
+  std::string bytes = save_to_string(sample_archive());
+  std::size_t at = 8;  // magic + version
+  std::uint64_t size = 0;
+  for (std::size_t i = 0;; ++i) {
+    std::memcpy(&size, bytes.data() + at + 1, sizeof(size));
+    if (i == index) break;
+    at += 1 + sizeof(size) + size + sizeof(std::uint32_t);
+  }
+  char* payload = bytes.data() + at + 1 + sizeof(size);
+  std::memcpy(payload + offset, &value, sizeof(value));
+  const std::uint32_t crc = util::crc32(std::string_view(payload, size));
+  std::memcpy(payload + size, &crc, sizeof(crc));
+  return bytes;
+}
+
+bool loads(const std::string& bytes) {
+  std::stringstream in(bytes);
+  return load_archive(in).has_value();
+}
+
+// --- binary ------------------------------------------------------------------
 
 TEST(BinaryFormat, RoundTrip) {
   const ScanArchive original = sample_archive();
@@ -158,25 +187,19 @@ TEST(BinaryFormat, RoundTrip) {
 
 TEST(BinaryFormat, HostileStringsRoundTrip) {
   const ScanArchive original = hostile_archive();
-  for (const ArchiveVersion version :
-       {ArchiveVersion::kV1, ArchiveVersion::kV2}) {
-    std::stringstream buffer(save_to_string(original, version));
-    const auto loaded = load_archive(buffer);
-    ASSERT_TRUE(loaded.has_value());
-    expect_equal(original, *loaded);
-  }
+  std::stringstream buffer(save_to_string(original));
+  const auto loaded = load_archive(buffer);
+  ASSERT_TRUE(loaded.has_value());
+  expect_equal(original, *loaded);
 }
 
 TEST(BinaryFormat, EmptyArchiveRoundTrip) {
   const ScanArchive empty;
-  for (const ArchiveVersion version :
-       {ArchiveVersion::kV1, ArchiveVersion::kV2}) {
-    std::stringstream buffer(save_to_string(empty, version));
-    const auto loaded = load_archive(buffer);
-    ASSERT_TRUE(loaded.has_value());
-    EXPECT_TRUE(loaded->certs().empty());
-    EXPECT_TRUE(loaded->scans().empty());
-  }
+  std::stringstream buffer(save_to_string(empty));
+  const auto loaded = load_archive(buffer);
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_TRUE(loaded->certs().empty());
+  EXPECT_TRUE(loaded->scans().empty());
 }
 
 TEST(BinaryFormat, RejectsBadMagic) {
@@ -206,13 +229,10 @@ TEST(BinaryFormat, RejectsTruncation) {
 }
 
 TEST(BinaryFormat, RejectsOutOfRangeCertIndex) {
-  // v1 has no checksums, so this exercises the cert-index bound itself
-  // (in v2 the frame CRC would already catch the mutation).
-  std::string bytes = save_to_string(sample_archive(), ArchiveVersion::kV1);
-  // The last observation's cert index is 12 bytes from the end.
-  bytes[bytes.size() - 12] = static_cast<char>(0xff);
-  std::stringstream corrupted(bytes);
-  EXPECT_FALSE(load_archive(corrupted).has_value());
+  // Scan 1's second observation (frame 3, after the 25-byte scan header
+  // and one 12-byte observation) may name cert 4 but not cert 5.
+  EXPECT_TRUE(loads(patched_sample<CertId>(3, 25 + 12, 4)));
+  EXPECT_FALSE(loads(patched_sample<CertId>(3, 25 + 12, 5)));
 }
 
 TEST(BinaryFormat, FileRoundTrip) {
@@ -227,107 +247,62 @@ TEST(BinaryFormat, FileRoundTrip) {
 
 TEST(BinaryFormat, EmbeddedArchiveLeavesRemainderReadable) {
   // world_io embeds archives in a larger stream: the loader must consume
-  // exactly the archive's bytes, for both versions.
-  for (const ArchiveVersion version :
-       {ArchiveVersion::kV1, ArchiveVersion::kV2}) {
-    std::stringstream buffer(save_to_string(sample_archive(), version) +
-                             "REMAINDER");
-    const auto loaded = load_archive(buffer);
-    ASSERT_TRUE(loaded.has_value());
-    std::string rest;
-    buffer >> rest;
-    EXPECT_EQ(rest, "REMAINDER");
-  }
+  // exactly the archive's bytes.
+  std::stringstream buffer(save_to_string(sample_archive()) + "REMAINDER");
+  const auto loaded = load_archive(buffer);
+  ASSERT_TRUE(loaded.has_value());
+  std::string rest;
+  buffer >> rest;
+  EXPECT_EQ(rest, "REMAINDER");
 }
 
 TEST(BinaryFormat, ReportsTrailingBytes) {
-  for (const ArchiveVersion version :
-       {ArchiveVersion::kV1, ArchiveVersion::kV2}) {
-    std::stringstream clean(save_to_string(sample_archive(), version));
-    ArchiveLoadReport report;
-    ASSERT_TRUE(load_archive(clean, &report).has_value());
-    EXPECT_EQ(report.version, static_cast<std::uint32_t>(version));
-    EXPECT_FALSE(report.trailing_bytes);
+  std::stringstream clean(save_to_string(sample_archive()));
+  ArchiveLoadReport report;
+  ASSERT_TRUE(load_archive(clean, &report).has_value());
+  EXPECT_FALSE(report.trailing_bytes);
 
-    std::stringstream tail(save_to_string(sample_archive(), version) + "x");
-    ArchiveLoadReport tail_report;
-    ASSERT_TRUE(load_archive(tail, &tail_report).has_value());
-    EXPECT_TRUE(tail_report.trailing_bytes);
-  }
+  std::stringstream tail(save_to_string(sample_archive()) + "x");
+  ArchiveLoadReport tail_report;
+  ASSERT_TRUE(load_archive(tail, &tail_report).has_value());
+  EXPECT_TRUE(tail_report.trailing_bytes);
 }
 
 TEST(BinaryFormat, FileLoadRejectsTrailingGarbage) {
   const std::string path = "/tmp/sm_archive_io_trailing.smar";
-  for (const ArchiveVersion version :
-       {ArchiveVersion::kV1, ArchiveVersion::kV2}) {
-    std::ofstream out(path, std::ios::binary);
-    const std::string bytes = save_to_string(sample_archive(), version);
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    out << "trailing garbage";
-    out.close();
-    EXPECT_FALSE(load_archive_file(path).has_value());
-  }
+  std::ofstream out(path, std::ios::binary);
+  const std::string bytes = save_to_string(sample_archive());
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  out << "trailing garbage";
+  out.close();
+  EXPECT_FALSE(load_archive_file(path).has_value());
 }
 
 TEST(BinaryFormat, SaveRejectsOverLimitSanCount) {
   // A SAN list beyond the format limit must fail the save loudly instead
-  // of writing a file the loader would reject (v1 previously truncated
-  // counts via static_cast).
+  // of writing a file the loader would reject.
   ScanArchive archive;
   CertRecord rec = sample_record(1);
   rec.san.assign((1u << 16) + 1, "x");
   archive.intern(rec);
-  for (const ArchiveVersion version :
-       {ArchiveVersion::kV1, ArchiveVersion::kV2}) {
-    std::stringstream buffer;
-    EXPECT_FALSE(save_archive(archive, buffer, version));
-  }
+  std::stringstream buffer;
+  EXPECT_FALSE(save_archive(archive, buffer));
   const std::string path = "/tmp/sm_archive_io_overlimit.smar";
   EXPECT_FALSE(save_archive_file(archive, path));
 }
 
 TEST(BinaryFormat, RejectsNonChronologicalScans) {
-  // Hand-build a v1 stream whose second scan starts before the first; the
-  // loader must reject it (it used to throw out of begin_scan).
-  std::string bytes;
-  const auto put32 = [&](std::uint32_t v) {
-    bytes.append(reinterpret_cast<const char*>(&v), sizeof(v));
-  };
-  const auto put64 = [&](std::int64_t v) {
-    bytes.append(reinterpret_cast<const char*>(&v), sizeof(v));
-  };
-  bytes += "SMAR";
-  put32(1);  // version
-  put32(0);  // no certs
-  put32(2);  // two scans
-  bytes.push_back(0);
-  put64(5000);  // first scan at t=5000
-  put64(36000);
-  put32(0);
-  bytes.push_back(0);
-  put64(1000);  // second scan at t=1000: out of order
-  put64(36000);
-  put32(0);
-  std::stringstream in(bytes);
-  EXPECT_FALSE(load_archive(in).has_value());
+  // Scan 1 (frame 3; its start follows the campaign byte) may start after
+  // scan 0's t=1000 but not before it (that used to throw out of
+  // begin_scan).
+  EXPECT_TRUE(loads(patched_sample<util::UnixTime>(3, 1, 1001)));
+  EXPECT_FALSE(loads(patched_sample<util::UnixTime>(3, 1, 999)));
 }
 
-// --- binary: v1 compatibility ------------------------------------------------
+// --- binary: golden bytes ----------------------------------------------------
 
-// A v1 archive serialized by the pre-v2 writer (1 cert, 1 scan, 1
-// observation). Pins the v1 byte format: the v1 writer must still emit
-// exactly these bytes and the loader must parse them.
-constexpr char kGoldenV1Hex[] =
-    "534d415201000000010000000102030405060708090a0b0c0d0e0f10887766554433"
-    "22110c0000006465766963652e6c6f63616c0b0000003139322e3136382e312e310e"
-    "000000434e3d3139322e3136382e312e31080000003062616463306465808aa85100"
-    "00000000943577000000000200000010000000646e733a6465766963652e6c6f6361"
-    "6c0b00000069703a31302e302e302e310400000061316232180000006874"
-    "74703a2f2f63726c2e6578616d706c652f632e63726c000000001300000068747470"
-    "3a2f2f6f6373702e6578616d706c6507000000312e322e332e340200000000010100"
-    "00000080e3d34f00000000a08c00000000000001000000000000000100000a070000"
-    "00";
-
+// The golden archive: one plain record, one whose strings carry every
+// character the TSV escaping treats specially, and one scan.
 ScanArchive golden_archive() {
   ScanArchive archive;
   CertRecord rec;
@@ -351,53 +326,62 @@ ScanArchive golden_archive() {
   rec.transvalid = false;
   rec.invalid_reason = pki::InvalidReason::kSelfSigned;
   archive.intern(rec);
+  archive.intern(hostile_record(1));
   const std::size_t s =
       archive.begin_scan(ScanEvent{Campaign::kUMich, 1339286400, 36000});
   archive.add_observation(s, 0, 0x0a000001, 7);
+  archive.add_observation(s, 1, 0xc0a80101, kNoDevice);
   return archive;
 }
 
-std::string unhex(const std::string& hex) {
-  std::string out;
-  for (std::size_t i = 0; i + 1 < hex.size(); i += 2) {
-    const auto nibble = [&](char c) {
-      return c <= '9' ? c - '0' : c - 'a' + 10;
-    };
-    out.push_back(
-        static_cast<char>((nibble(hex[i]) << 4) | nibble(hex[i + 1])));
-  }
-  return out;
-}
+// golden_archive() as saved by the v2 writer. Pins the byte format: the
+// writer must emit exactly these bytes and the loader must parse them.
+constexpr char kGoldenV2Hex[] =
+    "534d415202000000481c000000000000000200000000000000010000000000000002"
+    "0000000000000000200000ea6e0a3243c6010000000000000102030405060708090a"
+    "0b0c0d0e0f1088776655443322110c0000006465766963652e6c6f63616c0b000000"
+    "3139322e3136382e312e310e000000434e3d3139322e3136382e312e310800000030"
+    "62616463306465808aa8510000000000943577000000000200000010000000646e73"
+    "3a6465766963652e6c6f63616c0b00000069703a31302e302e302e31040000006131"
+    "623218000000687474703a2f2f63726c2e6578616d706c652f632e63726c00000000"
+    "13000000687474703a2f2f6f6373702e6578616d706c6507000000312e322e332e34"
+    "020000000001010000000000000000000000dd0000a10100cdab000000000d000000"
+    "617c6209630a64256525376366010000002500000000090000002532352530392530"
+    "6100ce585100000000806bf7760000000008000000000000000f000000646e733a70"
+    "6970657c696e736964650900000074616209656e7472790a0000006c696e650a656e"
+    "7472790900000070637425656e74727903000000253763010000007c090000007472"
+    "61696c696e677c18000000616b69097769746809746162737c616e64257069706573"
+    "0a020000007c7c02000000252504000000090a257c05000000312e322e3302000000"
+    "00017d92bcbc5331000000000000000080e3d34f00000000a08c0000000000000200"
+    "000000000000000000000100000a07000000010000000101a8c0ffffffff4533818c"
+    "451800000000000000020000000000000001000000000000000200000000000000c3"
+    "90b796";
 
-TEST(V1Compat, GoldenBytesStillLoad) {
-  std::stringstream in(unhex(kGoldenV1Hex));
+TEST(GoldenV2, GoldenBytesLoad) {
+  std::stringstream in(unhex(kGoldenV2Hex));
   const auto loaded = load_archive(in);
   ASSERT_TRUE(loaded.has_value());
   expect_equal(golden_archive(), *loaded);
 }
 
-TEST(V1Compat, WriterIsByteIdenticalToGolden) {
-  EXPECT_EQ(save_to_string(golden_archive(), ArchiveVersion::kV1),
-            unhex(kGoldenV1Hex));
+TEST(GoldenV2, WriterIsByteIdenticalToGolden) {
+  EXPECT_EQ(save_to_string(golden_archive()), unhex(kGoldenV2Hex));
 }
 
-TEST(V1Compat, V1RoundTrip) {
-  const ScanArchive original = sample_archive();
-  std::stringstream buffer(save_to_string(original, ArchiveVersion::kV1));
-  const auto loaded = load_archive(buffer);
-  ASSERT_TRUE(loaded.has_value());
-  expect_equal(original, *loaded);
-}
+// --- binary: retired v1 ------------------------------------------------------
 
-TEST(V1Compat, V1ToV2Migration) {
-  const ScanArchive original = sample_archive();
-  std::stringstream v1(save_to_string(original, ArchiveVersion::kV1));
-  const auto from_v1 = load_archive(v1);
-  ASSERT_TRUE(from_v1.has_value());
-  std::stringstream v2(save_to_string(*from_v1, ArchiveVersion::kV2));
-  const auto from_v2 = load_archive(v2);
-  ASSERT_TRUE(from_v2.has_value());
-  expect_equal(original, *from_v2);
+TEST(RetiredV1, GoldenV1BytesAreRejected) {
+  std::stringstream in(unhex(kGoldenV1Hex));
+  EXPECT_FALSE(load_archive(in).has_value());
+  const std::string path = "/tmp/sm_archive_io_v1.smar";
+  std::ofstream(path, std::ios::binary) << unhex(kGoldenV1Hex);
+  EXPECT_FALSE(load_archive_file(path).has_value());
+
+  std::stringstream streamed(unhex(kGoldenV1Hex));
+  ArchiveReader reader(streamed);
+  EXPECT_FALSE(reader.ok());
+  EXPECT_FALSE(reader.for_each_cert(ArchiveReader::CertFn()));
+  EXPECT_FALSE(reader.for_each_scan(ArchiveReader::ScanFn()));
 }
 
 // --- parallel determinism ----------------------------------------------------
@@ -431,51 +415,43 @@ TEST(ParallelArchiveIo, BitIdenticalAcrossThreadCounts) {
 
 TEST(ArchiveReaderTest, StreamsCertsAndScans) {
   const ScanArchive original = sample_archive();
-  for (const ArchiveVersion version :
-       {ArchiveVersion::kV1, ArchiveVersion::kV2}) {
-    std::stringstream in(save_to_string(original, version));
-    ArchiveReader reader(in);
-    ASSERT_TRUE(reader.ok());
-    EXPECT_EQ(reader.version(), static_cast<std::uint32_t>(version));
-    EXPECT_EQ(reader.cert_count(), original.certs().size());
+  std::stringstream in(save_to_string(original));
+  ArchiveReader reader(in);
+  ASSERT_TRUE(reader.ok());
+  EXPECT_EQ(reader.cert_count(), original.certs().size());
+  EXPECT_EQ(reader.scan_count(), original.scans().size());
 
-    std::vector<CertRecord> certs;
-    ASSERT_TRUE(reader.for_each_cert(
-        [&](CertId id, const CertRecord& cert) {
-          EXPECT_EQ(id, certs.size());
-          certs.push_back(cert);
-        }));
-    EXPECT_EQ(certs.size(), original.certs().size());
-    EXPECT_EQ(reader.scan_count(), original.scans().size());
+  std::vector<CertRecord> certs;
+  ASSERT_TRUE(reader.for_each_cert([&](CertId id, const CertRecord& cert) {
+    EXPECT_EQ(id, certs.size());
+    certs.push_back(cert);
+  }));
+  EXPECT_EQ(certs.size(), original.certs().size());
 
-    std::vector<ScanData> scans;
-    ASSERT_TRUE(reader.for_each_scan(
-        [&](const ScanData& scan) { scans.push_back(scan); }));
-    EXPECT_TRUE(reader.finished());
+  std::vector<ScanData> scans;
+  ASSERT_TRUE(reader.for_each_scan(
+      [&](const ScanData& scan) { scans.push_back(scan); }));
+  EXPECT_TRUE(reader.finished());
 
-    // The streamed view must match the materialized archive exactly.
-    ScanArchive streamed;
-    for (CertRecord& cert : certs) streamed.intern(std::move(cert));
-    for (ScanData& scan : scans) streamed.add_scan(std::move(scan));
-    expect_equal(original, streamed);
-  }
+  // The streamed view must match the materialized archive exactly.
+  ScanArchive streamed;
+  for (CertRecord& cert : certs) streamed.intern(std::move(cert));
+  for (ScanData& scan : scans) streamed.add_scan(std::move(scan));
+  expect_equal(original, streamed);
 }
 
 TEST(ArchiveReaderTest, ScanOnlyVisitSkipsCertSection) {
   const ScanArchive original = sample_archive();
-  for (const ArchiveVersion version :
-       {ArchiveVersion::kV1, ArchiveVersion::kV2}) {
-    std::stringstream in(save_to_string(original, version));
-    ArchiveReader reader(in);
-    ASSERT_TRUE(reader.ok());
-    std::size_t observations = 0;
-    ASSERT_TRUE(reader.for_each_scan(
-        [&](const ScanData& scan) { observations += scan.observations.size(); }));
-    EXPECT_EQ(observations, original.observation_count());
-    EXPECT_TRUE(reader.finished());
-    // The cert section is behind us now.
-    EXPECT_FALSE(reader.for_each_cert(ArchiveReader::CertFn()));
-  }
+  std::stringstream in(save_to_string(original));
+  ArchiveReader reader(in);
+  ASSERT_TRUE(reader.ok());
+  std::size_t observations = 0;
+  ASSERT_TRUE(reader.for_each_scan(
+      [&](const ScanData& scan) { observations += scan.observations.size(); }));
+  EXPECT_EQ(observations, original.observation_count());
+  EXPECT_TRUE(reader.finished());
+  // The cert section is behind us now.
+  EXPECT_FALSE(reader.for_each_cert(ArchiveReader::CertFn()));
 }
 
 TEST(ArchiveReaderTest, RejectsGarbageAndTruncation) {
@@ -530,24 +506,19 @@ TEST(TsvFormat, SanEntriesWithPipesRoundTrip) {
   EXPECT_EQ(loaded->certs()[0].san, rec.san);
 }
 
-TEST(TsvFormat, LegacySanEncodingStillImports) {
-  // Pre-escaping exports joined entries with bare '|' and no terminator.
+TEST(TsvFormat, RejectsUnterminatedSanField) {
+  // Every SAN entry ends in '|'. A field whose last entry lacks it (the
+  // retired pre-escaping join) is malformed, not a different encoding.
   const ScanArchive original = sample_archive();
   std::stringstream buffer;
   export_tsv(original, buffer);
   std::string tsv = buffer.str();
-  // Rewrite the current terminated encoding of sample SANs back to the
-  // legacy join to simulate an old file.
-  const std::string current = "dns:a.example|ip:192.168.1.1|";
-  const std::string legacy = "dns:a.example|ip:192.168.1.1";
-  for (std::size_t pos = 0; (pos = tsv.find(current, pos)) != std::string::npos;) {
-    tsv.replace(pos, current.size(), legacy);
-    pos += legacy.size();
-  }
-  std::stringstream rewritten(tsv);
-  const auto loaded = import_tsv(rewritten);
-  ASSERT_TRUE(loaded.has_value());
-  expect_equal(original, *loaded);
+  const std::string terminated = "dns:a.example|ip:192.168.1.1|\t";
+  const std::size_t pos = tsv.find(terminated);
+  ASSERT_NE(pos, std::string::npos);
+  tsv.erase(pos + terminated.size() - 2, 1);
+  std::stringstream unterminated(tsv);
+  EXPECT_FALSE(import_tsv(unterminated).has_value());
 }
 
 TEST(TsvFormat, AkiEscapingIsSymmetric) {

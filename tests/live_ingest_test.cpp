@@ -11,6 +11,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -26,6 +27,7 @@
 #include "notary/service.h"
 #include "scan/archive_io.h"
 #include "simworld/world.h"
+#include "smar_v1_fixture.h"
 
 namespace sm::corpus {
 namespace {
@@ -157,6 +159,19 @@ TEST_F(LiveIngestTest, FailedAppendPublishesNothing) {
   // Truncated real bytes fail too (streamed reader catches it).
   std::istringstream cut((*segments_)[0].substr(0, 40));
   EXPECT_FALSE(live->append_segment(cut).ok);
+  EXPECT_EQ(live->snapshot().get(), before.get());
+
+  // A retired v1 segment (no checksums) is rejected like any unknown
+  // version, even one whose scan would otherwise append cleanly: its one
+  // scan's start (32 bytes from the end) is moved past the corpus.
+  std::string v1 = scan::unhex(scan::kGoldenV1Hex);
+  const util::UnixTime late =
+      before->archive->scans().back().event.start + 86400;
+  std::memcpy(v1.data() + v1.size() - 32, &late, sizeof(late));
+  std::istringstream v1_segment(v1);
+  const AppendResult v1_result = live->append_segment(v1_segment);
+  EXPECT_FALSE(v1_result.ok);
+  EXPECT_EQ(v1_result.error, "segment: bad archive header");
   EXPECT_EQ(live->snapshot().get(), before.get());
 
   const AppendResult good = append(*live, 0);
@@ -291,8 +306,8 @@ TEST_F(LiveIngestTest, QueriesRacingPublishesAreNeverTorn) {
   server_config.workers = 4;
   netio::TcpServer server(
       server_config, [&service](netio::FrameType type,
-                                std::string_view payload) {
-        return service.handle(type, payload);
+                                std::string_view payload, std::string& out) {
+        service.handle_into(type, payload, out);
       });
   ASSERT_TRUE(server.start());
 
@@ -459,8 +474,8 @@ TEST_F(LiveIngestTest, SnapshotInfoReportsTheLiveEpoch) {
   server_config.workers = 1;
   netio::TcpServer server(
       server_config, [&service](netio::FrameType type,
-                                std::string_view payload) {
-        return service.handle(type, payload);
+                                std::string_view payload, std::string& out) {
+        service.handle_into(type, payload, out);
       });
   ASSERT_TRUE(server.start());
   LoopbackClient client(server.port());

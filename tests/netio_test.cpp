@@ -244,11 +244,26 @@ class EchoServerTest : public ::testing::Test {
   }();
 
   // Echo handler: kPing -> kPong, anything else -> kError.
-  static Frame echo(FrameType type, std::string_view payload) {
+  static void echo(FrameType type, std::string_view payload,
+                   std::string& out) {
     if (type == FrameType::kPing) {
-      return {FrameType::kPong, std::string(payload)};
+      encode_frame_into(out, FrameType::kPong, payload);
+    } else {
+      encode_frame_into(out, FrameType::kError, "echo server only pings");
     }
-    return {FrameType::kError, "echo server only pings"};
+  }
+
+  // echo, but every answer waits until `release` is set (or 10 s pass).
+  static TcpServer::StreamHandler held_echo(const std::atomic<bool>& release) {
+    return [&release](FrameType type, std::string_view payload,
+                      std::string& out) {
+      const auto give_up =
+          std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (!release.load() && std::chrono::steady_clock::now() < give_up) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      }
+      echo(type, payload, out);
+    };
   }
 };
 
@@ -277,8 +292,8 @@ TEST_F(EchoServerTest, ServesSequentialRequests) {
 }
 
 TEST_F(EchoServerTest, StreamHandlerAppendsFramesDirectlyToOutput) {
-  // The stream-handler form writes encoded frames straight into the
-  // connection's output buffer — including several frames per request.
+  // The handler writes encoded frames straight into the connection's
+  // output buffer — including several frames per request.
   TcpServer server(config_, [](FrameType type, std::string_view payload,
                                std::string& out) {
     if (type == FrameType::kPing) {
@@ -351,16 +366,18 @@ TEST_F(EchoServerTest, CallManyRevocationBatchAndMidBatchMarkDown) {
   constexpr int kBatch = 12;
   std::atomic<int> handled{0};
   std::atomic<int> stall_at{-1};  // handler index that sleeps past timeout
-  TcpServer server(config_, [&](FrameType type, std::string_view payload) {
+  TcpServer server(config_, [&](FrameType type, std::string_view payload,
+                                std::string& out) {
     if (type != FrameType::kRevocationQuery) {
-      return Frame{FrameType::kError, "revocation only"};
+      encode_frame_into(out, FrameType::kError, "revocation only");
+      return;
     }
     if (handled.fetch_add(1, std::memory_order_relaxed) ==
         stall_at.load(std::memory_order_relaxed)) {
       std::this_thread::sleep_for(std::chrono::milliseconds(600));
     }
-    return Frame{FrameType::kRevocationInfo,
-                 "revocation: revoked " + std::string(payload)};
+    encode_frame_into(out, FrameType::kRevocationInfo,
+                      "revocation: revoked " + std::string(payload));
   });
   ASSERT_TRUE(server.start());
 
@@ -1071,9 +1088,10 @@ TEST_F(EchoServerTest, ClientPoolManyThreadsShareOneConnection) {
 // FIFO order, whichever waiter happens to read.
 TEST_F(EchoServerTest, ClientPoolSlowFirstAnswerKeepsFollowersInOrder) {
   constexpr auto kSlow = std::chrono::milliseconds(300);
-  TcpServer server(config_, [&](FrameType type, std::string_view payload) {
+  TcpServer server(config_, [&](FrameType type, std::string_view payload,
+                                std::string& out) {
     if (payload == "slow") std::this_thread::sleep_for(kSlow);
-    return echo(type, payload);
+    echo(type, payload, out);
   });
   ASSERT_TRUE(server.start());
   ClientPoolConfig pool_config = one_connection_pool();
@@ -1120,14 +1138,7 @@ TEST_F(EchoServerTest, ClientPoolSlowFirstAnswerKeepsFollowersInOrder) {
 // one being read included, whose close falls to that caller.
 TEST_F(EchoServerTest, ClientPoolDestructionFailsABlockedGetPromptly) {
   std::atomic<bool> release{false};
-  TcpServer server(config_, [&](FrameType type, std::string_view payload) {
-    const auto give_up =
-        std::chrono::steady_clock::now() + std::chrono::seconds(10);
-    while (!release.load() && std::chrono::steady_clock::now() < give_up) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    }
-    return echo(type, payload);
-  });
+  TcpServer server(config_, held_echo(release));
   ASSERT_TRUE(server.start());
   const std::size_t fds_before = count_open_fds();
 
@@ -1258,14 +1269,7 @@ TEST_F(EchoServerTest, FrameClientRefusedConnectFailsPromptly) {
 
 TEST_F(EchoServerTest, FrameClientSilentServerTimesOutTheCall) {
   std::atomic<bool> release{false};
-  TcpServer server(config_, [&](FrameType type, std::string_view payload) {
-    const auto give_up =
-        std::chrono::steady_clock::now() + std::chrono::seconds(10);
-    while (!release.load() && std::chrono::steady_clock::now() < give_up) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    }
-    return echo(type, payload);
-  });
+  TcpServer server(config_, held_echo(release));
   ASSERT_TRUE(server.start());
 
   FrameClient client;

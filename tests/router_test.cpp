@@ -55,8 +55,8 @@ struct Backend {
     config.workers = 2;
     config.port = on_port;
     server.emplace(config, [this](netio::FrameType type,
-                                  std::string_view payload) {
-      return service->handle(type, payload);
+                                  std::string_view payload, std::string& out) {
+      service->handle_into(type, payload, out);
     });
     std::string error;
     ASSERT_TRUE(server->start(&error)) << error;
@@ -116,8 +116,9 @@ class RouterWorldTest : public ::testing::Test {
     netio::ServerConfig server_config;
     server_config.workers = 4;
     router_server_ = new netio::TcpServer(
-        server_config, [](netio::FrameType type, std::string_view payload) {
-          return router_->handle(type, payload);
+        server_config, [](netio::FrameType type, std::string_view payload,
+                          std::string& out) {
+          router_->handle_into(type, payload, out);
         });
     ASSERT_TRUE(router_server_->start());
   }

@@ -22,7 +22,7 @@
 //       plus a plots.gp script that renders them.
 //
 //   sm_survey stat --archive FILE
-//       Streams a binary certificate archive (v1 or v2) through the
+//       Streams a binary certificate archive (SMAR v2) through the
 //       scan::ArchiveReader visitor API — validity split, per-campaign
 //       observation totals — without materializing the whole ScanArchive.
 //
@@ -136,15 +136,7 @@ std::optional<Options> parse(int argc, char** argv) {
     } else if (arg == "--pem") {
       opts.pem_path = value();
     } else if (arg == "--threads") {
-      const char* v = value();
-      char* end = nullptr;
-      opts.threads = std::strtoull(v, &end, 10);
-      if (*v == '\0' || end == nullptr || *end != '\0' ||
-          opts.threads > 4096) {
-        std::fprintf(stderr, "invalid --threads value '%s' (want 0-4096)\n",
-                     v);
-        std::exit(2);
-      }
+      opts.threads = parse_u64_or_die("--threads", value(), 4096);
     } else {
       std::fprintf(stderr, "unknown option %s\n", arg.c_str());
       return std::nullopt;
@@ -232,7 +224,7 @@ int cmd_stat(const Options& opts) {
                  opts.archive_path.c_str());
     return 1;
   }
-  std::printf("format:        SMAR v%u\n", reader.version());
+  std::printf("format:        SMAR v2\n");
 
   std::uint64_t valid = 0, invalid = 0, transvalid = 0, san_entries = 0;
   reader.for_each_cert([&](scan::CertId, const scan::CertRecord& cert) {
