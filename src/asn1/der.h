@@ -1,8 +1,8 @@
 // DER (X.690 Distinguished Encoding Rules) writing and reading.
 //
-// The writer builds values bottom-up: each helper returns the complete TLV
-// bytes for one value, and containers (SEQUENCE/SET/context tags) wrap the
-// concatenation of their children. The reader is a cursor over a byte view
+// The writer (DerWriter) encodes top-down into a single buffer: primitives
+// append in place and containers back-patch their length when closed. The
+// reader is a cursor over a byte view
 // with typed extractors that return std::optional on malformed input —
 // parsing never throws.
 #pragma once
@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "asn1/oid.h"
 #include "bignum/biguint.h"
@@ -49,64 +50,96 @@ constexpr std::uint8_t context_primitive(unsigned n) {
 
 // --- Writing ----------------------------------------------------------------
 
-/// Wraps `content` in a tag + definite length header.
-util::Bytes encode_tlv(std::uint8_t tag, util::BytesView content);
+/// Encodes DER into one growing buffer. Primitives append their complete
+/// TLV in place; a constructed value is opened with begin(tag), filled with
+/// its children, and closed with end(mark), which back-patches the length
+/// (widening the one-byte placeholder when the content needs the long
+/// form). Typical use:
+///   DerWriter w;
+///   const DerWriter::Mark seq = w.begin(Tag::kSequence);
+///   w.integer(std::int64_t{2});
+///   w.utf8_string("fritz.box");
+///   w.end(seq);
+///   util::Bytes der = w.take();
+class DerWriter {
+ public:
+  /// Where an open constructed value's length byte sits.
+  using Mark = std::size_t;
 
-/// INTEGER from a non-negative bignum (adds a 0x00 pad byte when the high
-/// bit is set, per DER two's-complement rules).
-util::Bytes encode_integer(const bignum::BigUint& value);
+  DerWriter() = default;
+  /// Starts with `capacity` bytes reserved.
+  explicit DerWriter(std::size_t capacity) { out_.reserve(capacity); }
 
-/// INTEGER from a machine integer (may be negative).
-util::Bytes encode_integer(std::int64_t value);
+  /// Opens a constructed value; close it with end(). Opened values nest.
+  Mark begin(std::uint8_t tag);
+  Mark begin(Tag tag) { return begin(static_cast<std::uint8_t>(tag)); }
 
-/// BOOLEAN (DER: 0xff for true).
-util::Bytes encode_boolean(bool value);
+  /// Closes the value begin() opened at `mark`: everything written since is
+  /// its content. Bytes before `mark` stay where they are; bytes after it
+  /// may move.
+  void end(Mark mark);
 
-/// NULL.
-util::Bytes encode_null();
+  /// Tag + definite length + `content`.
+  void tlv(std::uint8_t tag, util::BytesView content);
 
-/// OBJECT IDENTIFIER.
-util::Bytes encode_oid(const Oid& oid);
+  /// INTEGER from a non-negative bignum (a 0x00 pad byte when the high bit
+  /// is set, per DER two's-complement rules).
+  void integer(const bignum::BigUint& value);
 
-/// OCTET STRING.
-util::Bytes encode_octet_string(util::BytesView content);
+  /// INTEGER from a machine integer (may be negative).
+  void integer(std::int64_t value);
 
-/// BIT STRING with zero unused bits (keys, signatures).
-util::Bytes encode_bit_string(util::BytesView content);
+  /// BOOLEAN (DER: 0xff for true).
+  void boolean(bool value);
 
-/// BIT STRING of named bits (DER: trailing zero bits are not encoded and
-/// the unused-bit count is explicit). Bit 0 is the most significant bit of
-/// the first content octet, per X.680. Used for KeyUsage.
-util::Bytes encode_named_bit_string(std::uint32_t bits, unsigned bit_count);
+  /// NULL.
+  void null();
+
+  /// OBJECT IDENTIFIER.
+  void oid(const Oid& oid);
+
+  /// OCTET STRING.
+  void octet_string(util::BytesView content);
+
+  /// BIT STRING with zero unused bits (keys, signatures).
+  void bit_string(util::BytesView content);
+
+  /// BIT STRING of named bits (DER: trailing zero bits are not encoded and
+  /// the unused-bit count is explicit). Bit 0 is the most significant bit
+  /// of the first content octet, per X.680. Used for KeyUsage.
+  void named_bit_string(std::uint32_t bits, unsigned bit_count);
+
+  /// UTF8String.
+  void utf8_string(std::string_view s);
+
+  /// PrintableString (no character-set check; callers pass known-safe text).
+  void printable_string(std::string_view s);
+
+  /// IA5String (used for dNSName / URI).
+  void ia5_string(std::string_view s);
+
+  /// Time as UTCTime when the year fits 1950-2049, else GeneralizedTime —
+  /// exactly the RFC 5280 rule. Years > 9999 are clamped to 9999-12-31
+  /// because GeneralizedTime cannot represent them.
+  void time(util::UnixTime t);
+
+  /// Bytes written so far (open values still carry placeholder lengths).
+  std::size_t size() const { return out_.size(); }
+  util::BytesView view() const { return out_; }
+
+  /// Moves the encoding out; the writer is empty afterwards.
+  util::Bytes take() { return std::move(out_); }
+
+ private:
+  void header(std::uint8_t tag, std::size_t length);
+
+  util::Bytes out_;
+};
 
 /// Decodes a named-bit BIT STRING back into a bit mask (bit i of the
 /// result = named bit i). Returns nullopt on malformed input or more than
 /// 32 named bits.
 std::optional<std::uint32_t> decode_named_bit_string(util::BytesView content);
-
-/// UTF8String.
-util::Bytes encode_utf8_string(const std::string& s);
-
-/// PrintableString (no character-set check; callers pass known-safe text).
-util::Bytes encode_printable_string(const std::string& s);
-
-/// IA5String (used for dNSName / URI).
-util::Bytes encode_ia5_string(const std::string& s);
-
-/// Time as UTCTime when the year fits 1950-2049, else GeneralizedTime —
-/// exactly the RFC 5280 rule. Years > 9999 are clamped to 9999-12-31
-/// because GeneralizedTime cannot represent them.
-util::Bytes encode_time(util::UnixTime t);
-
-/// SEQUENCE wrapping already-encoded children.
-util::Bytes encode_sequence(util::BytesView children);
-
-/// SET wrapping already-encoded children (no re-sorting; callers emit
-/// children in canonical order).
-util::Bytes encode_set(util::BytesView children);
-
-/// [n] EXPLICIT wrapper.
-util::Bytes encode_context(unsigned n, util::BytesView children);
 
 // --- Reading ----------------------------------------------------------------
 

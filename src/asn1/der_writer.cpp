@@ -1,91 +1,128 @@
-#include <cstdio>
-
 #include "asn1/der.h"
 
 namespace sm::asn1 {
 
 namespace {
 
-void append_length(util::Bytes& out, std::size_t len) {
-  if (len < 0x80) {
-    out.push_back(static_cast<std::uint8_t>(len));
-    return;
-  }
-  std::uint8_t tmp[8];
-  int n = 0;
-  while (len) {
-    tmp[n++] = static_cast<std::uint8_t>(len & 0xff);
-    len >>= 8;
-  }
-  out.push_back(static_cast<std::uint8_t>(0x80 | n));
-  for (int i = n - 1; i >= 0; --i) out.push_back(tmp[i]);
+// Number of octets the long form needs for `len` (len >= 0x80).
+unsigned length_octets(std::size_t len) {
+  unsigned n = 0;
+  for (; len != 0; len >>= 8) ++n;
+  return n;
 }
 
-util::Bytes encode_string(Tag tag, const std::string& s) {
-  return encode_tlv(static_cast<std::uint8_t>(tag),
-                    util::BytesView(reinterpret_cast<const std::uint8_t*>(
-                                        s.data()),
-                                    s.size()));
+// Appends `value` as exactly `digits` decimal digits.
+void put_digits(util::Bytes& out, unsigned value, int digits) {
+  std::uint8_t buf[4];
+  for (int i = digits - 1; i >= 0; --i) {
+    buf[i] = static_cast<std::uint8_t>('0' + value % 10);
+    value /= 10;
+  }
+  out.insert(out.end(), buf, buf + digits);
 }
 
 }  // namespace
 
-util::Bytes encode_tlv(std::uint8_t tag, util::BytesView content) {
-  util::Bytes out;
-  out.reserve(content.size() + 6);
-  out.push_back(tag);
-  append_length(out, content.size());
-  util::append(out, content);
-  return out;
+void DerWriter::header(std::uint8_t tag, std::size_t length) {
+  out_.push_back(tag);
+  if (length < 0x80) {
+    out_.push_back(static_cast<std::uint8_t>(length));
+    return;
+  }
+  const unsigned n = length_octets(length);
+  out_.push_back(static_cast<std::uint8_t>(0x80 | n));
+  for (unsigned i = n; i-- > 0;) {
+    out_.push_back(static_cast<std::uint8_t>(length >> (8 * i)));
+  }
 }
 
-util::Bytes encode_integer(const bignum::BigUint& value) {
-  util::Bytes content = value.to_bytes();
-  if (content[0] & 0x80) content.insert(content.begin(), 0x00);
-  return encode_tlv(static_cast<std::uint8_t>(Tag::kInteger), content);
+DerWriter::Mark DerWriter::begin(std::uint8_t tag) {
+  out_.push_back(tag);
+  out_.push_back(0);  // length placeholder, patched by end()
+  return out_.size() - 1;
 }
 
-util::Bytes encode_integer(std::int64_t value) {
-  // Minimal two's-complement big-endian encoding.
-  util::Bytes content;
+void DerWriter::end(Mark mark) {
+  const std::size_t length = out_.size() - mark - 1;
+  if (length < 0x80) {
+    out_[mark] = static_cast<std::uint8_t>(length);
+    return;
+  }
+  const unsigned n = length_octets(length);
+  out_[mark] = static_cast<std::uint8_t>(0x80 | n);
+  out_.insert(out_.begin() + static_cast<std::ptrdiff_t>(mark + 1), n, 0);
+  for (unsigned i = 0; i < n; ++i) {
+    out_[mark + 1 + i] = static_cast<std::uint8_t>(length >> (8 * (n - 1 - i)));
+  }
+}
+
+void DerWriter::tlv(std::uint8_t tag, util::BytesView content) {
+  header(tag, content.size());
+  util::append(out_, content);
+}
+
+void DerWriter::integer(const bignum::BigUint& value) {
+  const util::Bytes content = value.to_bytes();
+  const bool pad = content.empty() || (content[0] & 0x80);
+  header(static_cast<std::uint8_t>(Tag::kInteger), content.size() + pad);
+  if (pad) out_.push_back(0x00);
+  util::append(out_, content);
+}
+
+void DerWriter::integer(std::int64_t value) {
+  // Minimal two's-complement big-endian encoding, built back to front.
+  std::uint8_t buf[8];
+  int start = 8;
   bool more = true;
   while (more) {
     const std::uint8_t byte = static_cast<std::uint8_t>(value & 0xff);
     value >>= 8;
-    content.insert(content.begin(), byte);
+    buf[--start] = byte;
     more = !((value == 0 && !(byte & 0x80)) ||
              (value == -1 && (byte & 0x80)));
   }
-  return encode_tlv(static_cast<std::uint8_t>(Tag::kInteger), content);
+  tlv(static_cast<std::uint8_t>(Tag::kInteger),
+      util::BytesView(buf + start, static_cast<std::size_t>(8 - start)));
 }
 
-util::Bytes encode_boolean(bool value) {
-  const std::uint8_t v = value ? 0xff : 0x00;
-  return encode_tlv(static_cast<std::uint8_t>(Tag::kBoolean),
-                    util::BytesView(&v, 1));
+void DerWriter::boolean(bool value) {
+  header(static_cast<std::uint8_t>(Tag::kBoolean), 1);
+  out_.push_back(value ? 0xff : 0x00);
 }
 
-util::Bytes encode_null() {
-  return encode_tlv(static_cast<std::uint8_t>(Tag::kNull), {});
+void DerWriter::null() { header(static_cast<std::uint8_t>(Tag::kNull), 0); }
+
+void DerWriter::oid(const Oid& oid) {
+  const Mark mark = begin(static_cast<std::uint8_t>(Tag::kOid));
+  if (oid.arcs.size() >= 2) {
+    const auto put_base128 = [&](std::uint64_t v) {
+      std::uint8_t tmp[10];
+      int n = 0;
+      do {
+        tmp[n++] = static_cast<std::uint8_t>(v & 0x7f);
+        v >>= 7;
+      } while (v);
+      for (int i = n - 1; i >= 0; --i) {
+        out_.push_back(static_cast<std::uint8_t>(tmp[i] | (i ? 0x80 : 0x00)));
+      }
+    };
+    put_base128(std::uint64_t{oid.arcs[0]} * 40 + oid.arcs[1]);
+    for (std::size_t i = 2; i < oid.arcs.size(); ++i) put_base128(oid.arcs[i]);
+  }
+  end(mark);
 }
 
-util::Bytes encode_oid(const Oid& oid) {
-  return encode_tlv(static_cast<std::uint8_t>(Tag::kOid), oid.encode());
+void DerWriter::octet_string(util::BytesView content) {
+  tlv(static_cast<std::uint8_t>(Tag::kOctetString), content);
 }
 
-util::Bytes encode_octet_string(util::BytesView content) {
-  return encode_tlv(static_cast<std::uint8_t>(Tag::kOctetString), content);
+void DerWriter::bit_string(util::BytesView content) {
+  header(static_cast<std::uint8_t>(Tag::kBitString), content.size() + 1);
+  out_.push_back(0x00);  // unused bits
+  util::append(out_, content);
 }
 
-util::Bytes encode_bit_string(util::BytesView content) {
-  util::Bytes body;
-  body.reserve(content.size() + 1);
-  body.push_back(0x00);  // unused bits
-  util::append(body, content);
-  return encode_tlv(static_cast<std::uint8_t>(Tag::kBitString), body);
-}
-
-util::Bytes encode_named_bit_string(std::uint32_t bits, unsigned bit_count) {
+void DerWriter::named_bit_string(std::uint32_t bits, unsigned bit_count) {
   // Find the highest set named bit; DER requires trailing zero bits to be
   // stripped.
   unsigned highest = 0;
@@ -96,14 +133,15 @@ util::Bytes encode_named_bit_string(std::uint32_t bits, unsigned bit_count) {
       any = true;
     }
   }
-  util::Bytes body;
   if (!any) {
-    body.push_back(0x00);  // empty bit string
-    return encode_tlv(static_cast<std::uint8_t>(Tag::kBitString), body);
+    header(static_cast<std::uint8_t>(Tag::kBitString), 1);
+    out_.push_back(0x00);  // empty bit string
+    return;
   }
   const unsigned octets = highest / 8 + 1;
   const unsigned unused = 7 - (highest % 8);
-  body.push_back(static_cast<std::uint8_t>(unused));
+  header(static_cast<std::uint8_t>(Tag::kBitString), octets + 1);
+  out_.push_back(static_cast<std::uint8_t>(unused));
   for (unsigned octet = 0; octet < octets; ++octet) {
     std::uint8_t value = 0;
     for (unsigned bit = 0; bit < 8; ++bit) {
@@ -112,50 +150,41 @@ util::Bytes encode_named_bit_string(std::uint32_t bits, unsigned bit_count) {
         value |= static_cast<std::uint8_t>(0x80 >> bit);
       }
     }
-    body.push_back(value);
+    out_.push_back(value);
   }
-  return encode_tlv(static_cast<std::uint8_t>(Tag::kBitString), body);
 }
 
-util::Bytes encode_utf8_string(const std::string& s) {
-  return encode_string(Tag::kUtf8String, s);
+void DerWriter::utf8_string(std::string_view s) {
+  tlv(static_cast<std::uint8_t>(Tag::kUtf8String), util::as_bytes(s));
 }
 
-util::Bytes encode_printable_string(const std::string& s) {
-  return encode_string(Tag::kPrintableString, s);
+void DerWriter::printable_string(std::string_view s) {
+  tlv(static_cast<std::uint8_t>(Tag::kPrintableString), util::as_bytes(s));
 }
 
-util::Bytes encode_ia5_string(const std::string& s) {
-  return encode_string(Tag::kIa5String, s);
+void DerWriter::ia5_string(std::string_view s) {
+  tlv(static_cast<std::uint8_t>(Tag::kIa5String), util::as_bytes(s));
 }
 
-util::Bytes encode_time(util::UnixTime t) {
+void DerWriter::time(util::UnixTime t) {
   util::CivilDateTime c = util::from_unix(t);
   if (c.year > 9999) {
     c = util::CivilDateTime{9999, 12, 31, 23, 59, 59};
   }
-  char buf[24];
+  // YYMMDDHHMMSSZ (UTCTime) or YYYYMMDDHHMMSSZ (GeneralizedTime).
   if (c.year >= 1950 && c.year <= 2049) {
-    std::snprintf(buf, sizeof(buf), "%02d%02u%02u%02u%02u%02uZ", c.year % 100,
-                  c.month, c.day, c.hour, c.minute, c.second);
-    return encode_string(Tag::kUtcTime, buf);
+    header(static_cast<std::uint8_t>(Tag::kUtcTime), 13);
+    put_digits(out_, static_cast<unsigned>(c.year % 100), 2);
+  } else {
+    header(static_cast<std::uint8_t>(Tag::kGeneralizedTime), 15);
+    put_digits(out_, static_cast<unsigned>(c.year < 0 ? 0 : c.year), 4);
   }
-  const int year = c.year < 0 ? 0 : c.year;
-  std::snprintf(buf, sizeof(buf), "%04d%02u%02u%02u%02u%02uZ", year, c.month,
-                c.day, c.hour, c.minute, c.second);
-  return encode_string(Tag::kGeneralizedTime, buf);
-}
-
-util::Bytes encode_sequence(util::BytesView children) {
-  return encode_tlv(static_cast<std::uint8_t>(Tag::kSequence), children);
-}
-
-util::Bytes encode_set(util::BytesView children) {
-  return encode_tlv(static_cast<std::uint8_t>(Tag::kSet), children);
-}
-
-util::Bytes encode_context(unsigned n, util::BytesView children) {
-  return encode_tlv(context_constructed(n), children);
+  put_digits(out_, c.month, 2);
+  put_digits(out_, c.day, 2);
+  put_digits(out_, c.hour, 2);
+  put_digits(out_, c.minute, 2);
+  put_digits(out_, c.second, 2);
+  out_.push_back('Z');
 }
 
 }  // namespace sm::asn1

@@ -33,25 +33,6 @@ std::optional<Oid> Oid::from_string(const std::string& dotted) {
   return out;
 }
 
-util::Bytes Oid::encode() const {
-  util::Bytes out;
-  if (arcs.size() < 2) return out;
-  const auto put_base128 = [&](std::uint64_t v) {
-    std::uint8_t tmp[10];
-    int n = 0;
-    do {
-      tmp[n++] = static_cast<std::uint8_t>(v & 0x7f);
-      v >>= 7;
-    } while (v);
-    for (int i = n - 1; i >= 0; --i) {
-      out.push_back(static_cast<std::uint8_t>(tmp[i] | (i ? 0x80 : 0x00)));
-    }
-  };
-  put_base128(std::uint64_t{arcs[0]} * 40 + arcs[1]);
-  for (std::size_t i = 2; i < arcs.size(); ++i) put_base128(arcs[i]);
-  return out;
-}
-
 std::optional<Oid> Oid::decode(util::BytesView content) {
   if (content.empty()) return std::nullopt;
   Oid out;
@@ -92,31 +73,97 @@ std::optional<Oid> Oid::decode(util::BytesView content) {
 
 namespace oids {
 
-Oid common_name() { return Oid{{2, 5, 4, 3}}; }
-Oid organization() { return Oid{{2, 5, 4, 10}}; }
-Oid organizational_unit() { return Oid{{2, 5, 4, 11}}; }
-Oid country() { return Oid{{2, 5, 4, 6}}; }
-Oid locality() { return Oid{{2, 5, 4, 7}}; }
-Oid state() { return Oid{{2, 5, 4, 8}}; }
+const Oid& common_name() {
+  static const Oid kOid{{2, 5, 4, 3}};
+  return kOid;
+}
+const Oid& organization() {
+  static const Oid kOid{{2, 5, 4, 10}};
+  return kOid;
+}
+const Oid& organizational_unit() {
+  static const Oid kOid{{2, 5, 4, 11}};
+  return kOid;
+}
+const Oid& country() {
+  static const Oid kOid{{2, 5, 4, 6}};
+  return kOid;
+}
+const Oid& locality() {
+  static const Oid kOid{{2, 5, 4, 7}};
+  return kOid;
+}
+const Oid& state() {
+  static const Oid kOid{{2, 5, 4, 8}};
+  return kOid;
+}
 
-Oid subject_key_identifier() { return Oid{{2, 5, 29, 14}}; }
-Oid key_usage() { return Oid{{2, 5, 29, 15}}; }
-Oid subject_alt_name() { return Oid{{2, 5, 29, 17}}; }
-Oid basic_constraints() { return Oid{{2, 5, 29, 19}}; }
-Oid crl_distribution_points() { return Oid{{2, 5, 29, 31}}; }
-Oid authority_key_identifier() { return Oid{{2, 5, 29, 35}}; }
-Oid authority_info_access() { return Oid{{1, 3, 6, 1, 5, 5, 7, 1, 1}}; }
-Oid ad_ocsp() { return Oid{{1, 3, 6, 1, 5, 5, 7, 48, 1}}; }
-Oid ad_ca_issuers() { return Oid{{1, 3, 6, 1, 5, 5, 7, 48, 2}}; }
+const Oid& subject_key_identifier() {
+  static const Oid kOid{{2, 5, 29, 14}};
+  return kOid;
+}
+const Oid& key_usage() {
+  static const Oid kOid{{2, 5, 29, 15}};
+  return kOid;
+}
+const Oid& subject_alt_name() {
+  static const Oid kOid{{2, 5, 29, 17}};
+  return kOid;
+}
+const Oid& basic_constraints() {
+  static const Oid kOid{{2, 5, 29, 19}};
+  return kOid;
+}
+const Oid& crl_distribution_points() {
+  static const Oid kOid{{2, 5, 29, 31}};
+  return kOid;
+}
+const Oid& authority_key_identifier() {
+  static const Oid kOid{{2, 5, 29, 35}};
+  return kOid;
+}
+const Oid& authority_info_access() {
+  static const Oid kOid{{1, 3, 6, 1, 5, 5, 7, 1, 1}};
+  return kOid;
+}
+const Oid& ad_ocsp() {
+  static const Oid kOid{{1, 3, 6, 1, 5, 5, 7, 48, 1}};
+  return kOid;
+}
+const Oid& ad_ca_issuers() {
+  static const Oid kOid{{1, 3, 6, 1, 5, 5, 7, 48, 2}};
+  return kOid;
+}
 
-Oid certificate_policies() { return Oid{{2, 5, 29, 32}}; }
-Oid extended_key_usage() { return Oid{{2, 5, 29, 37}}; }
-Oid kp_server_auth() { return Oid{{1, 3, 6, 1, 5, 5, 7, 3, 1}}; }
-Oid kp_client_auth() { return Oid{{1, 3, 6, 1, 5, 5, 7, 3, 2}}; }
+const Oid& certificate_policies() {
+  static const Oid kOid{{2, 5, 29, 32}};
+  return kOid;
+}
+const Oid& extended_key_usage() {
+  static const Oid kOid{{2, 5, 29, 37}};
+  return kOid;
+}
+const Oid& kp_server_auth() {
+  static const Oid kOid{{1, 3, 6, 1, 5, 5, 7, 3, 1}};
+  return kOid;
+}
+const Oid& kp_client_auth() {
+  static const Oid kOid{{1, 3, 6, 1, 5, 5, 7, 3, 2}};
+  return kOid;
+}
 
-Oid rsa_encryption() { return Oid{{1, 2, 840, 113549, 1, 1, 1}}; }
-Oid sha256_with_rsa() { return Oid{{1, 2, 840, 113549, 1, 1, 11}}; }
-Oid sim_signature() { return Oid{{1, 3, 6, 1, 4, 1, 99999, 1, 1}}; }
+const Oid& rsa_encryption() {
+  static const Oid kOid{{1, 2, 840, 113549, 1, 1, 1}};
+  return kOid;
+}
+const Oid& sha256_with_rsa() {
+  static const Oid kOid{{1, 2, 840, 113549, 1, 1, 11}};
+  return kOid;
+}
+const Oid& sim_signature() {
+  static const Oid kOid{{1, 3, 6, 1, 4, 1, 99999, 1, 1}};
+  return kOid;
+}
 
 }  // namespace oids
 

@@ -25,65 +25,64 @@ struct Oid {
   /// second < 40 when first < 2 (per X.690 encoding constraints).
   static std::optional<Oid> from_string(const std::string& dotted);
 
-  /// X.690 content-octet encoding (without tag/length).
-  util::Bytes encode() const;
-
   /// Decodes X.690 content octets. Returns nullopt on malformed input.
   static std::optional<Oid> decode(util::BytesView content);
 };
 
 // -- Well-known OIDs used by the X.509 layer ---------------------------------
+//
+// Each returns a reference to one immutable instance, built on first use.
 
 namespace oids {
 
 /// id-at-commonName (2.5.4.3)
-Oid common_name();
+const Oid& common_name();
 /// id-at-organizationName (2.5.4.10)
-Oid organization();
+const Oid& organization();
 /// id-at-organizationalUnitName (2.5.4.11)
-Oid organizational_unit();
+const Oid& organizational_unit();
 /// id-at-countryName (2.5.4.6)
-Oid country();
+const Oid& country();
 /// id-at-localityName (2.5.4.7)
-Oid locality();
+const Oid& locality();
 /// id-at-stateOrProvinceName (2.5.4.8)
-Oid state();
+const Oid& state();
 
 /// id-ce-subjectKeyIdentifier (2.5.29.14)
-Oid subject_key_identifier();
+const Oid& subject_key_identifier();
 /// id-ce-keyUsage (2.5.29.15)
-Oid key_usage();
+const Oid& key_usage();
 /// id-ce-subjectAltName (2.5.29.17)
-Oid subject_alt_name();
+const Oid& subject_alt_name();
 /// id-ce-basicConstraints (2.5.29.19)
-Oid basic_constraints();
+const Oid& basic_constraints();
 /// id-ce-cRLDistributionPoints (2.5.29.31)
-Oid crl_distribution_points();
+const Oid& crl_distribution_points();
 /// id-ce-authorityKeyIdentifier (2.5.29.35)
-Oid authority_key_identifier();
+const Oid& authority_key_identifier();
 /// id-pe-authorityInfoAccess (1.3.6.1.5.5.7.1.1)
-Oid authority_info_access();
+const Oid& authority_info_access();
 /// id-ad-ocsp (1.3.6.1.5.5.7.48.1)
-Oid ad_ocsp();
+const Oid& ad_ocsp();
 /// id-ad-caIssuers (1.3.6.1.5.5.7.48.2)
-Oid ad_ca_issuers();
+const Oid& ad_ca_issuers();
 
 /// id-ce-certificatePolicies (2.5.29.32)
-Oid certificate_policies();
+const Oid& certificate_policies();
 /// id-ce-extKeyUsage (2.5.29.37)
-Oid extended_key_usage();
+const Oid& extended_key_usage();
 /// id-kp-serverAuth (1.3.6.1.5.5.7.3.1)
-Oid kp_server_auth();
+const Oid& kp_server_auth();
 /// id-kp-clientAuth (1.3.6.1.5.5.7.3.2)
-Oid kp_client_auth();
+const Oid& kp_client_auth();
 
 /// rsaEncryption (1.2.840.113549.1.1.1) — SPKI algorithm for RSA keys
-Oid rsa_encryption();
+const Oid& rsa_encryption();
 /// sha256WithRSAEncryption (1.2.840.113549.1.1.11)
-Oid sha256_with_rsa();
+const Oid& sha256_with_rsa();
 /// A private-arc OID for the simulated signature scheme
 /// (1.3.6.1.4.1.99999.1.1); see crypto::SigScheme::kSimSha256.
-Oid sim_signature();
+const Oid& sim_signature();
 
 }  // namespace oids
 

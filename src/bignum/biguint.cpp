@@ -28,9 +28,12 @@ void BigUint::trim() {
 
 BigUint BigUint::from_bytes(util::BytesView be) {
   BigUint out;
-  for (std::uint8_t b : be) {
-    out = (out << 8) + BigUint(b);
+  out.limbs_.assign((be.size() + 3) / 4, 0);
+  for (std::size_t i = 0; i < be.size(); ++i) {
+    const std::size_t bit = 8 * (be.size() - 1 - i);  // from the low end
+    out.limbs_[bit / 32] |= std::uint32_t{be[i]} << (bit % 32);
   }
+  out.trim();
   return out;
 }
 

@@ -1,18 +1,16 @@
 #include "pki/root_store.h"
 
-#include "util/hex.h"
-
 namespace sm::pki {
 
 SubjectKey subject_lookup_key(const x509::Name& subject) {
-  return util::hex_encode(subject.encode());
+  return subject.encode();
 }
 
 void RootStore::add(x509::Certificate root) {
-  const std::string fp = util::hex_encode(root.fingerprint_sha256());
+  util::Bytes fp = root.fingerprint_sha256();
   if (by_fingerprint_.contains(fp)) return;
   const std::size_t index = roots_.size();
-  by_fingerprint_[fp] = index;
+  by_fingerprint_.emplace(std::move(fp), index);
   by_subject_[subject_lookup_key(root.subject)].push_back(index);
   roots_.push_back(std::move(root));
 }
@@ -34,14 +32,14 @@ std::vector<const x509::Certificate*> RootStore::find_by_subject(
 }
 
 bool RootStore::contains(const util::Bytes& fingerprint_sha256) const {
-  return by_fingerprint_.contains(util::hex_encode(fingerprint_sha256));
+  return by_fingerprint_.contains(fingerprint_sha256);
 }
 
 void IntermediatePool::add(x509::Certificate intermediate) {
-  const std::string fp = util::hex_encode(intermediate.fingerprint_sha256());
+  util::Bytes fp = intermediate.fingerprint_sha256();
   if (by_fingerprint_.contains(fp)) return;
   const std::size_t index = pool_.size();
-  by_fingerprint_[fp] = index;
+  by_fingerprint_.emplace(std::move(fp), index);
   by_subject_[subject_lookup_key(intermediate.subject)].push_back(index);
   pool_.push_back(std::move(intermediate));
 }

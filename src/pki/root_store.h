@@ -4,18 +4,17 @@
 
 #include <map>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "x509/certificate.h"
 
 namespace sm::pki {
 
-/// The lookup key both certificate stores index subjects by (hex of the
-/// subject's DER encoding). Building it allocates, so the verifier's chain
-/// walk computes it once per level and probes both stores with the same
-/// key instead of re-encoding the name per lookup.
-using SubjectKey = std::string;
+/// The lookup key both certificate stores index subjects by (the subject's
+/// DER encoding). Building it allocates, so the verifier's chain walk
+/// computes it once per level and probes both stores with the same key
+/// instead of re-encoding the name per lookup.
+using SubjectKey = util::Bytes;
 
 /// Encodes a subject name into the shared store-lookup key.
 SubjectKey subject_lookup_key(const x509::Name& subject);
@@ -51,8 +50,8 @@ class RootStore {
 
  private:
   std::vector<x509::Certificate> roots_;
-  std::map<std::string, std::vector<std::size_t>> by_subject_;
-  std::map<std::string, std::size_t> by_fingerprint_;
+  std::map<SubjectKey, std::vector<std::size_t>> by_subject_;
+  std::map<util::Bytes, std::size_t> by_fingerprint_;
 };
 
 /// A pool of intermediate CA certificates collected across scans. The paper
@@ -80,8 +79,8 @@ class IntermediatePool {
 
  private:
   std::vector<x509::Certificate> pool_;
-  std::map<std::string, std::vector<std::size_t>> by_subject_;
-  std::map<std::string, std::size_t> by_fingerprint_;
+  std::map<SubjectKey, std::vector<std::size_t>> by_subject_;
+  std::map<util::Bytes, std::size_t> by_fingerprint_;
 };
 
 }  // namespace sm::pki

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <mutex>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 
@@ -219,8 +219,11 @@ ValidationResult Verifier::verify_impl(
     return compute();
   };
 
-  // Trusted root presented directly as the endpoint certificate.
-  if (roots_.contains(leaf.fingerprint_sha256())) {
+  // Trusted root presented directly as the endpoint certificate. A
+  // certificate byte-identical to a root carries that root's subject, so
+  // the leaf is hashed only when some root has its subject.
+  if (!roots_.matches(subject_lookup_key(leaf.subject)).empty() &&
+      roots_.contains(leaf.fingerprint_sha256())) {
     out.valid = true;
     out.chain_length = 1;
     return out;
@@ -347,31 +350,14 @@ std::vector<ValidationResult> BatchVerifier::verify_all(
 namespace {
 
 // Everything a revocation pass learns about one issuer's CRL: computed
-// once per issuer per check_revocation_all call and shared by every
-// certificate naming that issuer. The entry is a pure function of
-// (source, issuer_key, now, stores), so racing threads that compute it
-// twice produce identical values and the emplace winner is
-// indistinguishable from the loser — same determinism argument as
-// VerifierMemo.
+// once per issuer per check_revocation_all call, before any certificate is
+// classified, and shared read-only by every certificate naming that
+// issuer.
 struct CrlVerdict {
   bool reachable = false;  ///< the distribution point answered
   bool verified = false;   ///< parsed + issuer signature checked + sane dates
   bool stale = false;      ///< nextUpdate < now
   std::vector<std::string> revoked_hex;  ///< revoked serials, sorted hex
-};
-
-struct CrlMemo {
-  static constexpr std::size_t kShards = 16;
-  struct Shard {
-    std::mutex mutex;
-    std::unordered_map<std::string,
-                       std::shared_ptr<const CrlVerdict>> map;
-  };
-  Shard shard[kShards];
-
-  Shard& shard_for(std::string_view issuer_key) {
-    return shard[std::hash<std::string_view>{}(issuer_key) % kShards];
-  }
 };
 
 }  // namespace
@@ -381,18 +367,14 @@ std::vector<RevocationStatus> BatchVerifier::check_revocation_all(
     util::UnixTime now, util::ThreadPool* pool) const {
   const RootStore& roots = base_.roots_;
   const IntermediatePool& intermediates = base_.intermediates_;
-
-  // The memo is per call, not per verifier: `source` and `now` vary
-  // between calls, and tying the cache to their values would just re-grow
-  // it anyway. Within one batch every certificate of an issuer shares one
-  // fetch + parse + signature check.
-  CrlMemo memo;
+  util::ThreadPool& workers =
+      pool != nullptr ? *pool : util::ThreadPool::global();
 
   const auto compute_verdict = [&](std::string_view issuer_key) {
-    auto verdict = std::make_shared<CrlVerdict>();
+    CrlVerdict verdict;
     util::Bytes der;
     if (!source.fetch_crl(issuer_key, der)) return verdict;
-    verdict->reachable = true;
+    verdict.reachable = true;
     std::optional<x509::Crl> crl = x509::parse_crl(der);
     if (!crl.has_value()) return verdict;
     // A CRL whose nextUpdate precedes thisUpdate is malformed, not merely
@@ -420,32 +402,44 @@ std::vector<RevocationStatus> BatchVerifier::check_revocation_all(
       try_issuer(intermediates.at(index));
     }
     if (!signed_by_issuer) return verdict;
-    verdict->verified = true;
-    verdict->stale = crl->next_update.has_value() && *crl->next_update < now;
-    verdict->revoked_hex.reserve(crl->revoked.size());
+    verdict.verified = true;
+    verdict.stale = crl->next_update.has_value() && *crl->next_update < now;
+    verdict.revoked_hex.reserve(crl->revoked.size());
     for (const x509::RevokedEntry& entry : crl->revoked) {
-      verdict->revoked_hex.push_back(entry.serial.to_hex());
+      verdict.revoked_hex.push_back(entry.serial.to_hex());
     }
-    std::sort(verdict->revoked_hex.begin(), verdict->revoked_hex.end());
+    std::sort(verdict.revoked_hex.begin(), verdict.revoked_hex.end());
     return verdict;
   };
 
-  const auto crl_verdict = [&](const std::string& issuer_key) {
-    CrlMemo::Shard& shard = memo.shard_for(issuer_key);
-    {
-      std::lock_guard lock(shard.mutex);
-      if (const auto it = shard.map.find(issuer_key);
-          it != shard.map.end()) {
-        return it->second;
-      }
+  // Pre-pass: every distinct issuer a CRL-advertising certificate names,
+  // in first-appearance order, and each such query's issuer slot. Verdicts
+  // are pure functions of (source, issuer, now, stores), so resolving an
+  // issuer whose certificates all end up answered by OCSP changes no
+  // result.
+  constexpr std::uint32_t kNoIssuer = 0xffffffff;
+  std::vector<std::uint32_t> issuer_of(queries.size(), kNoIssuer);
+  std::vector<std::string_view> issuers;
+  {
+    std::unordered_map<std::string_view, std::uint32_t> slot_of;
+    for (std::size_t i = 0; i < queries.size(); ++i) {
+      if (!queries[i].has_crl) continue;
+      const auto [it, inserted] = slot_of.emplace(
+          queries[i].issuer_key, static_cast<std::uint32_t>(issuers.size()));
+      if (inserted) issuers.push_back(queries[i].issuer_key);
+      issuer_of[i] = it->second;
     }
-    // Computed outside the lock; a racing duplicate is pure and identical.
-    std::shared_ptr<const CrlVerdict> verdict = compute_verdict(issuer_key);
-    std::lock_guard lock(shard.mutex);
-    return shard.map.emplace(issuer_key, std::move(verdict)).first->second;
-  };
+  }
+  std::vector<CrlVerdict> verdicts(issuers.size());
+  workers.parallel_for(issuers.size(), 1,
+                       [&](std::size_t begin, std::size_t end) {
+                         for (std::size_t i = begin; i < end; ++i) {
+                           verdicts[i] = compute_verdict(issuers[i]);
+                         }
+                       });
 
-  const auto status_of = [&](const RevocationQuery& q) {
+  const auto status_of = [&](const RevocationQuery& q,
+                             std::uint32_t issuer) {
     if (q.has_ocsp) {
       switch (source.ocsp(q.issuer_key, q.serial_hex)) {
         case RevocationSource::OcspAnswer::kGood:
@@ -462,28 +456,25 @@ std::vector<RevocationStatus> BatchVerifier::check_revocation_all(
       }
     }
     if (!q.has_crl) return RevocationStatus::kUnknown;
-    const std::shared_ptr<const CrlVerdict> verdict =
-        crl_verdict(q.issuer_key);
-    if (!verdict->reachable) return RevocationStatus::kUnreachable;
-    if (!verdict->verified) return RevocationStatus::kUnknown;
+    const CrlVerdict& verdict = verdicts[issuer];
+    if (!verdict.reachable) return RevocationStatus::kUnreachable;
+    if (!verdict.verified) return RevocationStatus::kUnknown;
     // A revoked entry outranks staleness: even an expired CRL is positive
     // evidence of revocation.
-    if (std::binary_search(verdict->revoked_hex.begin(),
-                           verdict->revoked_hex.end(), q.serial_hex)) {
+    if (std::binary_search(verdict.revoked_hex.begin(),
+                           verdict.revoked_hex.end(), q.serial_hex)) {
       return RevocationStatus::kRevoked;
     }
-    if (verdict->stale) return RevocationStatus::kStaleCrl;
+    if (verdict.stale) return RevocationStatus::kStaleCrl;
     return RevocationStatus::kGood;
   };
 
   std::vector<RevocationStatus> results(queries.size(),
                                         RevocationStatus::kUnknown);
-  util::ThreadPool& workers =
-      pool != nullptr ? *pool : util::ThreadPool::global();
   workers.parallel_for(queries.size(), 32,
                        [&](std::size_t begin, std::size_t end) {
                          for (std::size_t i = begin; i < end; ++i) {
-                           results[i] = status_of(queries[i]);
+                           results[i] = status_of(queries[i], issuer_of[i]);
                          }
                        });
   return results;

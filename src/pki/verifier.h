@@ -214,15 +214,15 @@ class BatchVerifier {
       std::span<const x509::Certificate> leaves,
       util::ThreadPool* pool = nullptr) const;
 
-  /// Revocation pass over a batch of certificates: per-issuer CRL
-  /// fetch/parse/signature-check is done once (sharded memo, like the
-  /// per-CA chain checks) and shared by every certificate of that issuer.
-  /// CRL signatures are verified against the root store / intermediate
-  /// pool this verifier was built over; an unverifiable CRL yields
-  /// kUnknown, never kGood. `now` is the staleness instant for
-  /// nextUpdate. results[i] corresponds to queries[i] and is bit-identical
-  /// for every thread count. The memo lives for this call only, so
-  /// `source` need not outlive it.
+  /// Revocation pass over a batch of certificates: every distinct issuer's
+  /// CRL is fetched, parsed and signature-checked once, in a parallel
+  /// pre-pass, and the certificates are then classified in parallel
+  /// against those read-only verdicts (no lock). CRL signatures are
+  /// verified against the root store / intermediate pool this verifier
+  /// was built over; an unverifiable CRL yields kUnknown, never kGood.
+  /// `now` is the staleness instant for nextUpdate. results[i] corresponds
+  /// to queries[i] and is bit-identical for every thread count. Nothing is
+  /// kept after the call, so `source` need not outlive it.
   std::vector<RevocationStatus> check_revocation_all(
       std::span<const RevocationQuery> queries, const RevocationSource& source,
       util::UnixTime now, util::ThreadPool* pool = nullptr) const;

@@ -5,28 +5,69 @@
 
 namespace sm::scan {
 
-CertId ScanArchive::intern(const CertRecord& record) {
-  const auto it = by_fingerprint_.find(record.fingerprint);
-  if (it != by_fingerprint_.end()) return it->second;
+namespace {
+
+// The low 32 bits of the fingerprint's hash: a slot's tag and, masked, its
+// home bucket (tables never exceed 2^32 slots).
+std::uint32_t slot_tag(const CertFingerprint& fingerprint) {
+  return static_cast<std::uint32_t>(FingerprintHash{}(fingerprint));
+}
+
+}  // namespace
+
+std::size_t ScanArchive::probe(const CertFingerprint& fingerprint) const {
+  const std::size_t mask = index_.size() - 1;
+  const std::uint32_t tag = slot_tag(fingerprint);
+  for (std::size_t slot = tag & mask;; slot = (slot + 1) & mask) {
+    const IndexSlot& entry = index_[slot];
+    if (entry.id_plus_one == 0) return slot;
+    if (entry.tag == tag &&
+        certs_[entry.id_plus_one - 1].fingerprint == fingerprint) {
+      return slot;
+    }
+  }
+}
+
+void ScanArchive::rehash(std::size_t slots) {
+  std::vector<IndexSlot> old(slots, IndexSlot{});
+  old.swap(index_);
+  const std::size_t mask = slots - 1;
+  for (const IndexSlot& entry : old) {
+    if (entry.id_plus_one == 0) continue;
+    std::size_t slot = entry.tag & mask;
+    while (index_[slot].id_plus_one != 0) slot = (slot + 1) & mask;
+    index_[slot] = entry;
+  }
+}
+
+CertId ScanArchive::insert_at(std::size_t slot, CertRecord&& record) {
   const CertId id = static_cast<CertId>(certs_.size());
-  by_fingerprint_.emplace(record.fingerprint, id);
-  certs_.push_back(record);
+  index_[slot] = IndexSlot{id + 1, slot_tag(record.fingerprint)};
+  certs_.push_back(std::move(record));
+  // Keep the table at most half full.
+  if (2 * certs_.size() > index_.size()) rehash(2 * index_.size());
   return id;
+}
+
+CertId ScanArchive::intern(const CertRecord& record) {
+  if (index_.empty()) rehash(16);
+  const std::size_t slot = probe(record.fingerprint);
+  if (index_[slot].id_plus_one != 0) return index_[slot].id_plus_one - 1;
+  return insert_at(slot, CertRecord(record));
 }
 
 CertId ScanArchive::intern(CertRecord&& record) {
-  const auto it = by_fingerprint_.find(record.fingerprint);
-  if (it != by_fingerprint_.end()) return it->second;
-  const CertId id = static_cast<CertId>(certs_.size());
-  by_fingerprint_.emplace(record.fingerprint, id);
-  certs_.push_back(std::move(record));
-  return id;
+  if (index_.empty()) rehash(16);
+  const std::size_t slot = probe(record.fingerprint);
+  if (index_[slot].id_plus_one != 0) return index_[slot].id_plus_one - 1;
+  return insert_at(slot, std::move(record));
 }
 
 bool ScanArchive::find(const CertFingerprint& fingerprint, CertId& out) const {
-  const auto it = by_fingerprint_.find(fingerprint);
-  if (it == by_fingerprint_.end()) return false;
-  out = it->second;
+  if (index_.empty()) return false;
+  const IndexSlot& entry = index_[probe(fingerprint)];
+  if (entry.id_plus_one == 0) return false;
+  out = entry.id_plus_one - 1;
   return true;
 }
 
@@ -55,7 +96,9 @@ std::size_t ScanArchive::add_scan(ScanData&& scan) {
 
 void ScanArchive::reserve_certs(std::size_t n) {
   certs_.reserve(n);
-  by_fingerprint_.reserve(n);
+  std::size_t slots = 16;
+  while (slots < 2 * n) slots *= 2;
+  if (slots > index_.size()) rehash(slots);
 }
 
 double CertLifetime::days(const std::vector<ScanData>& scans) const {

@@ -10,7 +10,6 @@
 
 #include <cstdint>
 #include <cstring>
-#include <unordered_map>
 #include <vector>
 
 #include "scan/cert_record.h"
@@ -66,7 +65,8 @@ class ScanArchive {
   /// requirement as begin_scan. Returns the new scan's index.
   std::size_t add_scan(ScanData&& scan);
 
-  /// Pre-sizes the certificate table (a load-time optimization).
+  /// Pre-sizes the certificate table and its fingerprint index (a
+  /// load-time optimization).
   void reserve_certs(std::size_t n);
 
   /// The certificate table ([] = cert id). Copies of an archive share its
@@ -82,8 +82,27 @@ class ScanArchive {
   std::size_t observation_count() const { return observation_count_; }
 
  private:
+  // The fingerprint index: open addressing with linear probing over a
+  // power-of-two slot array, at most half full. A slot holds the id + 1
+  // (0 = empty) and a 32-bit tag, the low half of FingerprintHash
+  // (fingerprints are already uniform hash output). The tag, masked, is
+  // the home bucket, so a rehash moves slots without reading records; full
+  // keys are compared through certs_. Copying an archive copies one flat
+  // vector.
+  struct IndexSlot {
+    std::uint32_t id_plus_one = 0;
+    std::uint32_t tag = 0;
+  };
+
+  /// The slot holding `fingerprint`, or the empty slot where it belongs.
+  std::size_t probe(const CertFingerprint& fingerprint) const;
+  /// Appends a record known to be new and indexes it at `slot`.
+  CertId insert_at(std::size_t slot, CertRecord&& record);
+  /// Resizes the slot array to `slots` (a power of two) and re-indexes.
+  void rehash(std::size_t slots);
+
   CertTable certs_;
-  std::unordered_map<CertFingerprint, CertId, FingerprintHash> by_fingerprint_;
+  std::vector<IndexSlot> index_;
   std::vector<ScanData> scans_;
   std::size_t observation_count_ = 0;
 };

@@ -5,6 +5,7 @@
 #include <map>
 #include <numeric>
 #include <optional>
+#include <span>
 #include <stdexcept>
 
 #include "pki/verifier.h"
@@ -105,9 +106,9 @@ struct Interval {
 
 /// One planned probe response. `issue_index` is the index of the last
 /// entry of DevicePlan::issues planned at the time of the hit (-1 when the
-/// device still serves a certificate issued before this scan); the commit
-/// phase interns issues up to it before appending the observation, which
-/// reproduces the serial intern/observe interleaving exactly.
+/// device still serves a certificate issued before this scan). Every issue
+/// is planned together with the hit that serves it, so the commit interns
+/// every issue, and the observation records that issue's id.
 struct PlannedHit {
   std::uint32_t ip = 0;
   std::int32_t issue_index = -1;
@@ -120,6 +121,10 @@ struct DevicePlan {
   std::vector<scan::CertRecord> issues;
   std::vector<PlannedHit> hits;
   std::uint32_t dropped = 0;
+  // Filled by the commit: the archive id of each issue, and where this
+  // device's observations start in the scan.
+  std::vector<scan::CertId> issue_ids;
+  std::size_t first_observation = 0;
 };
 
 /// A device's planned ISP move for one round (plan phase output; the slot
@@ -245,6 +250,9 @@ class World::Impl {
   struct CaEntry {
     crypto::SigningKey key;
     x509::Certificate cert;
+    /// The AuthorityKeyIdentifier its certificates carry: the first 20
+    /// bytes of its SPKI fingerprint.
+    util::Bytes key_id;
   };
   std::vector<CaEntry> root_cas_;  // retained: roots sign CRLs too
   std::map<std::string, CaEntry> trusted_intermediates_;
@@ -310,6 +318,8 @@ void World::Impl::build_pki() {
                      .set_basic_constraints(true)
                      .set_key_usage(ca_usage)
                      .sign(signer);
+    entry.key_id = entry.cert.spki.fingerprint();
+    entry.key_id.resize(20);
     return entry;
   };
 
@@ -536,7 +546,7 @@ scan::CertRecord World::Impl::build_cert_record(std::uint32_t device_id,
 
   x509::Name issuer;
   const crypto::SigningKey* signer = &key;
-  const x509::Certificate* issuing_ca = nullptr;
+  const CaEntry* issuing_ca = nullptr;
   switch (vendor.issuer_policy) {
     case IssuerPolicy::kSameAsSubject:
       issuer = subject;
@@ -559,14 +569,14 @@ scan::CertRecord World::Impl::build_cert_record(std::uint32_t device_id,
       const CaEntry& ca = vendor_cas_.at(ca_name);
       issuer = ca.cert.subject;
       signer = &ca.key;
-      issuing_ca = &ca.cert;
+      issuing_ca = &ca;
       break;
     }
     case IssuerPolicy::kTrustedCa: {
       const CaEntry& ca = trusted_intermediates_.at(vendor.fixed_issuer);
       issuer = ca.cert.subject;
       signer = &ca.key;
-      issuing_ca = &ca.cert;
+      issuing_ca = &ca;
       break;
     }
   }
@@ -619,9 +629,9 @@ scan::CertRecord World::Impl::build_cert_record(std::uint32_t device_id,
 
   // --- build ---
   x509::CertificateBuilder builder;
-  builder.set_serial(serial)
-      .set_issuer(issuer)
-      .set_subject(subject)
+  builder.set_serial(std::move(serial))
+      .set_issuer(std::move(issuer))
+      .set_subject(std::move(subject))
       .set_validity(not_before, not_after)
       .set_public_key(key.pub);
   if (rng.chance(vendor.illegal_version_prob)) {
@@ -637,7 +647,7 @@ scan::CertRecord World::Impl::build_cert_record(std::uint32_t device_id,
     sans.push_back(x509::GeneralName{x509::GeneralName::Kind::kDns,
                                      d.name + "." + vendor.dyndns_suffix});
   }
-  if (!sans.empty()) builder.set_subject_alt_names(sans);
+  if (!sans.empty()) builder.set_subject_alt_names(std::move(sans));
   // Revocation-infrastructure endpoints are rare on device certificates and
   // device-specific where present (self-hosted management CAs embed the
   // device identity in the URL), which is what makes CRL/AIA/OCSP/OID small
@@ -679,9 +689,7 @@ scan::CertRecord World::Impl::build_cert_record(std::uint32_t device_id,
     // CA-issued certificates carry an AuthorityKeyIdentifier, giving the
     // §5.3 issuer-key-diversity analysis something to read, and the usual
     // TLS-server KeyUsage.
-    util::Bytes aki = issuing_ca->spki.fingerprint();
-    aki.resize(20);
-    builder.set_authority_key_id(aki);
+    builder.set_authority_key_id(issuing_ca->key_id);
     if (vendor.issuer_policy == IssuerPolicy::kTrustedCa) {
       x509::KeyUsage usage;
       usage.set(x509::KeyUsageBit::kDigitalSignature)
@@ -696,13 +704,13 @@ scan::CertRecord World::Impl::build_cert_record(std::uint32_t device_id,
   // --- validate (the paper's openssl-verify step, §4.2) ---
   // The shared BatchVerifier memoizes the CA-level sub-checks across all
   // planning threads; results are identical to a per-call pki::Verifier.
-  std::vector<x509::Certificate> presented;
+  std::span<const x509::Certificate> presented;
   if (issuing_ca != nullptr) {
     // Websites usually present their chain; devices rarely do — the gap is
     // what the transvalid machinery closes.
     const double present_prob =
         vendor.issuer_policy == IssuerPolicy::kTrustedCa ? 0.9 : 0.4;
-    if (rng.chance(present_prob)) presented.push_back(*issuing_ca);
+    if (rng.chance(present_prob)) presented = {&issuing_ca->cert, 1};
   }
   const pki::ValidationResult validation = verifier_->verify(cert, presented);
 
@@ -874,24 +882,42 @@ void World::Impl::run_scan(std::size_t scan_index,
         }
       });
 
-  // Commit phase: intern certificates and append observations in canonical
-  // device order — the exact sequence the serial loop produced, so archive
-  // ids and bytes are identical at any thread count.
-  for (std::size_t i = 0; i < devices_.size(); ++i) {
-    DevicePlan& plan = plans_[i];
-    DeviceState& d = devices_[i];
+  // Commit phase, in canonical device order — the sequence the serial
+  // loop produced, so archive ids and bytes are identical at any thread
+  // count. Interning assigns ids, so it stays serial; each device's
+  // observations then go to an offset fixed by the running hit count, and
+  // those writes shard across the pool.
+  std::size_t hits = 0;
+  for (DevicePlan& plan : plans_) {
     result_.dropped_lease_intervals += plan.dropped;
-    std::int32_t committed = -1;
-    for (const PlannedHit& hit : plan.hits) {
-      while (committed < hit.issue_index) {
-        ++committed;
-        d.current_cert = result_.archive.intern(
-            std::move(plan.issues[static_cast<std::size_t>(committed)]));
-        ++result_.issued_certificates;
-      }
-      result_.archive.add_observation(scan_index, d.current_cert, hit.ip,
-                                      static_cast<scan::DeviceId>(i));
+    plan.first_observation = hits;
+    hits += plan.hits.size();
+    plan.issue_ids.clear();
+    for (scan::CertRecord& issue : plan.issues) {
+      plan.issue_ids.push_back(result_.archive.intern(std::move(issue)));
     }
+    result_.issued_certificates += plan.issues.size();
+  }
+  scan::ScanData scan{event, std::vector<scan::Observation>(hits)};
+  workers_.parallel_for(
+      devices_.size(), 256, [&](std::size_t begin, std::size_t end) {
+        for (std::size_t i = begin; i < end; ++i) {
+          const DevicePlan& plan = plans_[i];
+          DeviceState& d = devices_[i];
+          scan::Observation* out =
+              scan.observations.data() + plan.first_observation;
+          for (const PlannedHit& hit : plan.hits) {
+            if (hit.issue_index >= 0) {
+              d.current_cert =
+                  plan.issue_ids[static_cast<std::size_t>(hit.issue_index)];
+            }
+            *out++ = scan::Observation{d.current_cert, hit.ip,
+                                       static_cast<scan::DeviceId>(i)};
+          }
+        }
+      });
+  if (result_.archive.add_scan(std::move(scan)) != scan_index) {
+    throw std::logic_error("scan committed out of order");
   }
 }
 
@@ -941,12 +967,15 @@ void World::Impl::build_revocation() {
   // Mechanism pass: the same BatchVerifier that classified every issued
   // certificate now fetches, parses and signature-checks the published
   // CRLs — per issuer once, shared by every certificate of that issuer.
-  std::vector<pki::RevocationQuery> queries;
-  queries.reserve(certs.size());
-  for (const scan::CertRecord& rec : certs) {
-    queries.push_back({rec.issuer_dn, rec.serial_hex, !rec.crl_url.empty(),
-                       !rec.ocsp_url.empty()});
-  }
+  std::vector<pki::RevocationQuery> queries(certs.size());
+  workers_.parallel_for(
+      certs.size(), 1024, [&](std::size_t begin, std::size_t end) {
+        for (std::size_t i = begin; i < end; ++i) {
+          const scan::CertRecord& rec = certs[i];
+          queries[i] = {rec.issuer_dn, rec.serial_hex, !rec.crl_url.empty(),
+                        !rec.ocsp_url.empty()};
+        }
+      });
   const std::vector<pki::RevocationStatus> statuses =
       verifier_->check_revocation_all(queries, *ecosystem, eco.check_time,
                                       &workers_);
@@ -979,9 +1008,7 @@ WorldResult World::Impl::run() {
 
   for (std::size_t i = 0; i < result_.schedule.size(); ++i) {
     if (i > 0) maybe_move_devices();
-    const std::size_t scan_index =
-        result_.archive.begin_scan(result_.schedule[i]);
-    run_scan(scan_index, result_.schedule[i]);
+    run_scan(i, result_.schedule[i]);
   }
   if (config_.revocation.enabled) build_revocation();
   result_.verify_stats = verifier_->stats();

@@ -21,6 +21,11 @@ inline Bytes to_bytes(std::string_view s) {
   return Bytes(s.begin(), s.end());
 }
 
+/// Views the raw bytes of a string without copying them.
+inline BytesView as_bytes(std::string_view s) {
+  return BytesView(reinterpret_cast<const std::uint8_t*>(s.data()), s.size());
+}
+
 /// Reinterprets a byte buffer as a std::string (no encoding validation).
 inline std::string to_string(BytesView b) {
   return std::string(b.begin(), b.end());

@@ -3,6 +3,14 @@
 #include <bit>
 #include <cstring>
 
+#include "util/sha256_blocks.h"
+
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#define SM_SHA256_HAVE_SHA_NI 1
+#include <cpuid.h>
+#include <immintrin.h>
+#endif
+
 namespace sm::util {
 
 namespace {
@@ -39,6 +47,7 @@ Sha256::Sha256()
              0x9b05688c, 0x1f83d9ab, 0x5be0cd19} {}
 
 Sha256& Sha256::update(BytesView data) {
+  const detail::Sha256BlocksFn blocks = detail::sha256_blocks();
   total_len_ += data.size();
   std::size_t offset = 0;
   if (buffer_len_ > 0) {
@@ -46,14 +55,14 @@ Sha256& Sha256::update(BytesView data) {
     std::memcpy(buffer_.data() + buffer_len_, data.data(), take);
     buffer_len_ += take;
     offset += take;
-    if (buffer_len_ == 64) {
-      process_block(buffer_.data());
-      buffer_len_ = 0;
-    }
+    if (buffer_len_ < 64) return *this;
+    blocks(state_.data(), buffer_.data(), 1);
+    buffer_len_ = 0;
   }
-  while (offset + 64 <= data.size()) {
-    process_block(data.data() + offset);
-    offset += 64;
+  const std::size_t whole = (data.size() - offset) / 64;
+  if (whole > 0) {
+    blocks(state_.data(), data.data() + offset, whole);
+    offset += whole * 64;
   }
   if (offset < data.size()) {
     buffer_len_ = data.size() - offset;
@@ -63,18 +72,21 @@ Sha256& Sha256::update(BytesView data) {
 }
 
 Bytes Sha256::finish() {
+  const detail::Sha256BlocksFn blocks = detail::sha256_blocks();
   const std::uint64_t bit_len = total_len_ * 8;
-  const std::uint8_t pad_byte = 0x80;
-  update(BytesView(&pad_byte, 1));
-  const std::uint8_t zero = 0;
-  while (buffer_len_ != 56) update(BytesView(&zero, 1));
-  std::uint8_t len_bytes[8];
-  for (int i = 0; i < 8; ++i) {
-    len_bytes[i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
+  // Pad in place: 0x80, zeros up to byte 56 of the last block (spilling
+  // into one more block when fewer than 8 bytes are left), then the
+  // big-endian bit length.
+  buffer_[buffer_len_++] = 0x80;
+  if (buffer_len_ > 56) {
+    std::memset(buffer_.data() + buffer_len_, 0, 64 - buffer_len_);
+    blocks(state_.data(), buffer_.data(), 1);
+    buffer_len_ = 0;
   }
-  // The length-update below double-counts total_len_, but total_len_ is no
-  // longer read after this point.
-  update(BytesView(len_bytes, 8));
+  std::memset(buffer_.data() + buffer_len_, 0, 56 - buffer_len_);
+  store_be32(buffer_.data() + 56, static_cast<std::uint32_t>(bit_len >> 32));
+  store_be32(buffer_.data() + 60, static_cast<std::uint32_t>(bit_len));
+  blocks(state_.data(), buffer_.data(), 1);
   Bytes out(kDigestSize);
   for (int i = 0; i < 8; ++i) store_be32(out.data() + 4 * i, state_[i]);
   return out;
@@ -86,43 +98,136 @@ Bytes Sha256::digest(BytesView data) {
   return h.finish();
 }
 
-void Sha256::process_block(const std::uint8_t* block) {
-  std::uint32_t w[64];
-  for (int i = 0; i < 16; ++i) w[i] = load_be32(block + 4 * i);
-  for (int i = 16; i < 64; ++i) {
-    const std::uint32_t s0 = std::rotr(w[i - 15], 7) ^ std::rotr(w[i - 15], 18) ^
-                             (w[i - 15] >> 3);
-    const std::uint32_t s1 = std::rotr(w[i - 2], 17) ^ std::rotr(w[i - 2], 19) ^
-                             (w[i - 2] >> 10);
-    w[i] = w[i - 16] + s0 + w[i - 7] + s1;
+namespace detail {
+
+void sha256_blocks_portable(std::uint32_t* state, const std::uint8_t* data,
+                            std::size_t nblocks) {
+  for (; nblocks > 0; --nblocks, data += 64) {
+    std::uint32_t w[64];
+    for (int i = 0; i < 16; ++i) w[i] = load_be32(data + 4 * i);
+    for (int i = 16; i < 64; ++i) {
+      const std::uint32_t s0 = std::rotr(w[i - 15], 7) ^
+                               std::rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
+      const std::uint32_t s1 = std::rotr(w[i - 2], 17) ^
+                               std::rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
+      w[i] = w[i - 16] + s0 + w[i - 7] + s1;
+    }
+    std::uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+    std::uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
+    for (int i = 0; i < 64; ++i) {
+      const std::uint32_t s1 =
+          std::rotr(e, 6) ^ std::rotr(e, 11) ^ std::rotr(e, 25);
+      const std::uint32_t ch = (e & f) ^ (~e & g);
+      const std::uint32_t temp1 = h + s1 + ch + kRoundConstants[i] + w[i];
+      const std::uint32_t s0 =
+          std::rotr(a, 2) ^ std::rotr(a, 13) ^ std::rotr(a, 22);
+      const std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
+      const std::uint32_t temp2 = s0 + maj;
+      h = g;
+      g = f;
+      f = e;
+      e = d + temp1;
+      d = c;
+      c = b;
+      b = a;
+      a = temp1 + temp2;
+    }
+    state[0] += a;
+    state[1] += b;
+    state[2] += c;
+    state[3] += d;
+    state[4] += e;
+    state[5] += f;
+    state[6] += g;
+    state[7] += h;
   }
-  auto [a, b, c, d, e, f, g, h] = state_;
-  for (int i = 0; i < 64; ++i) {
-    const std::uint32_t s1 =
-        std::rotr(e, 6) ^ std::rotr(e, 11) ^ std::rotr(e, 25);
-    const std::uint32_t ch = (e & f) ^ (~e & g);
-    const std::uint32_t temp1 = h + s1 + ch + kRoundConstants[i] + w[i];
-    const std::uint32_t s0 =
-        std::rotr(a, 2) ^ std::rotr(a, 13) ^ std::rotr(a, 22);
-    const std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
-    const std::uint32_t temp2 = s0 + maj;
-    h = g;
-    g = f;
-    f = e;
-    e = d + temp1;
-    d = c;
-    c = b;
-    b = a;
-    a = temp1 + temp2;
-  }
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
 }
+
+#ifdef SM_SHA256_HAVE_SHA_NI
+
+bool cpu_has_sha_ni() {
+  unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+  if (!__get_cpuid(1, &eax, &ebx, &ecx, &edx)) return false;
+  const bool ssse3 = (ecx & bit_SSSE3) != 0;
+  const bool sse41 = (ecx & bit_SSE4_1) != 0;
+  if (!__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx)) return false;
+  const bool sha = (ebx & bit_SHA) != 0;
+  return sha && sse41 && ssse3;
+}
+
+// The Intel SHA-extensions schedule: the state lives as ABEF/CDGH halves,
+// each sha256rnds2 runs two rounds, and sha256msg1/msg2 extend the message
+// schedule four words at a time. Group i (rounds 4i..4i+3) consumes w[i % 4]
+// and, while the schedule is still growing, completes w[(i + 1) % 4] and
+// starts w[(i - 1) % 4].
+__attribute__((target("sha,sse4.1,ssse3"))) void sha256_blocks_sha_ni(
+    std::uint32_t* state, const std::uint8_t* data, std::size_t nblocks) {
+  const __m128i byte_swap =
+      _mm_set_epi64x(0x0c0d0e0f08090a0bULL, 0x0405060700010203ULL);
+  __m128i tmp = _mm_loadu_si128(reinterpret_cast<const __m128i*>(state));
+  __m128i state1 =
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(state + 4));
+  tmp = _mm_shuffle_epi32(tmp, 0xb1);            // CDAB
+  state1 = _mm_shuffle_epi32(state1, 0x1b);      // EFGH
+  __m128i state0 = _mm_alignr_epi8(tmp, state1, 8);  // ABEF
+  state1 = _mm_blend_epi16(state1, tmp, 0xf0);       // CDGH
+
+  for (; nblocks > 0; --nblocks, data += 64) {
+    const __m128i abef_saved = state0;
+    const __m128i cdgh_saved = state1;
+    __m128i w[4];
+#pragma GCC unroll 16
+    for (int i = 0; i < 16; ++i) {
+      if (i < 4) {
+        w[i] = _mm_shuffle_epi8(
+            _mm_loadu_si128(reinterpret_cast<const __m128i*>(data + 16 * i)),
+            byte_swap);
+      }
+      const __m128i cur = w[i % 4];
+      __m128i msg = _mm_add_epi32(
+          cur, _mm_loadu_si128(reinterpret_cast<const __m128i*>(
+                   kRoundConstants.data() + 4 * i)));
+      state1 = _mm_sha256rnds2_epu32(state1, state0, msg);
+      if (i >= 3 && i <= 14) {
+        __m128i& next = w[(i + 1) % 4];
+        next = _mm_add_epi32(next, _mm_alignr_epi8(cur, w[(i + 3) % 4], 4));
+        next = _mm_sha256msg2_epu32(next, cur);
+      }
+      msg = _mm_shuffle_epi32(msg, 0x0e);
+      state0 = _mm_sha256rnds2_epu32(state0, state1, msg);
+      if (i >= 1 && i <= 12) {
+        w[(i + 3) % 4] = _mm_sha256msg1_epu32(w[(i + 3) % 4], cur);
+      }
+    }
+    state0 = _mm_add_epi32(state0, abef_saved);
+    state1 = _mm_add_epi32(state1, cdgh_saved);
+  }
+
+  tmp = _mm_shuffle_epi32(state0, 0x1b);         // FEBA
+  state1 = _mm_shuffle_epi32(state1, 0xb1);      // DCHG
+  state0 = _mm_blend_epi16(tmp, state1, 0xf0);   // DCBA
+  state1 = _mm_alignr_epi8(state1, tmp, 8);      // HGFE
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state), state0);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state + 4), state1);
+}
+
+#else
+
+bool cpu_has_sha_ni() { return false; }
+
+void sha256_blocks_sha_ni(std::uint32_t* state, const std::uint8_t* data,
+                          std::size_t nblocks) {
+  sha256_blocks_portable(state, data, nblocks);
+}
+
+#endif
+
+Sha256BlocksFn sha256_blocks() {
+  static const Sha256BlocksFn chosen =
+      cpu_has_sha_ni() ? sha256_blocks_sha_ni : sha256_blocks_portable;
+  return chosen;
+}
+
+}  // namespace detail
 
 }  // namespace sm::util

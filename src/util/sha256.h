@@ -1,4 +1,6 @@
-// SHA-256 (FIPS 180-4), implemented from scratch.
+// SHA-256 (FIPS 180-4), implemented from scratch: a portable compression
+// function plus one on the x86 SHA extensions, chosen at runtime (see
+// util/sha256_blocks.h).
 //
 // Used for certificate fingerprints, public-key fingerprints, and as the
 // digest inside both the real RSA signature scheme and the simulated
@@ -35,8 +37,6 @@ class Sha256 {
   static Bytes digest(BytesView data);
 
  private:
-  void process_block(const std::uint8_t* block);
-
   std::array<std::uint32_t, 8> state_;
   std::array<std::uint8_t, 64> buffer_{};
   std::size_t buffer_len_ = 0;

@@ -8,43 +8,59 @@ namespace sm::x509 {
 
 namespace {
 
+using asn1::DerWriter;
+using asn1::Tag;
+
 // AlgorithmIdentifier for a subject public key.
-util::Bytes encode_spki_algorithm(crypto::SigScheme scheme) {
-  util::Bytes children;
+void write_spki_algorithm(DerWriter& w, crypto::SigScheme scheme) {
+  const DerWriter::Mark seq = w.begin(Tag::kSequence);
   switch (scheme) {
     case crypto::SigScheme::kRsaSha256:
-      util::append(children, asn1::encode_oid(asn1::oids::rsa_encryption()));
-      util::append(children, asn1::encode_null());
+      w.oid(asn1::oids::rsa_encryption());
+      w.null();
       break;
     case crypto::SigScheme::kSimSha256:
-      util::append(children, asn1::encode_oid(asn1::oids::sim_signature()));
+      w.oid(asn1::oids::sim_signature());
       break;
   }
-  return asn1::encode_sequence(children);
+  w.end(seq);
 }
 
-util::Bytes encode_extension(const Extension& ext) {
-  util::Bytes children;
-  util::append(children, asn1::encode_oid(ext.oid));
-  if (ext.critical) util::append(children, asn1::encode_boolean(true));
-  util::append(children, asn1::encode_octet_string(ext.value));
-  return asn1::encode_sequence(children);
+void write_extension(DerWriter& w, const Extension& ext) {
+  const DerWriter::Mark seq = w.begin(Tag::kSequence);
+  w.oid(ext.oid);
+  if (ext.critical) w.boolean(true);
+  w.octet_string(ext.value);
+  w.end(seq);
+}
+
+// An extension whose value `write_value` encodes.
+template <typename Fn>
+Extension make_extension(const asn1::Oid& oid, bool critical,
+                         Fn&& write_value) {
+  Extension ext;
+  ext.oid = oid;
+  ext.critical = critical;
+  DerWriter w;
+  write_value(w);
+  ext.value = w.take();
+  return ext;
 }
 
 }  // namespace
 
-util::Bytes encode_signature_algorithm(crypto::SigScheme scheme) {
-  util::Bytes children;
+void write_signature_algorithm(DerWriter& w, crypto::SigScheme scheme) {
+  const DerWriter::Mark seq = w.begin(Tag::kSequence);
   switch (scheme) {
     case crypto::SigScheme::kRsaSha256:
-      util::append(children, asn1::encode_oid(asn1::oids::sha256_with_rsa()));
-      util::append(children, asn1::encode_null());
+      w.oid(asn1::oids::sha256_with_rsa());
+      w.null();
       break;
     case crypto::SigScheme::kSimSha256:
-      util::append(children, asn1::encode_oid(asn1::oids::sim_signature()));
+      w.oid(asn1::oids::sim_signature());
       break;
   }
-  return asn1::encode_sequence(children);
+  w.end(seq);
 }
 
 CertificateBuilder& CertificateBuilder::set_raw_version(std::int64_t version) {
@@ -81,122 +97,119 @@ CertificateBuilder& CertificateBuilder::set_public_key(
 
 CertificateBuilder& CertificateBuilder::set_subject_alt_names(
     std::vector<GeneralName> names) {
-  Extension ext;
-  ext.oid = asn1::oids::subject_alt_name();
-  ext.value = encode_general_names(names);
-  extensions_.push_back(std::move(ext));
+  extensions_.push_back(make_extension(
+      asn1::oids::subject_alt_name(), false,
+      [&](DerWriter& w) { write_general_names(w, names); }));
   return *this;
 }
 
 CertificateBuilder& CertificateBuilder::set_subject_key_id(
     util::Bytes key_id) {
-  Extension ext;
-  ext.oid = asn1::oids::subject_key_identifier();
-  ext.value = asn1::encode_octet_string(key_id);
-  extensions_.push_back(std::move(ext));
+  extensions_.push_back(
+      make_extension(asn1::oids::subject_key_identifier(), false,
+                     [&](DerWriter& w) { w.octet_string(key_id); }));
   return *this;
 }
 
 CertificateBuilder& CertificateBuilder::set_authority_key_id(
     util::Bytes key_id) {
-  Extension ext;
-  ext.oid = asn1::oids::authority_key_identifier();
-  const util::Bytes inner =
-      asn1::encode_tlv(asn1::context_primitive(0), key_id);
-  ext.value = asn1::encode_sequence(inner);
-  extensions_.push_back(std::move(ext));
+  extensions_.push_back(make_extension(
+      asn1::oids::authority_key_identifier(), false, [&](DerWriter& w) {
+        const DerWriter::Mark seq = w.begin(Tag::kSequence);
+        w.tlv(asn1::context_primitive(0), key_id);
+        w.end(seq);
+      }));
   return *this;
 }
 
 CertificateBuilder& CertificateBuilder::set_basic_constraints(
     bool is_ca, std::optional<std::int64_t> path_len) {
-  Extension ext;
-  ext.oid = asn1::oids::basic_constraints();
-  ext.critical = true;
-  util::Bytes children;
-  if (is_ca) util::append(children, asn1::encode_boolean(true));
-  if (path_len) util::append(children, asn1::encode_integer(*path_len));
-  ext.value = asn1::encode_sequence(children);
-  extensions_.push_back(std::move(ext));
+  extensions_.push_back(make_extension(
+      asn1::oids::basic_constraints(), true, [&](DerWriter& w) {
+        const DerWriter::Mark seq = w.begin(Tag::kSequence);
+        if (is_ca) w.boolean(true);
+        if (path_len) w.integer(*path_len);
+        w.end(seq);
+      }));
   return *this;
 }
 
 CertificateBuilder& CertificateBuilder::set_key_usage(KeyUsage usage) {
-  Extension ext;
-  ext.oid = asn1::oids::key_usage();
-  ext.critical = true;
-  ext.value = asn1::encode_named_bit_string(usage.bits, 9);
-  extensions_.push_back(std::move(ext));
+  extensions_.push_back(make_extension(
+      asn1::oids::key_usage(), true,
+      [&](DerWriter& w) { w.named_bit_string(usage.bits, 9); }));
   return *this;
 }
 
 CertificateBuilder& CertificateBuilder::set_extended_key_usage(
     std::vector<asn1::Oid> purposes) {
-  Extension ext;
-  ext.oid = asn1::oids::extended_key_usage();
-  util::Bytes children;
-  for (const asn1::Oid& purpose : purposes) {
-    util::append(children, asn1::encode_oid(purpose));
-  }
-  ext.value = asn1::encode_sequence(children);
-  extensions_.push_back(std::move(ext));
+  extensions_.push_back(make_extension(
+      asn1::oids::extended_key_usage(), false, [&](DerWriter& w) {
+        const DerWriter::Mark seq = w.begin(Tag::kSequence);
+        for (const asn1::Oid& purpose : purposes) w.oid(purpose);
+        w.end(seq);
+      }));
   return *this;
 }
 
 CertificateBuilder& CertificateBuilder::set_crl_distribution_points(
     std::vector<std::string> urls) {
-  Extension ext;
-  ext.oid = asn1::oids::crl_distribution_points();
-  util::Bytes points;
-  for (const std::string& url : urls) {
-    const util::Bytes uri =
-        asn1::encode_tlv(asn1::context_primitive(6), util::to_bytes(url));
-    const util::Bytes full_name = asn1::encode_tlv(
-        asn1::context_constructed(0), uri);  // fullName GeneralNames
-    const util::Bytes dp_name =
-        asn1::encode_tlv(asn1::context_constructed(0), full_name);
-    util::append(points, asn1::encode_sequence(dp_name));
-  }
-  ext.value = asn1::encode_sequence(points);
-  extensions_.push_back(std::move(ext));
+  extensions_.push_back(make_extension(
+      asn1::oids::crl_distribution_points(), false, [&](DerWriter& w) {
+        const DerWriter::Mark points = w.begin(Tag::kSequence);
+        for (const std::string& url : urls) {
+          const DerWriter::Mark point = w.begin(Tag::kSequence);
+          const DerWriter::Mark dp_name =
+              w.begin(asn1::context_constructed(0));
+          // fullName GeneralNames
+          const DerWriter::Mark full_name =
+              w.begin(asn1::context_constructed(0));
+          w.tlv(asn1::context_primitive(6), util::as_bytes(url));
+          w.end(full_name);
+          w.end(dp_name);
+          w.end(point);
+        }
+        w.end(points);
+      }));
   return *this;
 }
 
 CertificateBuilder& CertificateBuilder::set_authority_info_access(
     std::vector<std::string> ocsp_urls,
     std::vector<std::string> ca_issuer_urls) {
-  Extension ext;
-  ext.oid = asn1::oids::authority_info_access();
-  util::Bytes descs;
-  const auto add_desc = [&](const asn1::Oid& method, const std::string& url) {
-    util::Bytes children;
-    util::append(children, asn1::encode_oid(method));
-    util::append(children, asn1::encode_tlv(asn1::context_primitive(6),
-                                            util::to_bytes(url)));
-    util::append(descs, asn1::encode_sequence(children));
-  };
-  for (const std::string& url : ocsp_urls) {
-    add_desc(asn1::oids::ad_ocsp(), url);
-  }
-  for (const std::string& url : ca_issuer_urls) {
-    add_desc(asn1::oids::ad_ca_issuers(), url);
-  }
-  ext.value = asn1::encode_sequence(descs);
-  extensions_.push_back(std::move(ext));
+  extensions_.push_back(make_extension(
+      asn1::oids::authority_info_access(), false, [&](DerWriter& w) {
+        const DerWriter::Mark descs = w.begin(Tag::kSequence);
+        const auto add_desc = [&](const asn1::Oid& method,
+                                  const std::string& url) {
+          const DerWriter::Mark desc = w.begin(Tag::kSequence);
+          w.oid(method);
+          w.tlv(asn1::context_primitive(6), util::as_bytes(url));
+          w.end(desc);
+        };
+        for (const std::string& url : ocsp_urls) {
+          add_desc(asn1::oids::ad_ocsp(), url);
+        }
+        for (const std::string& url : ca_issuer_urls) {
+          add_desc(asn1::oids::ad_ca_issuers(), url);
+        }
+        w.end(descs);
+      }));
   return *this;
 }
 
 CertificateBuilder& CertificateBuilder::set_policy_oids(
     std::vector<asn1::Oid> oids) {
-  Extension ext;
-  ext.oid = asn1::oids::certificate_policies();
-  util::Bytes policies;
-  for (const asn1::Oid& oid : oids) {
-    const util::Bytes info = asn1::encode_oid(oid);
-    util::append(policies, asn1::encode_sequence(info));
-  }
-  ext.value = asn1::encode_sequence(policies);
-  extensions_.push_back(std::move(ext));
+  extensions_.push_back(make_extension(
+      asn1::oids::certificate_policies(), false, [&](DerWriter& w) {
+        const DerWriter::Mark policies = w.begin(Tag::kSequence);
+        for (const asn1::Oid& oid : oids) {
+          const DerWriter::Mark info = w.begin(Tag::kSequence);
+          w.oid(oid);
+          w.end(info);
+        }
+        w.end(policies);
+      }));
   return *this;
 }
 
@@ -205,53 +218,55 @@ CertificateBuilder& CertificateBuilder::add_raw_extension(Extension ext) {
   return *this;
 }
 
-util::Bytes CertificateBuilder::build_tbs(crypto::SigScheme sig_scheme) const {
-  util::Bytes tbs;
+void CertificateBuilder::write_tbs(DerWriter& w,
+                                   crypto::SigScheme sig_scheme) const {
+  const DerWriter::Mark tbs = w.begin(Tag::kSequence);
   if (raw_version_ != 0) {
-    const util::Bytes version = asn1::encode_integer(raw_version_);
-    util::append(tbs, asn1::encode_context(0, version));
+    const DerWriter::Mark version = w.begin(asn1::context_constructed(0));
+    w.integer(raw_version_);
+    w.end(version);
   }
-  util::append(tbs, asn1::encode_integer(serial_));
-  util::append(tbs, encode_signature_algorithm(sig_scheme));
-  util::append(tbs, issuer_.encode());
+  w.integer(serial_);
+  write_signature_algorithm(w, sig_scheme);
+  issuer_.encode(w);
   {
-    util::Bytes validity;
-    util::append(validity, asn1::encode_time(validity_.not_before));
-    util::append(validity, asn1::encode_time(validity_.not_after));
-    util::append(tbs, asn1::encode_sequence(validity));
+    const DerWriter::Mark validity = w.begin(Tag::kSequence);
+    w.time(validity_.not_before);
+    w.time(validity_.not_after);
+    w.end(validity);
   }
-  util::append(tbs, subject_.encode());
+  subject_.encode(w);
   {
-    util::Bytes spki;
-    util::append(spki, encode_spki_algorithm(spki_->scheme));
-    util::append(spki, asn1::encode_bit_string(spki_->key));
-    util::append(tbs, asn1::encode_sequence(spki));
+    const DerWriter::Mark spki = w.begin(Tag::kSequence);
+    write_spki_algorithm(w, spki_->scheme);
+    w.bit_string(spki_->key);
+    w.end(spki);
   }
   if (!extensions_.empty() && raw_version_ != 0) {
-    util::Bytes list;
-    for (const Extension& ext : extensions_) {
-      util::append(list, encode_extension(ext));
-    }
-    const util::Bytes wrapped = asn1::encode_sequence(list);
-    util::append(tbs, asn1::encode_context(3, wrapped));
+    const DerWriter::Mark wrapper = w.begin(asn1::context_constructed(3));
+    const DerWriter::Mark list = w.begin(Tag::kSequence);
+    for (const Extension& ext : extensions_) write_extension(w, ext);
+    w.end(list);
+    w.end(wrapper);
   }
-  return asn1::encode_sequence(tbs);
+  w.end(tbs);
 }
 
 Certificate CertificateBuilder::sign(
     const crypto::SigningKey& issuer_key) const {
   if (!spki_) throw std::logic_error("CertificateBuilder: missing public key");
   const crypto::SigScheme scheme = issuer_key.pub.scheme;
-  const util::Bytes tbs = build_tbs(scheme);
-  const util::Bytes signature = crypto::sign(issuer_key, tbs);
+  DerWriter w(512);
+  const DerWriter::Mark cert = w.begin(Tag::kSequence);
+  const std::size_t tbs_start = w.size();
+  write_tbs(w, scheme);
+  const util::Bytes signature =
+      crypto::sign(issuer_key, w.view().subspan(tbs_start));
+  write_signature_algorithm(w, scheme);
+  w.bit_string(signature);
+  w.end(cert);
 
-  util::Bytes cert;
-  util::append(cert, tbs);
-  util::append(cert, encode_signature_algorithm(scheme));
-  util::append(cert, asn1::encode_bit_string(signature));
-  const util::Bytes der = asn1::encode_sequence(cert);
-
-  auto parsed = parse_certificate(der);
+  auto parsed = parse_certificate(w.view());
   if (!parsed) {
     throw std::logic_error("CertificateBuilder: self-produced DER not parseable");
   }

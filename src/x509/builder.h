@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "asn1/der.h"
 #include "crypto/signature.h"
 #include "x509/certificate.h"
 
@@ -74,7 +75,7 @@ class CertificateBuilder {
   Certificate sign(const crypto::SigningKey& issuer_key) const;
 
  private:
-  util::Bytes build_tbs(crypto::SigScheme sig_scheme) const;
+  void write_tbs(asn1::DerWriter& w, crypto::SigScheme sig_scheme) const;
 
   std::int64_t raw_version_ = 2;
   bignum::BigUint serial_ = bignum::BigUint(1);
@@ -85,7 +86,8 @@ class CertificateBuilder {
   std::vector<Extension> extensions_;
 };
 
-/// The AlgorithmIdentifier DER for a signature scheme (exposed for tests).
-util::Bytes encode_signature_algorithm(crypto::SigScheme scheme);
+/// Writes the AlgorithmIdentifier for a signature scheme (shared with the
+/// CRL builder).
+void write_signature_algorithm(asn1::DerWriter& w, crypto::SigScheme scheme);
 
 }  // namespace sm::x509

@@ -247,9 +247,9 @@ std::optional<Certificate> parse_certificate(util::BytesView der) {
   if (!sig_alg) return std::nullopt;
   {
     asn1::Reader alg_reader(sig_alg->content);
-    const auto oid = alg_reader.read_oid();
+    auto oid = alg_reader.read_oid();
     if (!oid) return std::nullopt;
-    cert.signature_algorithm = *oid;
+    cert.signature_algorithm = std::move(*oid);
   }
   const auto sig_bits = cert_reader.read(asn1::Tag::kBitString);
   if (!sig_bits || sig_bits->content.empty() || sig_bits->content[0] != 0 ||
@@ -271,16 +271,16 @@ std::optional<Certificate> parse_certificate(util::BytesView der) {
   } else {
     cert.raw_version = 0;  // DEFAULT v1
   }
-  const auto serial = tbs_reader.read_integer();
+  auto serial = tbs_reader.read_integer();
   if (!serial) return std::nullopt;
-  cert.serial = *serial;
+  cert.serial = std::move(*serial);
   const auto inner_alg = tbs_reader.read(asn1::Tag::kSequence);
   if (!inner_alg) return std::nullopt;
   const auto issuer_tlv = tbs_reader.read(asn1::Tag::kSequence);
   if (!issuer_tlv) return std::nullopt;
-  const auto issuer = Name::decode(issuer_tlv->full);
+  auto issuer = Name::decode(issuer_tlv->full);
   if (!issuer) return std::nullopt;
-  cert.issuer = *issuer;
+  cert.issuer = std::move(*issuer);
 
   const auto validity_tlv = tbs_reader.read(asn1::Tag::kSequence);
   if (!validity_tlv) return std::nullopt;
@@ -296,9 +296,9 @@ std::optional<Certificate> parse_certificate(util::BytesView der) {
 
   const auto subject_tlv = tbs_reader.read(asn1::Tag::kSequence);
   if (!subject_tlv) return std::nullopt;
-  const auto subject = Name::decode(subject_tlv->full);
+  auto subject = Name::decode(subject_tlv->full);
   if (!subject) return std::nullopt;
-  cert.subject = *subject;
+  cert.subject = std::move(*subject);
 
   // SubjectPublicKeyInfo ::= SEQUENCE { algorithm, subjectPublicKey BIT STR }
   const auto spki = tbs_reader.read(asn1::Tag::kSequence);
@@ -335,9 +335,9 @@ std::optional<Certificate> parse_certificate(util::BytesView der) {
       if (!ext_tlv) return std::nullopt;
       asn1::Reader one(ext_tlv->content);
       Extension ext;
-      const auto oid = one.read_oid();
+      auto oid = one.read_oid();
       if (!oid) return std::nullopt;
-      ext.oid = *oid;
+      ext.oid = std::move(*oid);
       if (const auto p = one.peek_tag();
           p && *p == static_cast<std::uint8_t>(asn1::Tag::kBoolean)) {
         const auto critical = one.read_boolean();

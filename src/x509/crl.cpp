@@ -69,9 +69,9 @@ std::optional<Crl> parse_crl(util::BytesView der) {
   if (!inner_alg) return std::nullopt;
   const auto issuer_tlv = tbs_reader.read(asn1::Tag::kSequence);
   if (!issuer_tlv) return std::nullopt;
-  const auto issuer = Name::decode(issuer_tlv->full);
+  auto issuer = Name::decode(issuer_tlv->full);
   if (!issuer) return std::nullopt;
-  crl.issuer = *issuer;
+  crl.issuer = std::move(*issuer);
   const auto this_update = tbs_reader.read_time();
   if (!this_update) return std::nullopt;
   crl.this_update = *this_update;
@@ -94,9 +94,9 @@ std::optional<Crl> parse_crl(util::BytesView der) {
       if (!entry) return std::nullopt;
       asn1::Reader entry_reader(entry->content);
       RevokedEntry revoked;
-      const auto serial = entry_reader.read_integer();
+      auto serial = entry_reader.read_integer();
       if (!serial) return std::nullopt;
-      revoked.serial = *serial;
+      revoked.serial = std::move(*serial);
       const auto when = entry_reader.read_time();
       if (!when) return std::nullopt;
       revoked.revocation_date = *when;
@@ -130,12 +130,16 @@ CrlBuilder& CrlBuilder::add_revoked(bignum::BigUint serial,
 }
 
 Crl CrlBuilder::sign(const crypto::SigningKey& issuer_key) const {
-  util::Bytes tbs;
-  util::append(tbs, asn1::encode_integer(std::int64_t{1}));  // v2
-  util::append(tbs, encode_signature_algorithm(issuer_key.pub.scheme));
-  util::append(tbs, issuer_.encode());
-  util::append(tbs, asn1::encode_time(this_update_));
-  if (next_update_) util::append(tbs, asn1::encode_time(*next_update_));
+  using asn1::DerWriter;
+  DerWriter w;
+  const DerWriter::Mark list = w.begin(asn1::Tag::kSequence);
+  const std::size_t tbs_start = w.size();
+  const DerWriter::Mark tbs = w.begin(asn1::Tag::kSequence);
+  w.integer(std::int64_t{1});  // v2
+  write_signature_algorithm(w, issuer_key.pub.scheme);
+  issuer_.encode(w);
+  w.time(this_update_);
+  if (next_update_) w.time(*next_update_);
   if (!revoked_.empty()) {
     std::vector<RevokedEntry> sorted = revoked_;
     std::sort(sorted.begin(), sorted.end(), serial_less);
@@ -144,25 +148,23 @@ Crl CrlBuilder::sign(const crypto::SigningKey& issuer_key) const {
                                return a.serial == b.serial;
                              }),
                  sorted.end());
-    util::Bytes entries;
+    const DerWriter::Mark entries = w.begin(asn1::Tag::kSequence);
     for (const RevokedEntry& entry : sorted) {
-      util::Bytes one;
-      util::append(one, asn1::encode_integer(entry.serial));
-      util::append(one, asn1::encode_time(entry.revocation_date));
-      util::append(entries, asn1::encode_sequence(one));
+      const DerWriter::Mark one = w.begin(asn1::Tag::kSequence);
+      w.integer(entry.serial);
+      w.time(entry.revocation_date);
+      w.end(one);
     }
-    util::append(tbs, asn1::encode_sequence(entries));
+    w.end(entries);
   }
-  const util::Bytes tbs_der = asn1::encode_sequence(tbs);
-  const util::Bytes signature = crypto::sign(issuer_key, tbs_der);
+  w.end(tbs);
+  const util::Bytes signature =
+      crypto::sign(issuer_key, w.view().subspan(tbs_start));
+  write_signature_algorithm(w, issuer_key.pub.scheme);
+  w.bit_string(signature);
+  w.end(list);
 
-  util::Bytes list;
-  util::append(list, tbs_der);
-  util::append(list, encode_signature_algorithm(issuer_key.pub.scheme));
-  util::append(list, asn1::encode_bit_string(signature));
-  const util::Bytes der = asn1::encode_sequence(list);
-
-  auto parsed = parse_crl(der);
+  auto parsed = parse_crl(w.view());
   if (!parsed) {
     throw std::logic_error("CrlBuilder: self-produced DER not parseable");
   }

@@ -54,23 +54,24 @@ std::string GeneralName::to_string() const {
   return "?:" + value;
 }
 
-util::Bytes encode_general_names(const std::vector<GeneralName>& names) {
-  util::Bytes children;
+void write_general_names(asn1::DerWriter& w,
+                         const std::vector<GeneralName>& names) {
+  const asn1::DerWriter::Mark seq = w.begin(asn1::Tag::kSequence);
   for (const GeneralName& name : names) {
     const auto tag =
         asn1::context_primitive(static_cast<unsigned>(name.kind));
-    if (name.kind == GeneralName::Kind::kIp) {
-      const auto ip = ipv4_to_bytes(name.value);
-      // Unparseable IPs encode as raw text so nothing is silently dropped;
-      // real invalid certificates contain similar garbage.
-      const util::Bytes payload =
-          ip ? *ip : util::to_bytes(name.value);
-      util::append(children, asn1::encode_tlv(tag, payload));
+    const std::optional<util::Bytes> ip =
+        name.kind == GeneralName::Kind::kIp ? ipv4_to_bytes(name.value)
+                                            : std::nullopt;
+    // Unparseable IPs encode as raw text so nothing is silently dropped;
+    // real invalid certificates contain similar garbage.
+    if (ip) {
+      w.tlv(tag, *ip);
     } else {
-      util::append(children, asn1::encode_tlv(tag, util::to_bytes(name.value)));
+      w.tlv(tag, util::as_bytes(name.value));
     }
   }
-  return asn1::encode_sequence(children);
+  w.end(seq);
 }
 
 std::optional<std::vector<GeneralName>> decode_general_names(

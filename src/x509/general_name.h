@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "asn1/der.h"
 #include "util/bytes.h"
 
 namespace sm::x509 {
@@ -31,8 +32,9 @@ struct GeneralName {
   std::string to_string() const;
 };
 
-/// Encodes a GeneralNames SEQUENCE (the SAN extension payload).
-util::Bytes encode_general_names(const std::vector<GeneralName>& names);
+/// Writes a GeneralNames SEQUENCE (the SAN extension payload).
+void write_general_names(asn1::DerWriter& w,
+                         const std::vector<GeneralName>& names);
 
 /// Decodes a GeneralNames SEQUENCE. Unknown name kinds are skipped (as a
 /// lenient real-world parser must); returns nullopt only on structural

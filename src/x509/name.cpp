@@ -50,16 +50,23 @@ std::string Name::to_string() const {
   return out;
 }
 
-util::Bytes Name::encode() const {
-  util::Bytes rdns;
+void Name::encode(asn1::DerWriter& w) const {
+  const asn1::DerWriter::Mark rdns = w.begin(asn1::Tag::kSequence);
   for (const NameAttribute& attr : attributes) {
-    util::Bytes atv;
-    util::append(atv, asn1::encode_oid(attr.type));
-    util::append(atv, asn1::encode_utf8_string(attr.value));
-    const util::Bytes atv_seq = asn1::encode_sequence(atv);
-    util::append(rdns, asn1::encode_set(atv_seq));
+    const asn1::DerWriter::Mark set = w.begin(asn1::Tag::kSet);
+    const asn1::DerWriter::Mark atv = w.begin(asn1::Tag::kSequence);
+    w.oid(attr.type);
+    w.utf8_string(attr.value);
+    w.end(atv);
+    w.end(set);
   }
-  return asn1::encode_sequence(rdns);
+  w.end(rdns);
+}
+
+util::Bytes Name::encode() const {
+  asn1::DerWriter w;
+  encode(w);
+  return w.take();
 }
 
 std::optional<Name> Name::decode(util::BytesView der) {

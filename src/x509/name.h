@@ -52,7 +52,11 @@ struct Name {
   /// Empty name renders as "".
   std::string to_string() const;
 
-  /// DER RDNSequence encoding (one attribute per RDN, UTF8String values).
+  /// Writes the DER RDNSequence (one attribute per RDN, UTF8String
+  /// values).
+  void encode(asn1::DerWriter& w) const;
+
+  /// The same encoding as a standalone buffer.
   util::Bytes encode() const;
 
   /// Parses a DER RDNSequence. Returns nullopt on malformed input.

@@ -38,19 +38,26 @@ x509::Certificate make_ca(const std::string& cn,
 
 // --- named-bit BIT STRING ------------------------------------------------------
 
+// The KeyUsage-shaped (9 named bits) BIT STRING for `bits`.
+util::Bytes named_bits_der(std::uint32_t bits) {
+  asn1::DerWriter w;
+  w.named_bit_string(bits, 9);
+  return w.take();
+}
+
 TEST(NamedBits, KnownEncodings) {
   // keyCertSign|cRLSign = bits 5,6 -> one octet 0000'0110 -> 0x06, 1 unused.
-  const auto der = asn1::encode_named_bit_string(0b1100000, 9);
+  const auto der = named_bits_der(0b1100000);
   ASSERT_EQ(der.size(), 4u);
   EXPECT_EQ(der[0], 0x03);  // BIT STRING
   EXPECT_EQ(der[2], 1);     // unused bits
   EXPECT_EQ(der[3], 0x06);
   // digitalSignature alone = bit 0 -> 0x80, 7 unused.
-  const auto ds = asn1::encode_named_bit_string(0b1, 9);
+  const auto ds = named_bits_der(0b1);
   EXPECT_EQ(ds[2], 7);
   EXPECT_EQ(ds[3], 0x80);
   // decipherOnly = bit 8 -> two octets, 7 unused.
-  const auto dec = asn1::encode_named_bit_string(1u << 8, 9);
+  const auto dec = named_bits_der(1u << 8);
   EXPECT_EQ(dec[2], 7);
   EXPECT_EQ(dec[3], 0x00);
   EXPECT_EQ(dec[4], 0x80);
@@ -58,7 +65,7 @@ TEST(NamedBits, KnownEncodings) {
 
 TEST(NamedBits, RoundTripAllMasks) {
   for (std::uint32_t bits = 0; bits < (1u << 9); ++bits) {
-    const auto der = asn1::encode_named_bit_string(bits, 9);
+    const auto der = named_bits_der(bits);
     const auto tlv = asn1::parse_single(der);
     ASSERT_TRUE(tlv.has_value());
     EXPECT_EQ(asn1::decode_named_bit_string(tlv->content), bits) << bits;

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 #include "crypto/signature.h"
+#include "net/route_table.h"
 #include "scan/archive.h"
 #include "scan/permutation.h"
 #include "scan/prefix_set.h"
@@ -160,6 +162,63 @@ TEST(PrefixSet, CoversMembers) {
   EXPECT_EQ(set.prefixes().size(), 2u);
 }
 
+TEST(PrefixSet, NestedAndAdjacentMembersMerge) {
+  PrefixSet set;
+  set.add(*net::Prefix::parse("10.0.16.0/20"));
+  set.add(*net::Prefix::parse("10.0.0.0/20"));   // adjacent below
+  set.add(*net::Prefix::parse("10.0.4.0/24"));   // inside the first add
+  set.add(*net::Prefix::parse("10.0.0.0/20"));   // already present
+  set.add(*net::Prefix::parse("255.255.255.255/32"));
+  EXPECT_EQ(set.size(), 4u);
+  EXPECT_TRUE(set.covers(*net::Ipv4Address::parse("10.0.0.0")));
+  EXPECT_TRUE(set.covers(*net::Ipv4Address::parse("10.0.31.255")));
+  EXPECT_FALSE(set.covers(*net::Ipv4Address::parse("10.0.32.0")));
+  EXPECT_FALSE(set.covers(*net::Ipv4Address::parse("9.255.255.255")));
+  EXPECT_TRUE(set.covers(*net::Ipv4Address::parse("255.255.255.255")));
+  EXPECT_FALSE(set.covers(*net::Ipv4Address::parse("255.255.255.254")));
+}
+
+// Membership and prefixes() order against net::RouteTable, the binary
+// trie that stored the set before: random nested, overlapping and
+// duplicate prefixes, probed at and around every member's edges.
+TEST(PrefixSet, MatchesRouteTableOracle) {
+  util::Rng rng(1607);
+  for (int trial = 0; trial < 20; ++trial) {
+    PrefixSet set;
+    net::RouteTable oracle;
+    std::vector<std::uint32_t> probes;
+    const int members = 1 + static_cast<int>(rng.below(60));
+    for (int i = 0; i < members; ++i) {
+      // Cluster addresses so prefixes nest and touch.
+      const auto addr = static_cast<std::uint32_t>(
+          (rng.below(4) << 28) | (rng.below(1u << 12) << 12) | rng.below(4096));
+      const net::Prefix prefix(net::Ipv4Address(addr),
+                               static_cast<unsigned>(rng.below(33)));
+      set.add(prefix);
+      oracle.announce(prefix, 1);
+      const std::uint64_t first = prefix.address().value();
+      const std::uint64_t last = first + prefix.size() - 1;
+      for (const std::uint64_t p : {first, last, first - 1, last + 1}) {
+        probes.push_back(static_cast<std::uint32_t>(p));
+      }
+    }
+    for (int i = 0; i < 500; ++i) {
+      probes.push_back(static_cast<std::uint32_t>(rng()));
+    }
+    std::vector<net::Prefix> expected;
+    for (const auto& [prefix, asn] : oracle.entries()) {
+      expected.push_back(prefix);
+    }
+    EXPECT_EQ(set.prefixes(), expected) << trial;
+    EXPECT_EQ(set.size(), oracle.size()) << trial;
+    for (const std::uint32_t ip : probes) {
+      EXPECT_EQ(set.covers(net::Ipv4Address(ip)),
+                oracle.lookup(net::Ipv4Address(ip)).has_value())
+          << trial << " " << net::Ipv4Address(ip).to_string();
+    }
+  }
+}
+
 // --- CertRecord --------------------------------------------------------------------
 
 x509::Certificate make_test_cert(std::uint64_t seed) {
@@ -221,6 +280,101 @@ TEST(Archive, InternDeduplicates) {
   EXPECT_EQ(found, a);
   CertFingerprint missing{};
   EXPECT_FALSE(archive.find(missing, found));
+}
+
+// A record whose fingerprint is `bytes` (the rest of the record is
+// irrelevant to the index).
+CertRecord record_with_fingerprint(const CertFingerprint& bytes) {
+  CertRecord rec;
+  rec.fingerprint = bytes;
+  return rec;
+}
+
+CertFingerprint random_fingerprint(util::Rng& rng) {
+  CertFingerprint fp{};
+  for (auto& b : fp) b = static_cast<std::uint8_t>(rng.below(256));
+  return fp;
+}
+
+TEST(Archive, FingerprintIndexGrowsAcrossRehashes) {
+  util::Rng rng(56);
+  ScanArchive archive;
+  std::vector<CertFingerprint> fingerprints;
+  for (int i = 0; i < 5000; ++i) {
+    fingerprints.push_back(random_fingerprint(rng));
+    ASSERT_EQ(archive.intern(record_with_fingerprint(fingerprints.back())),
+              static_cast<CertId>(i));
+  }
+  // Every id survived the rehashes from 16 slots up; re-interning dedupes.
+  for (std::size_t i = 0; i < fingerprints.size(); ++i) {
+    CertId found = 0;
+    ASSERT_TRUE(archive.find(fingerprints[i], found)) << i;
+    EXPECT_EQ(found, static_cast<CertId>(i));
+    EXPECT_EQ(archive.intern(record_with_fingerprint(fingerprints[i])),
+              static_cast<CertId>(i));
+  }
+  EXPECT_EQ(archive.certs().size(), 5000u);
+  for (int i = 0; i < 1000; ++i) {
+    CertId found = 0;
+    EXPECT_FALSE(archive.find(random_fingerprint(rng), found));
+  }
+}
+
+TEST(Archive, FingerprintIndexComparesFullKeys) {
+  // All four share the hash bytes (0..7), so they share tag and bucket;
+  // they differ only further in, where just the full-key comparison
+  // tells them apart.
+  CertFingerprint a{};
+  a.fill(0x42);
+  CertFingerprint b = a;
+  b[15] = 0x43;
+  CertFingerprint c = a;
+  c[9] = 0x00;
+  ScanArchive archive;
+  EXPECT_EQ(archive.intern(record_with_fingerprint(a)), 0u);
+  EXPECT_EQ(archive.intern(record_with_fingerprint(b)), 1u);
+  EXPECT_EQ(archive.intern(record_with_fingerprint(c)), 2u);
+  EXPECT_EQ(archive.intern(record_with_fingerprint(b)), 1u);
+  CertFingerprint d = a;
+  d[14] = 0x00;
+  CertId found = 0;
+  EXPECT_FALSE(archive.find(d, found));
+  EXPECT_TRUE(archive.find(c, found));
+  EXPECT_EQ(found, 2u);
+  ScanArchive empty;
+  EXPECT_FALSE(empty.find(a, found));
+}
+
+TEST(Archive, CopyInternsWithoutChangingTheOriginal) {
+  util::Rng rng(140);
+  ScanArchive original;
+  original.reserve_certs(100);
+  std::vector<CertFingerprint> old_fps, new_fps;
+  for (int i = 0; i < 100; ++i) {
+    old_fps.push_back(random_fingerprint(rng));
+    original.intern(record_with_fingerprint(old_fps.back()));
+  }
+  ScanArchive copy = original;
+  // Enough new records to force the copy's index through rehashes.
+  for (int i = 0; i < 300; ++i) {
+    new_fps.push_back(random_fingerprint(rng));
+    EXPECT_EQ(copy.intern(record_with_fingerprint(new_fps.back())),
+              static_cast<CertId>(100 + i));
+  }
+  EXPECT_EQ(copy.intern(record_with_fingerprint(old_fps[7])), 7u);
+  EXPECT_EQ(original.certs().size(), 100u);
+  CertId found = 0;
+  for (const CertFingerprint& fp : new_fps) {
+    EXPECT_FALSE(original.find(fp, found));
+    EXPECT_TRUE(copy.find(fp, found));
+  }
+  for (std::size_t i = 0; i < old_fps.size(); ++i) {
+    ASSERT_TRUE(original.find(old_fps[i], found));
+    EXPECT_EQ(found, static_cast<CertId>(i));
+  }
+  // The original still interns independently of the copy.
+  EXPECT_EQ(original.intern(record_with_fingerprint(new_fps[0])), 100u);
+  EXPECT_EQ(copy.certs().size(), 400u);
 }
 
 TEST(Archive, ScansMustBeChronological) {

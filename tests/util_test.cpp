@@ -2,9 +2,14 @@
 // civil-date conversions, PRNG behaviour, and statistics helpers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <fstream>
 #include <set>
+#include <sstream>
+#include <string>
 #include <string_view>
+#include <vector>
 
 #include "util/bytes.h"
 #include "util/crc32.h"
@@ -14,6 +19,7 @@
 #include "util/prng.h"
 #include "util/sha1.h"
 #include "util/sha256.h"
+#include "util/sha256_blocks.h"
 #include "util/stats.h"
 
 namespace sm::util {
@@ -71,6 +77,136 @@ TEST(Sha256, IncrementalMatchesOneShot) {
     h.update(BytesView(&data[i], 1));
   }
   EXPECT_EQ(h.finish(), Sha256::digest(data));
+}
+
+// --- SHA-256 compression functions ----------------------------------------
+//
+// Both block functions are driven directly (portable always, SHA-NI when
+// the CPU has it), through a reference padding written out here.
+
+Bytes digest_with(detail::Sha256BlocksFn blocks, BytesView message) {
+  std::uint32_t state[8] = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+                            0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
+  Bytes padded(message.begin(), message.end());
+  padded.push_back(0x80);
+  while (padded.size() % 64 != 56) padded.push_back(0);
+  const std::uint64_t bits = std::uint64_t{message.size()} * 8;
+  for (int shift = 56; shift >= 0; shift -= 8) {
+    padded.push_back(static_cast<std::uint8_t>(bits >> shift));
+  }
+  blocks(state, padded.data(), padded.size() / 64);
+  Bytes out;
+  for (const std::uint32_t word : state) {
+    for (int shift = 24; shift >= 0; shift -= 8) {
+      out.push_back(static_cast<std::uint8_t>(word >> shift));
+    }
+  }
+  return out;
+}
+
+struct Sha256Vector {
+  Bytes message;
+  const char* digest;
+};
+
+std::vector<Sha256Vector> nist_vectors() {
+  return {
+      {{}, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"},
+      {to_bytes("abc"),
+       "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"},
+      {to_bytes("abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"),
+       "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"},
+      {to_bytes("abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmn"
+                "hijklmnoijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu"),
+       "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1"},
+      {Bytes(1000000, 'a'),
+       "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"},
+  };
+}
+
+TEST(Sha256Blocks, PortableMatchesNistVectors) {
+  for (const Sha256Vector& v : nist_vectors()) {
+    EXPECT_EQ(hex_encode(digest_with(detail::sha256_blocks_portable,
+                                     v.message)),
+              v.digest)
+        << v.message.size() << " bytes";
+  }
+}
+
+TEST(Sha256Blocks, ShaNiMatchesNistVectors) {
+  if (!detail::cpu_has_sha_ni()) GTEST_SKIP() << "CPU lacks SHA-NI";
+  for (const Sha256Vector& v : nist_vectors()) {
+    EXPECT_EQ(
+        hex_encode(digest_with(detail::sha256_blocks_sha_ni, v.message)),
+        v.digest)
+        << v.message.size() << " bytes";
+  }
+}
+
+TEST(Sha256Blocks, ShaNiMatchesPortableOnRandomBlockRuns) {
+  if (!detail::cpu_has_sha_ni()) GTEST_SKIP() << "CPU lacks SHA-NI";
+  Rng rng(256);
+  for (int trial = 0; trial < 200; ++trial) {
+    const std::size_t nblocks = 1 + rng.below(9);
+    Bytes data(64 * nblocks);
+    for (auto& b : data) b = static_cast<std::uint8_t>(rng.below(256));
+    std::uint32_t portable[8], sha_ni[8];
+    for (int i = 0; i < 8; ++i) {
+      portable[i] = sha_ni[i] = static_cast<std::uint32_t>(rng());
+    }
+    detail::sha256_blocks_portable(portable, data.data(), nblocks);
+    detail::sha256_blocks_sha_ni(sha_ni, data.data(), nblocks);
+    EXPECT_TRUE(std::equal(portable, portable + 8, sha_ni)) << trial;
+  }
+}
+
+// The hasher Sha256 actually runs (whichever block function the dispatch
+// chose, plus the in-place padding and the block-run splitting of
+// update) against the portable reference: every length 0-300, each fed
+// in random pieces.
+TEST(Sha256Blocks, RandomSplitsMatchPortableReference) {
+  Rng rng(2016);
+  for (std::size_t length = 0; length <= 300; ++length) {
+    Bytes data(length);
+    for (auto& b : data) b = static_cast<std::uint8_t>(rng.below(256));
+    const Bytes expected =
+        digest_with(detail::sha256_blocks_portable, data);
+    EXPECT_EQ(Sha256::digest(data), expected) << length;
+    Sha256 h;
+    std::size_t offset = 0;
+    while (offset < length) {
+      const std::size_t take =
+          std::min<std::size_t>(length - offset, rng.below(150));
+      h.update(BytesView(data).subspan(offset, take));
+      offset += take;
+    }
+    EXPECT_EQ(h.finish(), expected) << length;
+  }
+}
+
+// The dispatch follows what the kernel reports for this CPU.
+TEST(Sha256Blocks, DispatchMatchesCpuFlags) {
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  std::string line;
+  bool found = false;
+  bool sha = false, sse41 = false, ssse3 = false;
+  while (std::getline(cpuinfo, line)) {
+    if (line.rfind("flags", 0) != 0) continue;
+    found = true;
+    std::istringstream words(line.substr(line.find(':') + 1));
+    std::string flag;
+    while (words >> flag) {
+      sha = sha || flag == "sha_ni";
+      sse41 = sse41 || flag == "sse4_1";
+      ssse3 = ssse3 || flag == "ssse3";
+    }
+    break;
+  }
+  if (!found) GTEST_SKIP() << "no x86 flags line in /proc/cpuinfo";
+  EXPECT_EQ(detail::cpu_has_sha_ni(), sha && sse41 && ssse3);
+  EXPECT_EQ(detail::sha256_blocks(), detail::cpu_has_sha_ni()
+                                         ? detail::sha256_blocks_sha_ni
+                                         : detail::sha256_blocks_portable);
 }
 
 // --- SHA-1 ---------------------------------------------------------------

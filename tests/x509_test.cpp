@@ -4,9 +4,12 @@
 #include <gtest/gtest.h>
 
 #include "crypto/signature.h"
+#include "der_golden_fixture.h"
+#include "util/hex.h"
 #include "util/prng.h"
 #include "x509/builder.h"
 #include "x509/certificate.h"
+#include "x509/crl.h"
 
 namespace sm::x509 {
 namespace {
@@ -59,6 +62,12 @@ TEST(Name, OrderingIsStableForMaps) {
 
 // --- GeneralName ----------------------------------------------------------
 
+util::Bytes general_names_der(const std::vector<GeneralName>& names) {
+  asn1::DerWriter w;
+  write_general_names(w, names);
+  return w.take();
+}
+
 TEST(GeneralNames, RoundTripAllKinds) {
   const std::vector<GeneralName> names = {
       {GeneralName::Kind::kDns, "fritz.fonwlan.box"},
@@ -66,7 +75,7 @@ TEST(GeneralNames, RoundTripAllKinds) {
       {GeneralName::Kind::kUri, "https://myfritz.net"},
       {GeneralName::Kind::kEmail, "admin@fritz.box"},
   };
-  const auto back = decode_general_names(encode_general_names(names));
+  const auto back = decode_general_names(general_names_der(names));
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(*back, names);
 }
@@ -81,7 +90,7 @@ TEST(GeneralNames, ToStringPrefixes) {
 TEST(GeneralNames, MalformedIpKeptAsText) {
   const std::vector<GeneralName> names = {
       {GeneralName::Kind::kIp, "not-an-ip"}};
-  const auto back = decode_general_names(encode_general_names(names));
+  const auto back = decode_general_names(general_names_der(names));
   ASSERT_TRUE(back.has_value());
   ASSERT_EQ(back->size(), 1u);
   EXPECT_EQ((*back)[0].value, "not-an-ip");
@@ -351,6 +360,99 @@ TEST(Fingerprints, DistinctCertsDistinctFingerprints) {
   EXPECT_EQ(a.fingerprint_sha256(), make(1).fingerprint_sha256());
   EXPECT_EQ(a.fingerprint_sha256().size(), 32u);
   EXPECT_EQ(a.fingerprint_sha1().size(), 20u);
+}
+
+// --- DER golden bytes ------------------------------------------------------
+
+// A certificate carrying every extension the builder writes, with DER
+// lengths on both sides of the short/long form (127/128) and of the one-
+// to two-byte long form (255/256).
+Certificate golden_certificate() {
+  const crypto::SigningKey key = sim_key(2016);
+  Name subject;
+  subject.add(asn1::oids::common_name(), "fritz.box")
+      .add(asn1::oids::organization(), std::string(118, 'o'))
+      .add(asn1::oids::organizational_unit(), "")
+      .add(asn1::oids::country(), "DE")
+      .add(asn1::oids::locality(), std::string(250, 'l'))
+      .add(asn1::oids::state(), "Berlin");
+  Name issuer;
+  issuer.add(asn1::oids::common_name(), std::string(121, 'i'));
+  Extension raw127;
+  raw127.oid = asn1::Oid{{1, 3, 6, 1, 4, 1, 99999, 3, 127}};
+  raw127.value.assign(127, 0x5a);
+  Extension raw128;
+  raw128.oid = asn1::Oid{{1, 3, 6, 1, 4, 1, 99999, 3, 128}};
+  raw128.critical = true;
+  raw128.value.assign(128, 0xa5);
+  Extension raw255;
+  raw255.oid = asn1::Oid{{1, 3, 6, 1, 4, 1, 99999, 3, 255}};
+  raw255.value.assign(255, 0x00);
+  Extension raw256;
+  raw256.oid = asn1::Oid{{2, 999, 0xffffffffu}};
+  raw256.value.assign(256, 0xff);
+  return CertificateBuilder()
+      .set_serial(bignum::BigUint::from_hex("80f1e2d3c4b5a69788796a5b4c3d2e1f"))
+      .set_issuer(issuer)
+      .set_subject(subject)
+      .set_validity(util::make_date(1949, 12, 31), util::make_date(2050, 1, 1))
+      .set_public_key(key.pub)
+      .set_subject_alt_names(
+          {{GeneralName::Kind::kDns, std::string(126, 'd')},
+           {GeneralName::Kind::kIp, "192.168.178.1"},
+           {GeneralName::Kind::kIp, "not-an-ip"},
+           {GeneralName::Kind::kEmail, "admin@fritz.box"},
+           {GeneralName::Kind::kUri, "https://fritz.box/"}})
+      .set_subject_key_id(util::Bytes(20, 0x11))
+      .set_authority_key_id(util::Bytes(20, 0x22))
+      .set_basic_constraints(true, 200)
+      .set_key_usage(KeyUsage{0x1ff})
+      .set_extended_key_usage(
+          {asn1::oids::kp_server_auth(), asn1::oids::kp_client_auth()})
+      .set_crl_distribution_points(
+          {"http://crl.example/a.crl", "http://crl.example/" +
+                                           std::string(100, 'c') + ".crl"})
+      .set_authority_info_access({"http://ocsp.example"},
+                                 {"http://ca.example/ca.crt"})
+      .set_policy_oids({asn1::Oid{{2, 23, 140, 1, 2, 1}},
+                        asn1::Oid{{1, 3, 6, 1, 4, 1, 99999, 2, 0xffffff}}})
+      .add_raw_extension(raw127)
+      .add_raw_extension(raw128)
+      .add_raw_extension(raw255)
+      .add_raw_extension(raw256)
+      .sign(key);
+}
+
+// A CRL with entries whose serials and dates span every INTEGER length
+// and both time forms, signed with the same kind of key.
+Crl golden_crl() {
+  const crypto::SigningKey key = sim_key(2017);
+  CrlBuilder builder;
+  builder.set_issuer(Name::with_common_name(std::string(130, 'r')))
+      .set_this_update(util::make_date(2015, 6, 1))
+      .set_next_update(util::make_date(2051, 6, 1));
+  for (std::uint64_t i = 0; i < 12; ++i) {
+    builder.add_revoked(bignum::BigUint((1ull << (5 * i)) + i),
+                        util::make_date(static_cast<int>(1940 + 10 * i), 3, 4));
+  }
+  return builder.sign(key);
+}
+
+TEST(DerGolden, EveryExtensionCertificateBytes) {
+  const Certificate cert = golden_certificate();
+  EXPECT_EQ(util::hex_encode(cert.der), testing::kGoldenCertificateHex);
+  // The parse-back saw every extension the builder wrote.
+  EXPECT_EQ(cert.extensions.size(), 13u);
+  EXPECT_EQ(cert.subject_alt_names().size(), 5u);
+  EXPECT_EQ(cert.crl_distribution_points().size(), 2u);
+  EXPECT_EQ(cert.policy_oids().size(), 2u);
+  EXPECT_EQ(cert.basic_constraints()->path_len, 200);
+}
+
+TEST(DerGolden, CrlBytes) {
+  const Crl crl = golden_crl();
+  EXPECT_EQ(util::hex_encode(crl.der), testing::kGoldenCrlHex);
+  EXPECT_EQ(crl.revoked.size(), 12u);
 }
 
 TEST(Parser, RejectsGarbage) {
