@@ -6,7 +6,8 @@
 # ThreadSanitizer build exercising the concurrency-bearing tests
 # (thread pool, cert-table readers racing appends, corpus spine, linking
 # pipeline, dataset index, tracker, parallel world simulation, batch
-# verifier, notary epoll server +
+# verifier, the SMAR writer/loader, bulk interning and the concurrent
+# report analyses, notary epoll server +
 # loopback traffic, live-ingestion epoch swaps racing loopback queries,
 # sharded router deployment with backend kill/restart, online-resharding
 # split/merge handoffs under load),
@@ -145,10 +146,11 @@ echo "resharding smoke OK"
 tsan_tests=(thread_pool_test cert_table_test corpus_test linking_parallel_test
             linking_test analysis_test tracking_test util_test
             simworld_parallel_test batch_verifier_test
+            archive_io_test report_test scan_test
             netio_test notary_test notary_loopback_test live_ingest_test
             router_test revocation_test reshard_test)
 if [[ "$run_tsan" == 1 ]]; then
-  echo "== tier 1: TSan build (thread pool + linking/analysis/tracking + world/verify + notary) =="
+  echo "== tier 1: TSan build (thread pool + archive/report/linking/analysis/tracking + world/verify + notary) =="
   cmake -B build-tsan -S . -DSM_SANITIZE=thread >/dev/null
   cmake --build build-tsan -j --target "${tsan_tests[@]}" >/dev/null
   # Suppressions cover the libstdc++ atomic<shared_ptr> internals (see

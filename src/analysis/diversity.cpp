@@ -1,6 +1,7 @@
 #include "analysis/diversity.h"
 
 #include <algorithm>
+#include <string_view>
 #include <unordered_map>
 
 #include "net/ipv4.h"
@@ -15,8 +16,9 @@ bool version_legal(const scan::CertRecord& cert) {
 }
 
 // Issuer display key: the CN, or "(Empty string)" as the paper prints it.
-std::string issuer_key(const scan::CertRecord& cert) {
-  return cert.issuer_cn.empty() ? "(Empty string)" : cert.issuer_cn;
+std::string_view issuer_key(const scan::CertRecord& cert) {
+  return cert.issuer_cn.empty() ? std::string_view("(Empty string)")
+                                : std::string_view(cert.issuer_cn);
 }
 
 }  // namespace
@@ -270,8 +272,13 @@ DeviceTypeBreakdown compute_device_types(const scan::ScanArchive& archive,
         type, static_cast<double>(count) /
                   static_cast<double>(std::max<std::uint64_t>(1, types.total())));
   }
+  // Ties go to the smaller type name, so the order is independent of the
+  // counter's iteration order.
   std::sort(out.shares.begin(), out.shares.end(),
-            [](const auto& a, const auto& b) { return a.second > b.second; });
+            [](const auto& a, const auto& b) {
+              if (a.second != b.second) return a.second > b.second;
+              return a.first < b.first;
+            });
   return out;
 }
 

@@ -93,23 +93,7 @@ void DerWriter::boolean(bool value) {
 void DerWriter::null() { header(static_cast<std::uint8_t>(Tag::kNull), 0); }
 
 void DerWriter::oid(const Oid& oid) {
-  const Mark mark = begin(static_cast<std::uint8_t>(Tag::kOid));
-  if (oid.arcs.size() >= 2) {
-    const auto put_base128 = [&](std::uint64_t v) {
-      std::uint8_t tmp[10];
-      int n = 0;
-      do {
-        tmp[n++] = static_cast<std::uint8_t>(v & 0x7f);
-        v >>= 7;
-      } while (v);
-      for (int i = n - 1; i >= 0; --i) {
-        out_.push_back(static_cast<std::uint8_t>(tmp[i] | (i ? 0x80 : 0x00)));
-      }
-    };
-    put_base128(std::uint64_t{oid.arcs[0]} * 40 + oid.arcs[1]);
-    for (std::size_t i = 2; i < oid.arcs.size(); ++i) put_base128(oid.arcs[i]);
-  }
-  end(mark);
+  tlv(static_cast<std::uint8_t>(Tag::kOid), oid.content());
 }
 
 void DerWriter::octet_string(util::BytesView content) {

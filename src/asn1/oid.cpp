@@ -1,44 +1,35 @@
 #include "asn1/oid.h"
 
 #include <charconv>
+#include <vector>
 
 namespace sm::asn1 {
 
-std::string Oid::to_string() const {
-  std::string out;
-  for (std::size_t i = 0; i < arcs.size(); ++i) {
-    if (i) out.push_back('.');
-    out += std::to_string(arcs[i]);
+namespace {
+
+void put_base128(std::string& out, std::uint64_t v) {
+  char tmp[10];
+  int n = 0;
+  do {
+    tmp[n++] = static_cast<char>(v & 0x7f);
+    v >>= 7;
+  } while (v);
+  for (int i = n - 1; i >= 0; --i) {
+    out.push_back(static_cast<char>(tmp[i] | (i ? 0x80 : 0x00)));
   }
-  return out;
 }
 
-std::optional<Oid> Oid::from_string(const std::string& dotted) {
-  Oid out;
-  std::size_t pos = 0;
-  while (pos <= dotted.size()) {
-    std::size_t dot = dotted.find('.', pos);
-    if (dot == std::string::npos) dot = dotted.size();
-    std::uint32_t arc = 0;
-    const auto [ptr, ec] =
-        std::from_chars(dotted.data() + pos, dotted.data() + dot, arc);
-    if (ec != std::errc{} || ptr != dotted.data() + dot) return std::nullopt;
-    out.arcs.push_back(arc);
-    pos = dot + 1;
-    if (dot == dotted.size()) break;
-  }
-  if (out.arcs.size() < 2) return std::nullopt;
-  if (out.arcs[0] > 2) return std::nullopt;
-  if (out.arcs[0] < 2 && out.arcs[1] >= 40) return std::nullopt;
-  return out;
-}
-
-std::optional<Oid> Oid::decode(util::BytesView content) {
-  if (content.empty()) return std::nullopt;
-  Oid out;
+// Calls `arc` with every arc of the content octets, in order; false when
+// they are malformed. `minimal` is cleared when re-encoding the arcs would
+// not give `content` back.
+template <typename ArcFn>
+bool for_each_arc(util::BytesView content, bool& minimal, const ArcFn& arc) {
+  if (content.empty()) return false;
+  minimal = true;
   std::size_t pos = 0;
   bool first = true;
   while (pos < content.size()) {
+    if (content[pos] == 0x80) minimal = false;  // a leading zero group
     std::uint64_t v = 0;
     bool done = false;
     // Cap sub-identifier length to avoid overflow on hostile input.
@@ -50,24 +41,83 @@ std::optional<Oid> Oid::decode(util::BytesView content) {
         break;
       }
     }
-    if (!done) return std::nullopt;
+    if (!done) return false;
     if (first) {
       first = false;
       if (v < 40) {
-        out.arcs.push_back(0);
-        out.arcs.push_back(static_cast<std::uint32_t>(v));
+        arc(0);
+        arc(static_cast<std::uint32_t>(v));
       } else if (v < 80) {
-        out.arcs.push_back(1);
-        out.arcs.push_back(static_cast<std::uint32_t>(v - 40));
+        arc(1);
+        arc(static_cast<std::uint32_t>(v - 40));
       } else {
-        out.arcs.push_back(2);
-        out.arcs.push_back(static_cast<std::uint32_t>(v - 80));
+        if (v - 80 > 0xffffffffULL) minimal = false;  // arc 2 truncates
+        arc(2);
+        arc(static_cast<std::uint32_t>(v - 80));
       }
     } else {
-      if (v > 0xffffffffULL) return std::nullopt;
-      out.arcs.push_back(static_cast<std::uint32_t>(v));
+      if (v > 0xffffffffULL) return false;
+      arc(static_cast<std::uint32_t>(v));
     }
   }
+  return true;
+}
+
+}  // namespace
+
+Oid::Oid(std::initializer_list<std::uint32_t> arcs)
+    : Oid(std::span<const std::uint32_t>(arcs.begin(), arcs.size())) {}
+
+Oid::Oid(std::span<const std::uint32_t> arcs) {
+  if (arcs.size() < 2) return;
+  put_base128(content_, std::uint64_t{arcs[0]} * 40 + arcs[1]);
+  for (std::size_t i = 2; i < arcs.size(); ++i) put_base128(content_, arcs[i]);
+}
+
+std::string Oid::to_string() const {
+  std::string out;
+  bool minimal = true;
+  for_each_arc(content(), minimal, [&](std::uint32_t arc) {
+    if (!out.empty()) out.push_back('.');
+    out += std::to_string(arc);
+  });
+  return out;
+}
+
+std::optional<Oid> Oid::from_string(const std::string& dotted) {
+  std::vector<std::uint32_t> arcs;
+  std::size_t pos = 0;
+  while (pos <= dotted.size()) {
+    std::size_t dot = dotted.find('.', pos);
+    if (dot == std::string::npos) dot = dotted.size();
+    std::uint32_t arc = 0;
+    const auto [ptr, ec] =
+        std::from_chars(dotted.data() + pos, dotted.data() + dot, arc);
+    if (ec != std::errc{} || ptr != dotted.data() + dot) return std::nullopt;
+    arcs.push_back(arc);
+    pos = dot + 1;
+    if (dot == dotted.size()) break;
+  }
+  if (arcs.size() < 2) return std::nullopt;
+  if (arcs[0] > 2) return std::nullopt;
+  if (arcs[0] < 2 && arcs[1] >= 40) return std::nullopt;
+  return Oid(std::span<const std::uint32_t>(arcs));
+}
+
+std::optional<Oid> Oid::decode(util::BytesView content) {
+  bool minimal = true;
+  if (!for_each_arc(content, minimal, [](std::uint32_t) {})) {
+    return std::nullopt;
+  }
+  if (!minimal) {
+    std::vector<std::uint32_t> arcs;
+    for_each_arc(content, minimal,
+                 [&](std::uint32_t arc) { arcs.push_back(arc); });
+    return Oid(std::span<const std::uint32_t>(arcs));
+  }
+  Oid out;
+  out.content_.assign(reinterpret_cast<const char*>(content.data()),
+                      content.size());
   return out;
 }
 

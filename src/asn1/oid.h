@@ -3,17 +3,33 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <optional>
+#include <span>
 #include <string>
-#include <vector>
 
 #include "util/bytes.h"
 
 namespace sm::asn1 {
 
-/// An OBJECT IDENTIFIER as a sequence of arcs, e.g. {2,5,4,3} = id-at-cn.
-struct Oid {
-  std::vector<std::uint32_t> arcs;
+/// An OBJECT IDENTIFIER, held as its X.690 content octets (the bytes
+/// inside the DER TLV). Parsing therefore copies a few bytes instead of
+/// decoding arcs into a heap vector, and equality is a byte comparison, so
+/// a parsed OID is matched against the static instances below as a span.
+/// Every well-known OID fits the inline (small-string) storage.
+class Oid {
+ public:
+  Oid() = default;
+
+  /// From arcs, e.g. Oid{{2, 5, 4, 3}} = id-at-cn. Fewer than two arcs
+  /// encode as empty content.
+  Oid(std::initializer_list<std::uint32_t> arcs);
+
+  /// The content octets.
+  util::BytesView content() const {
+    return {reinterpret_cast<const std::uint8_t*>(content_.data()),
+            content_.size()};
+  }
 
   friend bool operator==(const Oid&, const Oid&) = default;
   friend auto operator<=>(const Oid&, const Oid&) = default;
@@ -25,8 +41,15 @@ struct Oid {
   /// second < 40 when first < 2 (per X.690 encoding constraints).
   static std::optional<Oid> from_string(const std::string& dotted);
 
-  /// Decodes X.690 content octets. Returns nullopt on malformed input.
+  /// Decodes X.690 content octets. Returns nullopt on malformed input. A
+  /// non-minimal encoding is stored in its minimal form, so OIDs with
+  /// equal arcs compare equal.
   static std::optional<Oid> decode(util::BytesView content);
+
+ private:
+  explicit Oid(std::span<const std::uint32_t> arcs);
+
+  std::string content_;
 };
 
 // -- Well-known OIDs used by the X.509 layer ---------------------------------

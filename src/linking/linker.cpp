@@ -98,6 +98,11 @@ bool Linker::group_passes_overlap_rule(
 
 FieldResult Linker::link_field(Feature feature,
                                const std::vector<bool>& mask) const {
+  return group_field(feature, mask, /*with_consistency=*/true);
+}
+
+FieldResult Linker::group_field(Feature feature, const std::vector<bool>& mask,
+                                bool with_consistency) const {
   // Phase 1 (serial, integer-only): candidate groups from the interned CSR
   // lists, in value-id order — deterministic by construction.
   std::vector<std::vector<scan::CertId>> candidates;
@@ -115,7 +120,7 @@ FieldResult Linker::link_field(Feature feature,
   }
 
   // Phase 2 (parallel): the per-group work — overlap rule + modal-location
-  // counting — into index-addressed slots.
+  // counting, when asked for — into index-addressed slots.
   struct Evaluated {
     bool accepted = false;
     GroupCounts counts;
@@ -126,7 +131,7 @@ FieldResult Linker::link_field(Feature feature,
         for (std::size_t g = begin; g < end; ++g) {
           if (!group_passes_overlap_rule(candidates[g])) continue;
           evaluated[g].accepted = true;
-          evaluated[g].counts = group_counts(candidates[g]);
+          if (with_consistency) evaluated[g].counts = group_counts(candidates[g]);
         }
       });
 
@@ -221,7 +226,7 @@ Consistency Linker::group_consistency(const LinkedGroup& group) const {
   return out;
 }
 
-std::vector<FieldResult> Linker::evaluate_all_fields() const {
+std::vector<FieldResult> Linker::evaluate_fields() const {
   // One field per chunk; each field's own group loop parallelizes too when
   // called standalone (nested regions run inline on the worker).
   std::vector<FieldResult> results(kAllFeatures.size());
@@ -231,6 +236,11 @@ std::vector<FieldResult> Linker::evaluate_all_fields() const {
                           results[fi] = link_field(kAllFeatures[fi], eligible_);
                         }
                       });
+  return results;
+}
+
+std::vector<FieldResult> Linker::evaluate_all_fields() const {
+  std::vector<FieldResult> results = evaluate_fields();
   // Uniquely-linked: certificates appearing in exactly one field's groups.
   const std::size_t n = index_->archive().certs().size();
   std::vector<std::uint8_t> link_count(n, 0);
@@ -252,11 +262,11 @@ std::vector<FieldResult> Linker::evaluate_all_fields() const {
 }
 
 IterativeResult Linker::link_iteratively() const {
-  const std::vector<FieldResult> all = evaluate_all_fields();
+  std::vector<FieldResult> all = evaluate_fields();
   // §6.4.3: exclude Not Before, Not After, and IN+SN (insufficient
   // consistency); order the rest by AS-level consistency, descending.
-  std::vector<const FieldResult*> usable;
-  for (const FieldResult& result : all) {
+  std::vector<FieldResult*> usable;
+  for (FieldResult& result : all) {
     if (result.feature == Feature::kNotBefore ||
         result.feature == Feature::kNotAfter ||
         result.feature == Feature::kIssuerSerial) {
@@ -271,16 +281,26 @@ IterativeResult Linker::link_iteratively() const {
   std::vector<Feature> order;
   order.reserve(usable.size());
   for (const FieldResult* result : usable) order.push_back(result->feature);
-  return link_iteratively(order);
+  // The first field links over the whole eligible set, exactly as its
+  // evaluation above did, so its groups are reused.
+  return iterate(order, usable.empty() ? nullptr : usable.front());
 }
 
 IterativeResult Linker::link_iteratively(
     const std::vector<Feature>& order) const {
+  return iterate(order, nullptr);
+}
+
+IterativeResult Linker::iterate(const std::vector<Feature>& order,
+                                FieldResult* first) const {
   IterativeResult out;
   out.order = order;
   std::vector<bool> mask = eligible_;
-  for (const Feature feature : order) {
-    FieldResult result = link_field(feature, mask);
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    FieldResult result =
+        i == 0 && first != nullptr
+            ? std::move(*first)
+            : group_field(order[i], mask, /*with_consistency=*/false);
     for (LinkedGroup& group : result.groups) {
       for (const scan::CertId id : group.certs) mask[id] = false;
       out.linked_certs += group.certs.size();

@@ -184,6 +184,20 @@ class Linker {
 
   bool group_passes_overlap_rule(const std::vector<scan::CertId>& certs) const;
 
+  /// link_field; the consistency (modal-location counting) is computed
+  /// only when `with_consistency` is set, and is zero otherwise.
+  FieldResult group_field(Feature feature, const std::vector<bool>& mask,
+                          bool with_consistency) const;
+
+  /// evaluate_all_fields without the uniquely-linked counts.
+  std::vector<FieldResult> evaluate_fields() const;
+
+  /// Iterative linking in `order`. When `first` is non-null it holds
+  /// order[0]'s result over the whole eligible set, and its groups are
+  /// taken instead of recomputed.
+  IterativeResult iterate(const std::vector<Feature>& order,
+                          FieldResult* first) const;
+
   GroupCounts group_counts(const std::vector<scan::CertId>& certs) const;
 
   const analysis::DatasetIndex* index_;

@@ -1,17 +1,8 @@
 #include "pki/crl_store.h"
 
 #include "crypto/signature.h"
-#include "util/hex.h"
 
 namespace sm::pki {
-
-namespace {
-
-std::string issuer_key(const x509::Name& issuer) {
-  return util::hex_encode(issuer.encode());
-}
-
-}  // namespace
 
 bool CrlStore::add(x509::Crl crl, const x509::Certificate& issuer) {
   if (!(crl.issuer == issuer.subject)) return false;
@@ -23,17 +14,17 @@ bool CrlStore::add_unverified(x509::Crl crl) {
   if (crl.next_update.has_value() && *crl.next_update < crl.this_update) {
     return false;  // malformed: the validity window ends before it starts
   }
-  const std::string key = issuer_key(crl.issuer);
+  SubjectKey key = subject_lookup_key(crl.issuer);
   const auto it = by_issuer_.find(key);
   if (it != by_issuer_.end() && it->second.this_update >= crl.this_update) {
     return false;  // keep the fresher CRL
   }
-  by_issuer_.insert_or_assign(key, std::move(crl));
+  by_issuer_.insert_or_assign(std::move(key), std::move(crl));
   return true;
 }
 
 const x509::Crl* CrlStore::find(const x509::Name& issuer) const {
-  const auto it = by_issuer_.find(issuer_key(issuer));
+  const auto it = by_issuer_.find(subject_lookup_key(issuer));
   return it == by_issuer_.end() ? nullptr : &it->second;
 }
 

@@ -5,8 +5,8 @@
 
 #include <map>
 #include <optional>
-#include <string>
 
+#include "pki/root_store.h"
 #include "x509/certificate.h"
 #include "x509/crl.h"
 
@@ -43,7 +43,7 @@ class CrlStore {
   std::size_t size() const { return by_issuer_.size(); }
 
  private:
-  std::map<std::string, x509::Crl> by_issuer_;  // key: issuer DER hex
+  std::map<SubjectKey, x509::Crl> by_issuer_;  // key: issuer DER
 };
 
 }  // namespace sm::pki

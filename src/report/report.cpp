@@ -1,12 +1,15 @@
 #include "report/report.h"
 
 #include <cstdarg>
-
 #include <cstdio>
+#include <functional>
+#include <iterator>
+#include <optional>
 
 #include "analysis/diversity.h"
 #include "analysis/longevity.h"
 #include "analysis/revocation.h"
+#include "util/thread_pool.h"
 
 namespace sm::report {
 
@@ -32,10 +35,54 @@ std::string render_report(const analysis::DatasetIndex& index,
                           const net::AsDatabase& as_db,
                           const ReportOptions& options) {
   const scan::ScanArchive& archive = index.archive();
-  std::string out;
 
-  if (options.validity) {
-    const ValidityBreakdown vb = compute_validity_breakdown(archive);
+  // The §4/§5 analyses are independent reads of the dataset: compute the
+  // selected ones concurrently into slots, then format them in order.
+  std::optional<ValidityBreakdown> validity;
+  std::optional<ValidityPeriods> periods;
+  std::optional<Lifetimes> lifetimes;
+  std::optional<KeyDiversity> keys;
+  std::optional<IssuerDiversity> issuers;
+  std::optional<TopAses> top_ases;
+  std::optional<RevocationBreakdown> revocation;
+  const std::function<void()> analyses[] = {
+      [&] {
+        if (options.validity) validity = compute_validity_breakdown(archive);
+      },
+      [&] {
+        if (options.longevity) periods = compute_validity_periods(archive);
+      },
+      [&] {
+        if (options.longevity) lifetimes = compute_lifetimes(index);
+      },
+      [&] {
+        if (options.diversity) keys = compute_key_diversity(archive);
+      },
+      [&] {
+        if (options.diversity) {
+          issuers = compute_issuer_diversity(archive, options.top_n);
+        }
+      },
+      [&] {
+        if (options.diversity) {
+          top_ases = compute_top_ases(index, as_db, options.top_n);
+        }
+      },
+      [&] {
+        if (options.revocation_statuses != nullptr) {
+          revocation = compute_revocation_breakdown(
+              archive, *options.revocation_statuses, options.top_n);
+        }
+      },
+  };
+  util::ThreadPool::global().parallel_for(std::size(analyses), 1,
+                    [&](std::size_t begin, std::size_t end) {
+                      for (std::size_t i = begin; i < end; ++i) analyses[i]();
+                    });
+
+  std::string out;
+  if (validity) {
+    const ValidityBreakdown& vb = *validity;
     out += "-- validity (paper 4.2) --\n";
     appendf(out,
             "certificates %llu | invalid %s | self-signed %s | untrusted %s "
@@ -61,8 +108,8 @@ std::string render_report(const analysis::DatasetIndex& index,
   }
 
   if (options.longevity) {
-    const ValidityPeriods vp = compute_validity_periods(archive);
-    const Lifetimes lt = compute_lifetimes(index);
+    const ValidityPeriods& vp = *periods;
+    const Lifetimes& lt = *lifetimes;
     out += "\n-- longevity (figures 3-4) --\n";
     appendf(out,
             "validity period median: valid %.2fy, invalid %.1fy "
@@ -78,30 +125,25 @@ std::string render_report(const analysis::DatasetIndex& index,
   }
 
   if (options.diversity) {
-    const KeyDiversity kd = compute_key_diversity(archive);
     out += "\n-- key diversity (figure 6) --\n";
     appendf(out, "invalid certs sharing a key: %s (top key %s of invalid)\n",
-            util::percent(kd.invalid_shared_fraction).c_str(),
-            util::percent(kd.top_invalid_key_share).c_str());
-    const IssuerDiversity id = compute_issuer_diversity(archive, options.top_n);
+            util::percent(keys->invalid_shared_fraction).c_str(),
+            util::percent(keys->top_invalid_key_share).c_str());
     out += "\n-- top invalid issuers (table 1) --\n";
-    for (const IssuerRow& row : id.top_invalid) {
+    for (const IssuerRow& row : issuers->top_invalid) {
       appendf(out, "  %-40s %llu\n", row.issuer.c_str(),
               static_cast<unsigned long long>(row.certs));
     }
-    const TopAses top = compute_top_ases(index, as_db, options.top_n);
     out += "\n-- top invalid ASes (table 3) --\n";
-    for (const TopAsRow& row : top.invalid) {
+    for (const TopAsRow& row : top_ases->invalid) {
       appendf(out, "  %-46s %llu\n", row.label.c_str(),
               static_cast<unsigned long long>(row.certs));
     }
   }
 
-  if (options.revocation_statuses != nullptr) {
-    const RevocationBreakdown rb = compute_revocation_breakdown(
-        archive, *options.revocation_statuses, options.top_n);
+  if (revocation) {
     out += "\n-- revocation (CRL/OCSP ecosystem) --\n";
-    out += render_revocation_table(rb);
+    out += render_revocation_table(*revocation);
   }
 
   if (options.linking || options.tracking) {

@@ -32,7 +32,9 @@ struct ReportOptions {
 };
 
 /// Renders the selected sections for `archive`/`index` into one string.
-/// Linking/tracking sections construct their own Linker/DeviceTracker.
+/// The §4/§5 analyses run concurrently on the process-global thread pool;
+/// the text is the same for every pool size. Linking/tracking sections
+/// construct their own Linker/DeviceTracker.
 std::string render_report(const analysis::DatasetIndex& index,
                           const net::AsDatabase& as_db,
                           const ReportOptions& options = {});

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "bignum/biguint.h"
+#include "util/thread_pool.h"
 
 namespace sm::revocation {
 
@@ -46,8 +47,9 @@ struct Ecosystem::Authority {
   x509::Name name;
   crypto::SigningKey key;
   AuthorityProfile profile;
-  /// serial hex -> earliest issue time (duplicates collapse here).
-  std::map<std::string, util::UnixTime> certs;
+  /// (serial hex, issue time) in registration order; publish() sorts it
+  /// by serial and collapses duplicates to their earliest issue time.
+  std::vector<std::pair<std::string, util::UnixTime>> certs;
   /// Serials the CA decided to revoke (sorted; the OCSP truth).
   std::vector<std::string> intent_revoked;
   /// Serials on the final served edition (sorted; the CRL-path truth — a
@@ -67,25 +69,36 @@ void Ecosystem::add_authority(const std::string& issuer_key,
   if (published_) return;
   auto [it, inserted] = authorities_.try_emplace(issuer_key);
   if (!inserted) return;
+  by_id_.push_back(&it->second);
   it->second.name = cert.subject;
   it->second.key = key;
   it->second.profile.trusted = trusted;
 }
 
-void Ecosystem::add_certificate(const std::string& issuer_key,
-                                const std::string& serial_hex,
+std::optional<Ecosystem::AuthorityId> Ecosystem::authority_id(
+    std::string_view issuer_key) const {
+  const Authority* auth = find(issuer_key);
+  if (auth == nullptr) return std::nullopt;
+  return static_cast<AuthorityId>(
+      std::find(by_id_.begin(), by_id_.end(), auth) - by_id_.begin());
+}
+
+void Ecosystem::add_certificate(std::string_view issuer_key,
+                                std::string_view serial_hex,
                                 util::UnixTime not_before) {
-  if (published_) return;
-  const auto it = authorities_.find(issuer_key);
-  if (it == authorities_.end()) return;
-  auto [cert_it, inserted] =
-      it->second.certs.try_emplace(serial_hex, not_before);
-  if (!inserted && not_before < cert_it->second) {
-    cert_it->second = not_before;
+  if (const std::optional<AuthorityId> id = authority_id(issuer_key)) {
+    add_certificate(*id, serial_hex, not_before);
   }
 }
 
-void Ecosystem::publish() {
+void Ecosystem::add_certificate(AuthorityId authority,
+                                std::string_view serial_hex,
+                                util::UnixTime not_before) {
+  if (published_ || authority >= by_id_.size()) return;
+  by_id_[authority]->certs.emplace_back(serial_hex, not_before);
+}
+
+void Ecosystem::publish(util::ThreadPool* pool) {
   if (published_) return;
   published_ = true;
 
@@ -93,8 +106,17 @@ void Ecosystem::publish() {
   const util::UnixTime period =
       std::max<util::UnixTime>(util::kSecondsPerDay, config_.edition_period);
 
-  for (auto& [issuer_key, auth] : authorities_) {
+  const auto publish_one = [&](const std::string& issuer_key,
+                               Authority& auth) {
     const std::uint64_t issuer_hash = fnv1a(issuer_key);
+
+    // One entry per serial, with its earliest issue time.
+    std::sort(auth.certs.begin(), auth.certs.end());
+    auth.certs.erase(std::unique(auth.certs.begin(), auth.certs.end(),
+                                 [](const auto& a, const auto& b) {
+                                   return a.first == b.first;
+                                 }),
+                     auth.certs.end());
 
     // Pathology profile: one draw per axis, partitioned by the configured
     // fractions.
@@ -181,7 +203,21 @@ void Ecosystem::publish() {
       auth.crl_revoked.push_back(entry.serial.to_hex());
     }
     std::sort(auth.crl_revoked.begin(), auth.crl_revoked.end());
-  }
+  };
+
+  // Every draw hashes (seed, issuer, serial), so authorities are
+  // independent and publish in any order.
+  std::vector<std::pair<const std::string, Authority>*> entries;
+  entries.reserve(authorities_.size());
+  for (auto& entry : authorities_) entries.push_back(&entry);
+  util::ThreadPool& workers =
+      pool != nullptr ? *pool : util::ThreadPool::global();
+  workers.parallel_for(entries.size(), 1,
+                       [&](std::size_t begin, std::size_t end) {
+                         for (std::size_t e = begin; e < end; ++e) {
+                           publish_one(entries[e]->first, entries[e]->second);
+                         }
+                       });
 }
 
 const Ecosystem::Authority* Ecosystem::find(

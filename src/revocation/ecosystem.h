@@ -9,7 +9,8 @@
 //
 // The Ecosystem is built in two phases. During world construction,
 // authorities (CA name + signing key) and issued certificates (issuer key
-// + serial + issue time) are registered single-threaded. publish() then
+// + serial + issue time) are registered; certificates may be registered
+// concurrently under distinct authorities. publish() then
 // draws each authority's pathology profile and per-certificate revocation
 // decisions from the seed, and signs a short series of CRL *editions* per
 // authority with the CA's real key (round-tripped through the asn1
@@ -36,6 +37,7 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -46,6 +48,10 @@
 #include "util/datetime.h"
 #include "x509/certificate.h"
 #include "x509/crl.h"
+
+namespace sm::util {
+class ThreadPool;
+}  // namespace sm::util
 
 namespace sm::revocation {
 
@@ -136,17 +142,32 @@ class Ecosystem final : public pki::RevocationSource {
                      const x509::Certificate& cert,
                      const crypto::SigningKey& key, bool trusted);
 
+  /// A registered authority's handle, for add_certificate.
+  using AuthorityId = std::uint32_t;
+
+  /// The handle of the authority registered under `issuer_key`, or nullopt
+  /// when none is. Callers registering many certificates resolve each
+  /// issuer once and register by handle.
+  std::optional<AuthorityId> authority_id(std::string_view issuer_key) const;
+
   /// Records one issued certificate under its issuer. Unknown issuers
   /// (self-signed devices, dangling distribution points) are ignored —
   /// their endpoints will simply be unreachable. Duplicate serials under
-  /// one issuer collapse to one entry (identical draws, identical fate).
-  void add_certificate(const std::string& issuer_key,
-                       const std::string& serial_hex,
+  /// one issuer collapse to one entry at publish() (identical draws,
+  /// identical fate), keeping the earliest issue time.
+  void add_certificate(std::string_view issuer_key, std::string_view serial_hex,
+                       util::UnixTime not_before);
+
+  /// The same by handle. Calls for distinct authorities may run
+  /// concurrently; calls for one authority may not.
+  void add_certificate(AuthorityId authority, std::string_view serial_hex,
                        util::UnixTime not_before);
 
   /// Draws profiles and revocation decisions, then signs every CRL
-  /// edition. Call exactly once, after all registration.
-  void publish();
+  /// edition, one authority per task on `pool` (null: the process-global
+  /// pool); the result is the same for every pool size. Call exactly once,
+  /// after all registration.
+  void publish(util::ThreadPool* pool = nullptr);
 
   // pki::RevocationSource (valid after publish(); thread-safe):
   bool fetch_crl(std::string_view issuer_key,
@@ -173,6 +194,7 @@ class Ecosystem final : public pki::RevocationSource {
   /// span when unregistered). Only the last is served by fetch_crl.
   std::span<const x509::Crl> editions(std::string_view issuer_key) const;
 
+  /// Aggregate counts; certificate counts are final after publish().
   EcosystemStats stats() const;
   const EcosystemConfig& config() const { return config_; }
 
@@ -186,6 +208,8 @@ class Ecosystem final : public pki::RevocationSource {
   // std::map: deterministic iteration order for publish()'s draws and
   // stats, independent of hash-table layout.
   std::map<std::string, Authority, std::less<>> authorities_;
+  // Map nodes never move, so handles index stable pointers.
+  std::vector<Authority*> by_id_;
 };
 
 }  // namespace sm::revocation

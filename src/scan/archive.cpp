@@ -1,5 +1,6 @@
 #include "scan/archive.h"
 
+#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -15,17 +16,24 @@ std::uint32_t slot_tag(const CertFingerprint& fingerprint) {
 
 }  // namespace
 
-std::size_t ScanArchive::probe(const CertFingerprint& fingerprint) const {
+template <typename FingerprintOf>
+std::size_t ScanArchive::probe(const CertFingerprint& fingerprint,
+                               const FingerprintOf& fingerprint_of) const {
   const std::size_t mask = index_.size() - 1;
   const std::uint32_t tag = slot_tag(fingerprint);
   for (std::size_t slot = tag & mask;; slot = (slot + 1) & mask) {
     const IndexSlot& entry = index_[slot];
     if (entry.id_plus_one == 0) return slot;
-    if (entry.tag == tag &&
-        certs_[entry.id_plus_one - 1].fingerprint == fingerprint) {
+    if (entry.tag == tag && fingerprint_of(entry.id_plus_one - 1) == fingerprint) {
       return slot;
     }
   }
+}
+
+std::size_t ScanArchive::probe(const CertFingerprint& fingerprint) const {
+  return probe(fingerprint, [this](CertId id) -> const CertFingerprint& {
+    return certs_[id].fingerprint;
+  });
 }
 
 void ScanArchive::rehash(std::size_t slots) {
@@ -61,6 +69,69 @@ CertId ScanArchive::intern(CertRecord&& record) {
   const std::size_t slot = probe(record.fingerprint);
   if (index_[slot].id_plus_one != 0) return index_[slot].id_plus_one - 1;
   return insert_at(slot, std::move(record));
+}
+
+void ScanArchive::intern_all(std::span<CertRecord* const> records,
+                             std::span<CertId> ids, util::ThreadPool& pool) {
+  if (records.size() != ids.size()) {
+    throw std::invalid_argument("intern_all: records and ids differ in size");
+  }
+  if (index_.empty()) rehash(16);
+  constexpr CertId kMiss = static_cast<CertId>(-1);
+
+  // Ids of records already in the table. The index is only read here.
+  pool.parallel_for(records.size(), 1024, [&](std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      const IndexSlot& entry = index_[probe(records[i]->fingerprint)];
+      ids[i] = entry.id_plus_one == 0 ? kMiss : entry.id_plus_one - 1;
+    }
+  });
+
+  // New ids, in order. Ids from certs_.size() on stand for records not
+  // yet moved into the table, so misses dedupe among themselves too.
+  const CertId base = static_cast<CertId>(certs_.size());
+  std::vector<std::size_t> fresh;
+  const auto fingerprint_of = [&](CertId id) -> const CertFingerprint& {
+    return id < base ? certs_[id].fingerprint
+                     : records[fresh[id - base]]->fingerprint;
+  };
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    if (ids[i] != kMiss) continue;
+    const CertFingerprint& fingerprint = records[i]->fingerprint;
+    const std::size_t slot = probe(fingerprint, fingerprint_of);
+    if (index_[slot].id_plus_one != 0) {
+      ids[i] = index_[slot].id_plus_one - 1;
+      continue;
+    }
+    ids[i] = base + static_cast<CertId>(fresh.size());
+    index_[slot] = IndexSlot{ids[i] + 1, slot_tag(fingerprint)};
+    fresh.push_back(i);
+    // Keep the table at most half full.
+    if (2 * (base + fresh.size()) > index_.size()) rehash(2 * index_.size());
+  }
+
+  certs_.append_moved(fresh.size(), pool, [&](std::size_t j) -> CertRecord& {
+    return *records[fresh[j]];
+  });
+}
+
+bool ScanArchive::append_distinct(std::vector<CertTable::Segment>&& segments,
+                                  util::ThreadPool& pool) {
+  const std::size_t base = certs_.size();
+  for (CertTable::Segment& segment : segments) {
+    certs_.append(std::move(segment), pool);
+  }
+  segments.clear();
+  std::size_t slots = std::max<std::size_t>(16, index_.size());
+  while (slots < 2 * certs_.size()) slots *= 2;
+  if (slots > index_.size()) rehash(slots);
+  for (std::size_t id = base; id < certs_.size(); ++id) {
+    const CertFingerprint& fingerprint = certs_[id].fingerprint;
+    const std::size_t slot = probe(fingerprint);
+    if (index_[slot].id_plus_one != 0) return false;
+    index_[slot] = IndexSlot{static_cast<CertId>(id) + 1, slot_tag(fingerprint)};
+  }
+  return true;
 }
 
 bool ScanArchive::find(const CertFingerprint& fingerprint, CertId& out) const {

@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <vector>
 
 #include "scan/cert_record.h"
@@ -47,6 +48,23 @@ class ScanArchive {
   /// previously-seen fingerprint are deduplicated.
   CertId intern(const CertRecord& record);
   CertId intern(CertRecord&& record);
+
+  /// Interns `records` in order, as one intern() call each would, and
+  /// writes each record's id to `ids` (same size). New records are moved
+  /// out of `records`; duplicates are left as they are. The index is
+  /// probed on `pool`, ids are assigned serially in first-appearance
+  /// order, and the new records are moved into the table on `pool`.
+  void intern_all(std::span<CertRecord* const> records,
+                  std::span<CertId> ids, util::ThreadPool& pool);
+
+  /// Appends the records of `segments`, in order, as new ids — the bulk
+  /// path of an archive loader, whose records must be distinct. Segments
+  /// are handed to the table (see CertTable::append), then the new
+  /// fingerprints are indexed in order. Returns false when a fingerprint
+  /// is already indexed or repeats among the new records; the archive must
+  /// then be discarded.
+  bool append_distinct(std::vector<CertTable::Segment>&& segments,
+                       util::ThreadPool& pool);
 
   /// Looks up an interned certificate by fingerprint; returns false when
   /// unknown.
@@ -95,6 +113,10 @@ class ScanArchive {
   };
 
   /// The slot holding `fingerprint`, or the empty slot where it belongs.
+  /// `fingerprint_of(id)` gives the fingerprint an indexed id stands for.
+  template <typename FingerprintOf>
+  std::size_t probe(const CertFingerprint& fingerprint,
+                    const FingerprintOf& fingerprint_of) const;
   std::size_t probe(const CertFingerprint& fingerprint) const;
   /// Appends a record known to be new and indexes it at `slot`.
   CertId insert_at(std::size_t slot, CertRecord&& record);

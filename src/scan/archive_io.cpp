@@ -64,9 +64,16 @@ bool read_pod(std::istream& in, T& value) {
 
 // Reads exactly `size` bytes into `out`, growing it incrementally so a
 // hostile length claim cannot force a large allocation before the stream
-// runs dry.
+// runs dry. What the stream reports as already available is reserved up
+// front, which spares the regrowth copies.
 bool read_exact(std::istream& in, std::string& out, std::uint64_t size) {
   out.clear();
+  const std::streamsize available =
+      in.rdbuf() != nullptr ? in.rdbuf()->in_avail() : 0;
+  if (available > 0) {
+    out.reserve(static_cast<std::size_t>(
+        std::min<std::uint64_t>(size, static_cast<std::uint64_t>(available))));
+  }
   while (size > 0) {
     const std::size_t step =
         static_cast<std::size_t>(std::min<std::uint64_t>(size, kReadChunk));
@@ -259,17 +266,17 @@ void append_scan(std::string& out, const ScanData& scan) {
   }
 }
 
-// Parses a whole cert frame; `expected` is the chunk size implied by the
-// header. Requires exact payload consumption.
+// Parses a whole cert frame into segments of up to CertTable::kChunk
+// records, allocated as records parse; `expected` is the chunk size implied
+// by the header. Requires exact payload consumption.
 bool parse_cert_frame(const RawFrame& frame, std::uint64_t expected,
-                      std::vector<CertRecord>& out) {
+                      std::vector<CertTable::Segment>& out) {
   if (!frame_checksum_ok(frame)) return false;
   Cursor cursor(frame.payload);
   out.clear();
   for (std::uint64_t i = 0; i < expected; ++i) {
-    CertRecord cert;
-    if (!read_cert(cursor, cert)) return false;
-    out.push_back(std::move(cert));
+    if (out.empty() || out.back().full()) out.emplace_back();
+    if (!read_cert(cursor, out.back().emplace_back())) return false;
   }
   return cursor.done();
 }
@@ -301,25 +308,43 @@ bool parse_scan_frame(const RawFrame& frame, std::uint64_t cert_count,
 
 // --- writer/loader -----------------------------------------------------------
 
+// One encoded frame, ready for write_frame.
+struct EncodedFrame {
+  std::uint8_t type = 0;
+  std::string payload;
+  std::uint32_t crc = 0;
+};
+
 bool save_frames(const ScanArchive& archive, std::ostream& out) {
   const auto& certs = archive.certs();
   const auto& scans = archive.scans();
   if (certs.size() > kMaxCerts || scans.size() > kMaxScans) return false;
-  const std::uint64_t n_chunks =
+  const std::size_t n_chunks =
       (certs.size() + kCertsPerFrame - 1) / kCertsPerFrame;
+  util::ThreadPool& pool = util::ThreadPool::global();
 
   // Validate every limit (and pre-compute frame sizes) before writing a
   // single byte, so an over-limit archive fails loudly instead of leaving
-  // a part-written file behind.
-  // Both passes walk the table's chunk spans; a frame is exactly
-  // kTableChunksPerFrame of them.
+  // a part-written file behind. The pass walks the table's chunk spans on
+  // the pool; a frame is exactly kTableChunksPerFrame of them.
+  std::vector<std::uint64_t> table_chunk_bytes(certs.chunk_count(), 0);
+  std::vector<std::uint8_t> table_chunk_ok(certs.chunk_count(), 0);
+  pool.parallel_for(certs.chunk_count(), 1,
+                    [&](std::size_t begin, std::size_t end) {
+                      for (std::size_t c = begin; c < end; ++c) {
+                        std::uint64_t bytes = 0;
+                        for (const CertRecord& cert : certs.chunk(c)) {
+                          if (!cert_within_limits(cert)) return;
+                          bytes += serialized_cert_bytes(cert);
+                        }
+                        table_chunk_bytes[c] = bytes;
+                        table_chunk_ok[c] = 1;
+                      }
+                    });
   std::vector<std::uint64_t> chunk_bytes(n_chunks, 0);
   for (std::size_t c = 0; c < certs.chunk_count(); ++c) {
-    std::uint64_t& bytes = chunk_bytes[c / kTableChunksPerFrame];
-    for (const CertRecord& cert : certs.chunk(c)) {
-      if (!cert_within_limits(cert)) return false;
-      bytes += serialized_cert_bytes(cert);
-    }
+    if (!table_chunk_ok[c]) return false;
+    chunk_bytes[c / kTableChunksPerFrame] += table_chunk_bytes[c];
   }
   for (const std::uint64_t bytes : chunk_bytes) {
     if (bytes > kMaxFrameBytes) return false;
@@ -327,37 +352,6 @@ bool save_frames(const ScanArchive& archive, std::ostream& out) {
   for (const ScanData& scan : scans) {
     if (scan.observations.size() > kMaxObsPerScan) return false;
   }
-
-  util::ThreadPool& pool = util::ThreadPool::global();
-
-  // Shard serialization: cert chunks and scans each become one frame,
-  // rendered into index-addressed buffers — bit-identical output for any
-  // thread count, since only the schedule varies.
-  std::vector<std::string> cert_bufs(n_chunks);
-  std::vector<std::uint32_t> cert_crcs(n_chunks);
-  pool.parallel_for(n_chunks, 1, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t f = begin; f < end; ++f) {
-      const std::size_t lo = f * kTableChunksPerFrame;
-      const std::size_t hi =
-          std::min(lo + kTableChunksPerFrame, certs.chunk_count());
-      cert_bufs[f].reserve(chunk_bytes[f]);
-      for (std::size_t c = lo; c < hi; ++c) {
-        for (const CertRecord& cert : certs.chunk(c)) {
-          append_cert(cert_bufs[f], cert);
-        }
-      }
-      cert_crcs[f] = util::crc32(cert_bufs[f]);
-    }
-  });
-
-  std::vector<std::string> scan_bufs(scans.size());
-  std::vector<std::uint32_t> scan_crcs(scans.size());
-  pool.parallel_for(scans.size(), 1, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t s = begin; s < end; ++s) {
-      append_scan(scan_bufs[s], scans[s]);
-      scan_crcs[s] = util::crc32(scan_bufs[s]);
-    }
-  });
 
   out.write(kMagic, sizeof(kMagic));
   put(out, kVersion);
@@ -369,12 +363,37 @@ bool save_frames(const ScanArchive& archive, std::ostream& out) {
   put_buf<std::uint32_t>(header, static_cast<std::uint32_t>(kCertsPerFrame));
   write_frame(out, kFrameHeader, header, util::crc32(header));
 
-  for (std::size_t f = 0; f < n_chunks; ++f) {
-    write_frame(out, kFrameCerts, cert_bufs[f], cert_crcs[f]);
-  }
-  for (std::size_t s = 0; s < scans.size(); ++s) {
-    write_frame(out, kFrameScan, scan_bufs[s], scan_crcs[s]);
-  }
+  // Cert chunks and then scans each become one frame. Frames are encoded
+  // on the pool into a window of reused buffers and written here in frame
+  // order while later frames still encode: the bytes are the same for
+  // every thread count, and at most `window` encoded frames are held.
+  const std::size_t window = 2 * pool.size();
+  std::vector<EncodedFrame> ring(window);
+  const auto encode = [&](std::size_t f) {
+    EncodedFrame& frame = ring[f % window];
+    frame.payload.clear();
+    if (f < n_chunks) {
+      frame.type = kFrameCerts;
+      frame.payload.reserve(chunk_bytes[f]);
+      const std::size_t lo = f * kTableChunksPerFrame;
+      const std::size_t hi =
+          std::min(lo + kTableChunksPerFrame, certs.chunk_count());
+      for (std::size_t c = lo; c < hi; ++c) {
+        for (const CertRecord& cert : certs.chunk(c)) {
+          append_cert(frame.payload, cert);
+        }
+      }
+    } else {
+      frame.type = kFrameScan;
+      append_scan(frame.payload, scans[f - n_chunks]);
+    }
+    frame.crc = util::crc32(frame.payload);
+  };
+  const auto write = [&](std::size_t f) {
+    const EncodedFrame& frame = ring[f % window];
+    write_frame(out, frame.type, frame.payload, frame.crc);
+  };
+  pool.ordered_for(n_chunks + scans.size(), window, encode, write);
 
   std::string end_marker;
   put_buf<std::uint64_t>(end_marker, certs.size());
@@ -461,7 +480,8 @@ std::optional<ScanArchive> load_frames(std::istream& in) {
 
   util::ThreadPool& pool = util::ThreadPool::global();
 
-  std::vector<std::vector<CertRecord>> parsed_certs(cert_frames.size());
+  std::vector<std::vector<CertTable::Segment>> parsed_certs(
+      cert_frames.size());
   std::vector<std::uint8_t> cert_ok(cert_frames.size(), 0);
   pool.parallel_for(cert_frames.size(), 1,
                     [&](std::size_t begin, std::size_t end) {
@@ -477,18 +497,14 @@ std::optional<ScanArchive> load_frames(std::istream& in) {
     if (!ok) return std::nullopt;
   }
 
+  // Every frame parsed: hand the segments to the table in file order (it
+  // takes their storage over while frames stay chunk-aligned) and index
+  // them. Ids follow file order, so a fingerprint seen twice fails.
   ScanArchive archive;
-  archive.reserve_certs(static_cast<std::size_t>(header.cert_count));
-  CertId next_id = 0;
-  for (std::vector<CertRecord>& chunk : parsed_certs) {
-    for (CertRecord& cert : chunk) {
-      if (archive.intern(std::move(cert)) != next_id) {
-        return std::nullopt;  // duplicate fingerprint
-      }
-      ++next_id;
+  for (std::vector<CertTable::Segment>& segments : parsed_certs) {
+    if (!archive.append_distinct(std::move(segments), pool)) {
+      return std::nullopt;  // duplicate fingerprint
     }
-    chunk.clear();
-    chunk.shrink_to_fit();
   }
 
   std::vector<ScanData> parsed_scans(scan_frames.size());
@@ -673,20 +689,22 @@ bool ArchiveReader::for_each_cert(const CertFn& fn) {
   if (state_ != State::kCerts) return false;
   CertId id = 0;
   const std::uint64_t n_chunks = (cert_count_ + cert_chunk_ - 1) / cert_chunk_;
-  std::vector<CertRecord> chunk;
+  std::vector<CertTable::Segment> segments;
   for (std::uint64_t f = 0; f < n_chunks; ++f) {
     RawFrame frame;
     const std::uint64_t lo = f * cert_chunk_;
     const std::uint64_t n =
         std::min<std::uint64_t>(cert_chunk_, cert_count_ - lo);
     if (!read_frame(in_, frame) || frame.type != kFrameCerts ||
-        !parse_cert_frame(frame, n, chunk)) {
+        !parse_cert_frame(frame, n, segments)) {
       state_ = State::kError;
       return false;
     }
-    for (const CertRecord& cert : chunk) {
-      if (fn) fn(id, cert);
-      ++id;
+    for (CertTable::Segment& segment : segments) {
+      for (std::size_t i = 0; i < segment.size(); ++i) {
+        if (fn) fn(id, segment[i]);
+        ++id;
+      }
     }
   }
   state_ = State::kScans;

@@ -7,6 +7,7 @@
 #include <optional>
 #include <span>
 #include <stdexcept>
+#include <unordered_map>
 
 #include "pki/verifier.h"
 #include "scan/permutation.h"
@@ -115,15 +116,15 @@ struct PlannedHit {
 };
 
 /// Everything one device contributes to one scan, computed in the parallel
-/// plan phase and applied by the serial commit. Buffers are reused across
-/// scans (clear keeps capacity).
+/// plan phase and applied by the commit. Buffers are reused across scans
+/// (clear keeps capacity).
 struct DevicePlan {
   std::vector<scan::CertRecord> issues;
   std::vector<PlannedHit> hits;
   std::uint32_t dropped = 0;
-  // Filled by the commit: the archive id of each issue, and where this
-  // device's observations start in the scan.
-  std::vector<scan::CertId> issue_ids;
+  // Filled by the commit: where this device's issues start in the scan's
+  // interned batch, and where its observations start in the scan.
+  std::size_t first_issue = 0;
   std::size_t first_observation = 0;
 };
 
@@ -262,6 +263,9 @@ class World::Impl {
 
   // Per-scan plan buffers, indexed by device id (reused across scans).
   std::vector<DevicePlan> plans_;
+  // One scan's issues in device order, and the archive id of each.
+  std::vector<scan::CertRecord*> issues_;
+  std::vector<scan::CertId> issue_ids_;
   std::vector<MoveDecision> moves_;
 
   WorldResult result_;
@@ -884,20 +888,22 @@ void World::Impl::run_scan(std::size_t scan_index,
 
   // Commit phase, in canonical device order — the sequence the serial
   // loop produced, so archive ids and bytes are identical at any thread
-  // count. Interning assigns ids, so it stays serial; each device's
+  // count. The scan's issues are interned as one batch (ids in device
+  // order, records moved into the table on the pool); each device's
   // observations then go to an offset fixed by the running hit count, and
   // those writes shard across the pool.
   std::size_t hits = 0;
+  issues_.clear();
   for (DevicePlan& plan : plans_) {
     result_.dropped_lease_intervals += plan.dropped;
     plan.first_observation = hits;
     hits += plan.hits.size();
-    plan.issue_ids.clear();
-    for (scan::CertRecord& issue : plan.issues) {
-      plan.issue_ids.push_back(result_.archive.intern(std::move(issue)));
-    }
-    result_.issued_certificates += plan.issues.size();
+    plan.first_issue = issues_.size();
+    for (scan::CertRecord& issue : plan.issues) issues_.push_back(&issue);
   }
+  result_.issued_certificates += issues_.size();
+  issue_ids_.resize(issues_.size());
+  result_.archive.intern_all(issues_, issue_ids_, workers_);
   scan::ScanData scan{event, std::vector<scan::Observation>(hits)};
   workers_.parallel_for(
       devices_.size(), 256, [&](std::size_t begin, std::size_t end) {
@@ -908,8 +914,8 @@ void World::Impl::run_scan(std::size_t scan_index,
               scan.observations.data() + plan.first_observation;
           for (const PlannedHit& hit : plan.hits) {
             if (hit.issue_index >= 0) {
-              d.current_cert =
-                  plan.issue_ids[static_cast<std::size_t>(hit.issue_index)];
+              d.current_cert = issue_ids_[plan.first_issue +
+                                          static_cast<std::size_t>(hit.issue_index)];
             }
             *out++ = scan::Observation{d.current_cert, hit.ip,
                                        static_cast<scan::DeviceId>(i)};
@@ -945,24 +951,56 @@ void World::Impl::build_revocation() {
   auto ecosystem = std::make_shared<revocation::Ecosystem>(eco);
   // Every CA is a publisher, and every CA certificate is store-resident
   // (roots in the root store, intermediates and vendor CAs in the
-  // intermediate pool), so clients can verify every CRL signature.
-  for (const CaEntry& root : root_cas_) {
-    ecosystem->add_authority(root.cert.subject.to_string(), root.cert,
-                             root.key, /*trusted=*/true);
-  }
+  // intermediate pool), so clients can verify every CRL signature. Each
+  // issuer key is resolved to its handle once here.
+  using AuthorityId = revocation::Ecosystem::AuthorityId;
+  std::unordered_map<std::string, AuthorityId> authority_of_dn;
+  const auto add_authority = [&](const CaEntry& ca) {
+    std::string issuer_key = ca.cert.subject.to_string();
+    ecosystem->add_authority(issuer_key, ca.cert, ca.key, /*trusted=*/true);
+    if (const std::optional<AuthorityId> id =
+            ecosystem->authority_id(issuer_key)) {
+      authority_of_dn.emplace(std::move(issuer_key), *id);
+    }
+  };
+  for (const CaEntry& root : root_cas_) add_authority(root);
   for (const auto& [name, entry] : trusted_intermediates_) {
-    ecosystem->add_authority(entry.cert.subject.to_string(), entry.cert,
-                             entry.key, /*trusted=*/true);
+    add_authority(entry);
   }
-  for (const auto& [name, entry] : vendor_cas_) {
-    ecosystem->add_authority(entry.cert.subject.to_string(), entry.cert,
-                             entry.key, /*trusted=*/true);
-  }
+  for (const auto& [name, entry] : vendor_cas_) add_authority(entry);
+
+  // Register every certificate under its issuer: find each record's
+  // authority on the pool, bucket the records by authority, then register
+  // each authority's bucket on the pool (registration under distinct
+  // authorities may run concurrently). Self-signed devices name no
+  // authority and are skipped, as add_certificate would skip them.
   const scan::CertTable& certs = result_.archive.certs();
-  for (const scan::CertRecord& rec : certs) {
-    ecosystem->add_certificate(rec.issuer_dn, rec.serial_hex, rec.not_before);
+  constexpr AuthorityId kNone = static_cast<AuthorityId>(-1);
+  std::vector<AuthorityId> authority(certs.size(), kNone);
+  workers_.parallel_for(
+      certs.size(), 1024, [&](std::size_t begin, std::size_t end) {
+        for (std::size_t i = begin; i < end; ++i) {
+          const auto it = authority_of_dn.find(certs[i].issuer_dn);
+          if (it != authority_of_dn.end()) authority[i] = it->second;
+        }
+      });
+  std::vector<std::vector<std::uint32_t>> bucket(authority_of_dn.size());
+  for (std::size_t i = 0; i < certs.size(); ++i) {
+    if (authority[i] != kNone) {
+      bucket[authority[i]].push_back(static_cast<std::uint32_t>(i));
+    }
   }
-  ecosystem->publish();
+  workers_.parallel_for(
+      bucket.size(), 1, [&](std::size_t begin, std::size_t end) {
+        for (std::size_t a = begin; a < end; ++a) {
+          for (const std::uint32_t i : bucket[a]) {
+            ecosystem->add_certificate(static_cast<AuthorityId>(a),
+                                       certs[i].serial_hex,
+                                       certs[i].not_before);
+          }
+        }
+      });
+  ecosystem->publish(&workers_);
 
   // Mechanism pass: the same BatchVerifier that classified every issued
   // certificate now fetches, parses and signature-checks the published

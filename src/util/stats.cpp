@@ -66,8 +66,13 @@ std::vector<std::pair<double, double>> EmpiricalCdf::curve(
   return pts;
 }
 
-void Counter::add(const std::string& key, std::uint64_t weight) {
-  counts_[key] += weight;
+void Counter::add(std::string_view key, std::uint64_t weight) {
+  const auto it = counts_.find(key);
+  if (it != counts_.end()) {
+    it->second += weight;
+  } else {
+    counts_.emplace(key, weight);
+  }
   total_ += weight;
 }
 
@@ -75,15 +80,20 @@ std::vector<std::pair<std::string, std::uint64_t>> Counter::top(
     std::size_t n) const {
   std::vector<std::pair<std::string, std::uint64_t>> items(counts_.begin(),
                                                            counts_.end());
-  std::sort(items.begin(), items.end(), [](const auto& a, const auto& b) {
+  // Keys are distinct, so this order is total: the result does not depend
+  // on the map's iteration order.
+  const auto heavier = [](const auto& a, const auto& b) {
     if (a.second != b.second) return a.second > b.second;
     return a.first < b.first;
-  });
-  if (items.size() > n) items.resize(n);
+  };
+  n = std::min(n, items.size());
+  std::partial_sort(items.begin(), items.begin() + static_cast<std::ptrdiff_t>(n),
+                    items.end(), heavier);
+  items.resize(n);
   return items;
 }
 
-std::uint64_t Counter::count(const std::string& key) const {
+std::uint64_t Counter::count(std::string_view key) const {
   const auto it = counts_.find(key);
   return it == counts_.end() ? 0 : it->second;
 }

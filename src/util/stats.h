@@ -4,8 +4,10 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
+#include <functional>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 namespace sm::util {
@@ -44,8 +46,19 @@ class EmpiricalCdf {
 /// Counts occurrences of string keys and reports the top-N.
 class Counter {
  public:
+  /// String hashing that also accepts string_views, so add() and count()
+  /// look a key up without building a std::string.
+  struct KeyHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view key) const {
+      return std::hash<std::string_view>{}(key);
+    }
+  };
+  using Map =
+      std::unordered_map<std::string, std::uint64_t, KeyHash, std::equal_to<>>;
+
   /// Adds `weight` occurrences of `key`.
-  void add(const std::string& key, std::uint64_t weight = 1);
+  void add(std::string_view key, std::uint64_t weight = 1);
 
   /// Total weight added across all keys.
   std::uint64_t total() const { return total_; }
@@ -58,16 +71,17 @@ class Counter {
   std::vector<std::pair<std::string, std::uint64_t>> top(std::size_t n) const;
 
   /// Count for a specific key (0 if absent).
-  std::uint64_t count(const std::string& key) const;
+  std::uint64_t count(std::string_view key) const;
 
   /// Smallest number of keys whose combined weight reaches
   /// `fraction * total()`.
   std::size_t keys_to_cover(double fraction) const;
 
-  const std::map<std::string, std::uint64_t>& raw() const { return counts_; }
+  /// Every (key, count) pair, in no particular order.
+  const Map& raw() const { return counts_; }
 
  private:
-  std::map<std::string, std::uint64_t> counts_;
+  Map counts_;
   std::uint64_t total_ = 0;
 };
 

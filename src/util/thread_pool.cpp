@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <memory>
 
 namespace sm::util {
@@ -70,6 +71,57 @@ struct Job {
         }
       }
     }
+  }
+};
+
+// One ordered_for invocation: `next` is the next index to produce,
+// `consumed` the number consumed, and ready[i % window] marks a produced
+// index. Everything is guarded by `mutex`.
+struct OrderedJob {
+  std::size_t n = 0;
+  std::size_t window = 1;
+  const std::function<void(std::size_t)>* produce = nullptr;
+  std::mutex mutex;
+  std::condition_variable changed;
+  std::size_t next = 0;
+  std::size_t consumed = 0;
+  std::vector<std::uint8_t> ready;
+  std::size_t pending_tasks = 0;
+  std::exception_ptr error;
+
+  bool may_produce() const { return next < n && next < consumed + window; }
+
+  // Produces one claimed index, recording the first error. Called and
+  // returns with `lock` held.
+  void produce_one(std::unique_lock<std::mutex>& lock) {
+    const std::size_t i = next++;
+    lock.unlock();
+    std::exception_ptr thrown;
+    try {
+      (*produce)(i);
+    } catch (...) {
+      thrown = std::current_exception();
+    }
+    lock.lock();
+    if (thrown) {
+      if (!error) error = thrown;
+    } else {
+      ready[i % window] = 1;
+    }
+    changed.notify_all();
+  }
+
+  // A worker's share: produce while the window allows, until every index
+  // was claimed or a task failed.
+  void run_producer() {
+    std::unique_lock<std::mutex> lock(mutex);
+    for (;;) {
+      changed.wait(lock, [&] { return may_produce() || next >= n || error; });
+      if (next >= n || error) break;
+      produce_one(lock);
+    }
+    --pending_tasks;
+    changed.notify_all();
   }
 };
 
@@ -161,6 +213,73 @@ void ThreadPool::parallel_for(
   // Move the exception out of the Job before rethrowing: worker closures
   // may destroy their Job reference after we return, and the exception
   // object must only ever be touched from this thread.
+  std::exception_ptr error = std::move(job->error);
+  job->error = nullptr;
+  lock.unlock();
+  if (error) std::rethrow_exception(error);
+}
+
+void ThreadPool::ordered_for(std::size_t n, std::size_t window,
+                             const std::function<void(std::size_t)>& produce,
+                             const std::function<void(std::size_t)>& consume) {
+  if (n == 0) return;
+  if (size_ <= 1 || n == 1 || t_in_worker) {
+    for (std::size_t i = 0; i < n; ++i) {
+      produce(i);
+      consume(i);
+    }
+    return;
+  }
+
+  auto job = std::make_shared<OrderedJob>();
+  job->n = n;
+  job->window = std::max<std::size_t>(1, window);
+  job->produce = &produce;
+  job->ready.assign(job->window, 0);
+  const std::size_t helpers = std::min(workers_.size(), n - 1);
+  job->pending_tasks = helpers;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    for (std::size_t i = 0; i < helpers; ++i) {
+      queue_.push_back(Task{[job] { job->run_producer(); }});
+    }
+  }
+  wake_.notify_all();
+
+  // The caller consumes in order, and produces itself whenever the next
+  // index to consume is not ready yet and the window allows.
+  std::unique_lock<std::mutex> lock(job->mutex);
+  while (job->consumed < n && !job->error) {
+    const std::size_t slot = job->consumed % job->window;
+    if (job->ready[slot]) {
+      lock.unlock();
+      std::exception_ptr thrown;
+      try {
+        consume(job->consumed);
+      } catch (...) {
+        thrown = std::current_exception();
+      }
+      lock.lock();
+      if (thrown) {
+        if (!job->error) job->error = thrown;
+        break;
+      }
+      job->ready[slot] = 0;
+      ++job->consumed;
+      job->changed.notify_all();
+    } else if (job->may_produce()) {
+      job->produce_one(lock);
+    } else {
+      job->changed.wait(lock, [&] {
+        return job->ready[job->consumed % job->window] || job->error;
+      });
+    }
+  }
+  // On error, stop the producers from claiming more and wait them out:
+  // they reference `produce`, which lives in the caller's frame.
+  if (job->error) job->next = n;
+  job->changed.notify_all();
+  job->changed.wait(lock, [&] { return job->pending_tasks == 0; });
   std::exception_ptr error = std::move(job->error);
   job->error = nullptr;
   lock.unlock();

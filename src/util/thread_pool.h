@@ -43,6 +43,19 @@ class ThreadPool {
   void parallel_for(std::size_t n, std::size_t chunk,
                     const std::function<void(std::size_t, std::size_t)>& fn);
 
+  /// Runs `produce(i)` for every i in [0, n) on the workers and the caller,
+  /// and `consume(i)` on the calling thread only, strictly in index order,
+  /// while later indices are still being produced. Index i is produced only
+  /// once index i - window was consumed, so at most `window` (>= 1)
+  /// produced-but-unconsumed results exist at a time; a producer slot may
+  /// therefore be addressed as i % window. Blocks until every index was
+  /// consumed. If a produce or consume throws, no later index is consumed
+  /// and the first exception (in time) is rethrown. Runs serially
+  /// (produce(i), consume(i), ...) on a pool of size 1 or inside a worker.
+  void ordered_for(std::size_t n, std::size_t window,
+                   const std::function<void(std::size_t)>& produce,
+                   const std::function<void(std::size_t)>& consume);
+
   /// The process-wide pool, created on first use with
   /// `global_thread_count()` workers.
   static ThreadPool& global();

@@ -7,6 +7,7 @@
 // archive_corruption_test.cpp.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -407,6 +408,123 @@ TEST(ParallelArchiveIo, BitIdenticalAcrossThreadCounts) {
     const auto loaded = load_archive(in);
     ASSERT_TRUE(loaded.has_value()) << "threads=" << threads;
     expect_equal(world.archive, *loaded);
+  }
+  util::ThreadPool::set_global_threads(0);
+}
+
+// --- binary: frame layout the writer does not produce --------------------------
+
+// The cert-frame payload of one record: the writer's own encoding, cut out
+// of a one-record archive (magic and version, then the header frame, then
+// the cert frame).
+std::string record_payload(const CertRecord& rec) {
+  ScanArchive one;
+  one.intern(rec);
+  const std::string bytes = save_to_string(one);
+  std::size_t at = 8;
+  std::uint64_t size = 0;
+  std::memcpy(&size, bytes.data() + at + 1, sizeof(size));
+  at += 1 + sizeof(size) + size + sizeof(std::uint32_t);
+  std::memcpy(&size, bytes.data() + at + 1, sizeof(size));
+  return bytes.substr(at + 1 + sizeof(size), size);
+}
+
+template <typename T>
+void put_raw(std::string& out, T value) {
+  out.append(reinterpret_cast<const char*>(&value), sizeof(value));
+}
+
+void put_frame(std::string& out, char type, const std::string& payload) {
+  out.push_back(type);
+  put_raw<std::uint64_t>(out, payload.size());
+  out += payload;
+  put_raw<std::uint32_t>(out, util::crc32(payload));
+}
+
+// A scan-less SMAR v2 archive of `records` whose cert frames hold
+// `cert_chunk` records each (the last one the rest).
+std::string smar_with_chunk(const std::vector<CertRecord>& records,
+                            std::uint32_t cert_chunk) {
+  std::string out = "SMAR";
+  put_raw<std::uint32_t>(out, 2);
+  std::string header;
+  put_raw<std::uint64_t>(header, records.size());
+  put_raw<std::uint64_t>(header, 0);
+  put_raw<std::uint64_t>(header, 0);
+  put_raw<std::uint32_t>(header, cert_chunk);
+  put_frame(out, 'H', header);
+  for (std::size_t lo = 0; lo < records.size(); lo += cert_chunk) {
+    std::string payload;
+    for (std::size_t i = lo; i < std::min(records.size(), lo + cert_chunk); ++i) {
+      payload += record_payload(records[i]);
+    }
+    put_frame(out, 'C', payload);
+  }
+  std::string end;
+  put_raw<std::uint64_t>(end, records.size());
+  put_raw<std::uint64_t>(end, 0);
+  put_raw<std::uint64_t>(end, 0);
+  put_frame(out, 'E', end);
+  return out;
+}
+
+std::vector<CertRecord> sample_records(std::size_t n) {
+  std::vector<CertRecord> records;
+  for (std::size_t i = 0; i < n; ++i) records.push_back(sample_record(i));
+  return records;
+}
+
+TEST(BinaryFormat, LoadsCertFramesThatSplitTableChunks) {
+  // 1000 records per frame: frames end inside the table's chunks, and the
+  // last frame is short.
+  const std::vector<CertRecord> records = sample_records(2500);
+  const std::string bytes = smar_with_chunk(records, 1000);
+  for (const std::size_t threads : {1u, 4u}) {
+    util::ThreadPool::set_global_threads(threads);
+    std::stringstream in(bytes);
+    const auto loaded = load_archive(in);
+    ASSERT_TRUE(loaded.has_value()) << "threads=" << threads;
+    ASSERT_EQ(loaded->certs().size(), records.size());
+    for (std::size_t i = 0; i < records.size(); ++i) {
+      ASSERT_EQ(loaded->cert(static_cast<CertId>(i)).fingerprint,
+                records[i].fingerprint)
+          << "id " << i;
+      ASSERT_EQ(loaded->cert(static_cast<CertId>(i)).subject_cn,
+                records[i].subject_cn);
+    }
+  }
+  util::ThreadPool::set_global_threads(0);
+}
+
+TEST(BinaryFormat, RejectsDuplicateFingerprintAcrossFrames) {
+  // Record 1700 (third frame) repeats record 10's fingerprint (first
+  // frame); ids could no longer follow file order, so the load fails.
+  std::vector<CertRecord> records = sample_records(2500);
+  records[1700].fingerprint = records[10].fingerprint;
+  for (const std::uint32_t cert_chunk : {1000u, 8192u}) {
+    const std::string bytes = smar_with_chunk(records, cert_chunk);
+    for (const std::size_t threads : {1u, 4u}) {
+      util::ThreadPool::set_global_threads(threads);
+      EXPECT_FALSE(loads(bytes))
+          << "cert_chunk=" << cert_chunk << " threads=" << threads;
+    }
+  }
+  util::ThreadPool::set_global_threads(0);
+}
+
+TEST(BinaryFormat, SaveWritesNothingWhenALateFrameBreaksALimit) {
+  // The bad record sits in the archive's second cert frame: the limits
+  // pass must reject it before the first frame is written.
+  ScanArchive archive;
+  for (std::uint64_t i = 0; i < 8192 + 10; ++i) archive.intern(sample_record(i));
+  CertRecord bad = sample_record(1u << 20);
+  bad.san.assign((1u << 16) + 1, "x");
+  archive.intern(bad);
+  for (const std::size_t threads : {1u, 4u}) {
+    util::ThreadPool::set_global_threads(threads);
+    std::ostringstream out;
+    EXPECT_FALSE(save_archive(archive, out)) << "threads=" << threads;
+    EXPECT_TRUE(out.str().empty()) << "threads=" << threads;
   }
   util::ThreadPool::set_global_threads(0);
 }

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "scan/cert_table.h"
+#include "util/thread_pool.h"
 
 namespace sm::scan {
 namespace {
@@ -89,6 +90,35 @@ TEST(CertTableTest, CopiesAreIndependentAtChunkBoundaries) {
           holds(original[n + i], static_cast<std::uint32_t>(900000 + i)));
     }
     expect_holds_prefix(copy, n + kChunk + 2);
+  }
+}
+
+// A bulk append equals that many push_backs, from any starting size, and
+// leaves a copy that shares the old tail chunk untouched.
+TEST(CertTableTest, AppendMovedMatchesPushBacks) {
+  for (const std::size_t threads : {1u, 4u}) {
+    util::ThreadPool pool(threads);
+    for (const std::size_t n : {std::size_t{0}, kChunk - 3, kChunk}) {
+      for (const std::size_t add : {std::size_t{1}, std::size_t{5}, 3 * kChunk + 7}) {
+        SCOPED_TRACE(testing::Message() << "threads " << threads << " size "
+                                        << n << " add " << add);
+        CertTable table = table_of(n);
+        const CertTable copy = table;
+        std::vector<CertRecord> source;
+        for (std::size_t i = n; i < n + add; ++i) {
+          source.push_back(record(static_cast<std::uint32_t>(i)));
+        }
+        table.append_moved(add, pool, [&](std::size_t i) -> CertRecord& {
+          return source[i];
+        });
+        expect_holds_prefix(table, n + add);
+        EXPECT_EQ(table.chunk_count(), (n + add + kChunk - 1) / kChunk);
+        expect_holds_prefix(copy, n);
+        // push_back continues where the bulk append stopped.
+        table.push_back(record(static_cast<std::uint32_t>(n + add)));
+        expect_holds_prefix(table, n + add + 1);
+      }
+    }
   }
 }
 

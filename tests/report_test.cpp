@@ -1,9 +1,10 @@
-// Tests for sm::report — section selection and content sanity of the
-// consolidated text report.
+// Tests for sm::report — section selection, content sanity of the
+// consolidated text report, and identical text at every pool size.
 #include <gtest/gtest.h>
 
 #include "report/report.h"
 #include "simworld/world.h"
+#include "util/thread_pool.h"
 
 namespace sm::report {
 namespace {
@@ -75,6 +76,25 @@ TEST_F(ReportWorld, TopNControlsTableSize) {
     if (report.compare(pos, 3, "\n  ") == 0) ++rows;
   }
   EXPECT_EQ(rows, 2u);
+}
+
+TEST_F(ReportWorld, TextIsIdenticalAtOneAndFourThreads) {
+  // The analyses run concurrently into slots; every section, the
+  // revocation table and the linking/tracking summaries included, must
+  // come out byte for byte the same whatever the pool size.
+  ReportOptions options;
+  options.linking = true;
+  options.tracking = true;
+  options.revocation_statuses = &world_->revocation.statuses;
+  util::ThreadPool::set_global_threads(1);
+  const std::string reference = render_report(*index_, world_->as_db, options);
+  EXPECT_NE(reference.find("-- revocation"), std::string::npos);
+  util::ThreadPool::set_global_threads(4);
+  for (int run = 0; run < 3; ++run) {
+    EXPECT_EQ(render_report(*index_, world_->as_db, options), reference)
+        << "run " << run;
+  }
+  util::ThreadPool::set_global_threads(0);
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include "scan/prefix_set.h"
 #include "scan/schedule.h"
 #include "util/prng.h"
+#include "util/thread_pool.h"
 #include "x509/builder.h"
 
 namespace sm::scan {
@@ -317,6 +318,65 @@ TEST(Archive, FingerprintIndexGrowsAcrossRehashes) {
   for (int i = 0; i < 1000; ++i) {
     CertId found = 0;
     EXPECT_FALSE(archive.find(random_fingerprint(rng), found));
+  }
+}
+
+TEST(Archive, InternAllMatchesOneByOneIntern) {
+  // One scan's batch as the world commit builds it: two devices issue the
+  // same fingerprint in it (a factory-static batch), and some records
+  // repeat fingerprints already in the table. The batch gets the ids that
+  // one intern() per record gives, at every pool size.
+  util::Rng rng(21);
+  std::vector<CertFingerprint> known, batch;
+  for (int i = 0; i < 3000; ++i) known.push_back(random_fingerprint(rng));
+  for (int i = 0; i < 2500; ++i) {
+    const std::uint64_t pick = rng.below(4);
+    if (pick == 0) {
+      batch.push_back(known[rng.below(known.size())]);
+    } else if (pick == 1 && !batch.empty()) {
+      batch.push_back(batch[rng.below(batch.size())]);
+    } else {
+      batch.push_back(random_fingerprint(rng));
+    }
+  }
+  ScanArchive serial;
+  for (const CertFingerprint& fp : known) serial.intern(record_with_fingerprint(fp));
+  std::vector<CertId> expected;
+  for (const CertFingerprint& fp : batch) {
+    expected.push_back(serial.intern(record_with_fingerprint(fp)));
+  }
+  for (const std::size_t threads : {1u, 4u}) {
+    util::ThreadPool pool(threads);
+    ScanArchive archive;
+    for (const CertFingerprint& fp : known) {
+      archive.intern(record_with_fingerprint(fp));
+    }
+    std::vector<CertRecord> records;
+    for (const CertFingerprint& fp : batch) {
+      records.push_back(record_with_fingerprint(fp));
+      records.back().subject_cn = "a name too long for the inline buffer";
+    }
+    std::vector<CertRecord*> pointers;
+    for (CertRecord& rec : records) pointers.push_back(&rec);
+    std::vector<CertId> ids(pointers.size());
+    archive.intern_all(pointers, ids, pool);
+    EXPECT_EQ(ids, expected) << "threads=" << threads;
+    ASSERT_EQ(archive.certs().size(), serial.certs().size());
+    for (std::size_t id = 0; id < archive.certs().size(); ++id) {
+      ASSERT_EQ(archive.cert(static_cast<CertId>(id)).fingerprint,
+                serial.cert(static_cast<CertId>(id)).fingerprint)
+          << "id " << id;
+      if (id >= known.size()) {
+        EXPECT_EQ(archive.cert(static_cast<CertId>(id)).subject_cn,
+                  "a name too long for the inline buffer");
+      }
+    }
+    // Later single interns still find every batch record.
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      CertId found = 0;
+      ASSERT_TRUE(archive.find(batch[i], found));
+      EXPECT_EQ(found, expected[i]);
+    }
   }
 }
 

@@ -1,10 +1,13 @@
 // Tests for sm::util::ThreadPool — shutdown, parallel_for coverage and
-// deterministic ordering, exception propagation, and the nested-use guard.
+// deterministic ordering, exception propagation, the nested-use guard, and
+// ordered_for's in-order consumption on the caller within its window.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "util/thread_pool.h"
@@ -137,6 +140,67 @@ TEST(ThreadPool, NestedUseRunsInline) {
   for (std::size_t i = 0; i < sums.size(); ++i) {
     EXPECT_EQ(sums[i], i * 1000 * 100 + 4950);
   }
+}
+
+TEST(ThreadPool, OrderedForConsumesInOrderOnTheCaller) {
+  // Producers fill index-addressed ring slots; the caller alone consumes,
+  // in index order, and never sees more than `window` produced results
+  // waiting.
+  for (const std::size_t threads : {1u, 2u, 4u}) {
+    for (const std::size_t window : {1u, 3u, 8u}) {
+      ThreadPool pool(threads);
+      const std::size_t n = 200;
+      std::vector<std::uint64_t> ring(window, 0);
+      std::atomic<std::size_t> produced{0};
+      std::vector<std::uint64_t> consumed;
+      bool off_caller = false;
+      std::size_t max_waiting = 0;
+      const std::thread::id caller = std::this_thread::get_id();
+      pool.ordered_for(
+          n, window,
+          [&](std::size_t i) {
+            ring[i % window] = i * i + 1;
+            ++produced;
+          },
+          [&](std::size_t i) {
+            if (std::this_thread::get_id() != caller) off_caller = true;
+            max_waiting = std::max(max_waiting, produced.load() - i);
+            consumed.push_back(ring[i % window]);
+          });
+      ASSERT_EQ(consumed.size(), n);
+      for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(consumed[i], i * i + 1);
+      EXPECT_FALSE(off_caller);
+      EXPECT_LE(max_waiting, window);
+    }
+  }
+}
+
+TEST(ThreadPool, OrderedForStopsAtTheFirstError) {
+  ThreadPool pool(4);
+  std::vector<std::size_t> consumed;
+  EXPECT_THROW(pool.ordered_for(
+                   100, 4,
+                   [&](std::size_t i) {
+                     if (i == 37) throw std::runtime_error("produce 37");
+                   },
+                   [&](std::size_t i) { consumed.push_back(i); }),
+               std::runtime_error);
+  ASSERT_LE(consumed.size(), 37u);
+  for (std::size_t i = 0; i < consumed.size(); ++i) EXPECT_EQ(consumed[i], i);
+
+  consumed.clear();
+  EXPECT_THROW(pool.ordered_for(
+                   100, 4, [](std::size_t) {},
+                   [&](std::size_t i) {
+                     if (i == 5) throw std::runtime_error("consume 5");
+                     consumed.push_back(i);
+                   }),
+               std::runtime_error);
+  EXPECT_EQ(consumed.size(), 5u);
+  // The pool still works afterwards.
+  std::atomic<int> hits{0};
+  pool.ordered_for(10, 2, [&](std::size_t) { ++hits; }, [](std::size_t) {});
+  EXPECT_EQ(hits.load(), 10);
 }
 
 TEST(ThreadPool, GlobalPoolConfigurable) {

@@ -491,6 +491,44 @@ TEST(Counter, KeysToCover) {
   EXPECT_EQ(c.keys_to_cover(1.0), 4u);
 }
 
+TEST(Counter, TopBreaksTiesByKeyLexicographically) {
+  // Top ASes are decimal strings: among equal counts "10" sorts before
+  // "9", whatever order the keys were added in.
+  Counter c;
+  for (const char* key : {"9", "700", "10", "65000", "3"}) c.add(key, 4);
+  c.add("2", 5);
+  c.add("1");
+  const auto top = c.top(4);
+  ASSERT_EQ(top.size(), 4u);
+  EXPECT_EQ(top[0], (std::pair<std::string, std::uint64_t>{"2", 5}));
+  EXPECT_EQ(top[1].first, "10");
+  EXPECT_EQ(top[2].first, "3");
+  EXPECT_EQ(top[3].first, "65000");
+  // n beyond the key count returns every key, still in that order.
+  const auto all = c.top(100);
+  ASSERT_EQ(all.size(), 7u);
+  EXPECT_EQ(all[4].first, "700");
+  EXPECT_EQ(all[5].first, "9");
+  EXPECT_EQ(all[6].first, "1");
+  EXPECT_TRUE(c.top(0).empty());
+  EXPECT_TRUE(Counter().top(3).empty());
+}
+
+TEST(Counter, KeysToCoverWithTiesAndEdges) {
+  Counter c;
+  EXPECT_EQ(c.keys_to_cover(0.5), 0u);
+  for (const char* key : {"d", "a", "c", "b"}) c.add(key, 25);
+  EXPECT_EQ(c.keys_to_cover(0.0), 0u);
+  EXPECT_EQ(c.keys_to_cover(0.25), 1u);
+  EXPECT_EQ(c.keys_to_cover(0.26), 2u);
+  EXPECT_EQ(c.keys_to_cover(1.0), 4u);
+  // Weights added in pieces count once per key.
+  c.add("a", 100);
+  EXPECT_EQ(c.distinct(), 4u);
+  EXPECT_EQ(c.count(std::string_view("a")), 125u);
+  EXPECT_EQ(c.keys_to_cover(0.6), 1u);
+}
+
 TEST(CoverageCurve, UniformKeysAreLinear) {
   const auto pts = coverage_curve({1, 1, 1, 1}, 100);
   for (const auto& [x, y] : pts) EXPECT_DOUBLE_EQ(x, y);
