@@ -14,7 +14,8 @@
 # then an AddressSanitizer build running the archive I/O and notary-frame
 # corruption harnesses (exhaustive truncation + bit-flip sweeps over
 # hostile input), the shared cert-table chunks, plus the world-determinism
-# test.
+# test, then an UndefinedBehaviorSanitizer build over the socket, archive,
+# DER/X.509/CRL parsing and robustness tests.
 #
 # The simworld_parallel_test golden-hash determinism check runs under BOTH
 # sanitizer configs: any thread-count divergence in the simulated archive
@@ -181,6 +182,21 @@ if [[ "$run_asan" == 1 ]]; then
     ./build-asan/tests/"$t" --gtest_brief=1
   done
 fi
+
+ubsan_tests=(netio_test archive_io_test asn1_test x509_test crl_test
+             robustness_test)
+echo "== tier 1: UBSan build (sockets, archive I/O, DER/X.509/CRL parsing, robustness) =="
+# The vptr check is off: it misfires inside std::shared_ptr whenever the
+# process's fd table is full, which netio_test's
+# EchoServerTest.PartialStartFailureLeaksNoFds brings about on purpose.
+cmake -B build-ubsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+    "-DCMAKE_CXX_FLAGS=-fsanitize=undefined -fno-sanitize-recover=undefined -fno-sanitize=vptr" \
+    >/dev/null
+cmake --build build-ubsan -j --target "${ubsan_tests[@]}" >/dev/null
+for t in "${ubsan_tests[@]}"; do
+  echo "-- $t (ubsan)"
+  ./build-ubsan/tests/"$t" --gtest_brief=1
+done
 
 if [[ "$run_bench" == 1 ]]; then
   echo "== tier 1: bench regression check (notary/router vs committed baselines) =="

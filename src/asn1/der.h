@@ -112,12 +112,6 @@ class DerWriter {
   /// UTF8String.
   void utf8_string(std::string_view s);
 
-  /// PrintableString (no character-set check; callers pass known-safe text).
-  void printable_string(std::string_view s);
-
-  /// IA5String (used for dNSName / URI).
-  void ia5_string(std::string_view s);
-
   /// Time as UTCTime when the year fits 1950-2049, else GeneralizedTime —
   /// exactly the RFC 5280 rule. Years > 9999 are clamped to 9999-12-31
   /// because GeneralizedTime cannot represent them.
@@ -135,11 +129,6 @@ class DerWriter {
 
   util::Bytes out_;
 };
-
-/// Decodes a named-bit BIT STRING back into a bit mask (bit i of the
-/// result = named bit i). Returns nullopt on malformed input or more than
-/// 32 named bits.
-std::optional<std::uint32_t> decode_named_bit_string(util::BytesView content);
 
 // --- Reading ----------------------------------------------------------------
 

@@ -165,34 +165,6 @@ std::optional<std::string> Reader::read_string() {
   return util::to_string(tlv->content);
 }
 
-std::optional<std::uint32_t> decode_named_bit_string(util::BytesView content) {
-  if (content.empty()) return std::nullopt;
-  const std::uint8_t unused = content[0];
-  if (unused > 7) return std::nullopt;
-  if (content.size() == 1) {
-    return unused == 0 ? std::optional<std::uint32_t>(0) : std::nullopt;
-  }
-  if (content.size() > 5) return std::nullopt;  // > 32 named bits
-  std::uint32_t bits = 0;
-  const std::size_t octets = content.size() - 1;
-  for (std::size_t octet = 0; octet < octets; ++octet) {
-    for (unsigned bit = 0; bit < 8; ++bit) {
-      if (content[1 + octet] & (0x80 >> bit)) {
-        const unsigned named = static_cast<unsigned>(octet) * 8 + bit;
-        if (named >= 32) return std::nullopt;
-        bits |= 1u << named;
-      }
-    }
-  }
-  // Unused bits must actually be zero in DER.
-  const std::uint8_t last = content[octets];
-  if (unused > 0 &&
-      (last & static_cast<std::uint8_t>((1u << unused) - 1)) != 0) {
-    return std::nullopt;
-  }
-  return bits;
-}
-
 std::optional<Tlv> parse_single(util::BytesView data) {
   Reader r(data);
   const auto tlv = r.read_any();

@@ -142,14 +142,6 @@ void DerWriter::utf8_string(std::string_view s) {
   tlv(static_cast<std::uint8_t>(Tag::kUtf8String), util::as_bytes(s));
 }
 
-void DerWriter::printable_string(std::string_view s) {
-  tlv(static_cast<std::uint8_t>(Tag::kPrintableString), util::as_bytes(s));
-}
-
-void DerWriter::ia5_string(std::string_view s) {
-  tlv(static_cast<std::uint8_t>(Tag::kIa5String), util::as_bytes(s));
-}
-
 void DerWriter::time(util::UnixTime t) {
   util::CivilDateTime c = util::from_unix(t);
   if (c.year > 9999) {

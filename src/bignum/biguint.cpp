@@ -285,10 +285,6 @@ std::pair<BigUint, BigUint> BigUint::divmod(const BigUint& num,
   return {quotient, remainder};
 }
 
-BigUint BigUint::operator/(const BigUint& rhs) const {
-  return divmod(*this, rhs).first;
-}
-
 BigUint BigUint::operator%(const BigUint& rhs) const {
   return divmod(*this, rhs).second;
 }
@@ -304,15 +300,6 @@ BigUint BigUint::mod_pow(const BigUint& base, const BigUint& exp,
     if (exp.bit(i)) result = (result * b) % m;
   }
   return result;
-}
-
-BigUint BigUint::gcd(BigUint a, BigUint b) {
-  while (!b.is_zero()) {
-    BigUint r = a % b;
-    a = std::move(b);
-    b = std::move(r);
-  }
-  return a;
 }
 
 BigUint::InverseResult BigUint::mod_inverse(const BigUint& a,

@@ -57,8 +57,6 @@ class BigUint {
   /// Subtraction requires *this >= rhs; throws std::underflow_error otherwise.
   BigUint operator-(const BigUint& rhs) const;
   BigUint operator*(const BigUint& rhs) const;
-  /// Quotient; divisor must be non-zero (throws std::domain_error).
-  BigUint operator/(const BigUint& rhs) const;
   /// Remainder; divisor must be non-zero (throws std::domain_error).
   BigUint operator%(const BigUint& rhs) const;
   BigUint operator<<(std::size_t bits) const;
@@ -71,9 +69,6 @@ class BigUint {
   /// (base ^ exp) mod m; m must be non-zero.
   static BigUint mod_pow(const BigUint& base, const BigUint& exp,
                          const BigUint& m);
-
-  /// Greatest common divisor.
-  static BigUint gcd(BigUint a, BigUint b);
 
  private:
   void trim();

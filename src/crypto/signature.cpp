@@ -50,16 +50,6 @@ util::Bytes sim_sign(util::BytesView pub, util::BytesView message) {
 
 }  // namespace
 
-std::string to_string(SigScheme scheme) {
-  switch (scheme) {
-    case SigScheme::kRsaSha256:
-      return "rsa-sha256";
-    case SigScheme::kSimSha256:
-      return "sim-sha256";
-  }
-  return "unknown";
-}
-
 util::Bytes PublicKeyInfo::fingerprint() const {
   util::Sha256 h;
   const std::uint8_t tag = static_cast<std::uint8_t>(scheme);

@@ -29,9 +29,6 @@ enum class SigScheme : std::uint8_t {
   kSimSha256 = 2,
 };
 
-/// Human-readable name ("rsa-sha256" / "sim-sha256").
-std::string to_string(SigScheme scheme);
-
 /// A serialized public key plus its scheme; what an X.509
 /// SubjectPublicKeyInfo carries.
 struct PublicKeyInfo {

@@ -4,20 +4,6 @@
 
 namespace sm::net {
 
-std::string to_string(AsType type) {
-  switch (type) {
-    case AsType::kTransitAccess:
-      return "Transit/Access";
-    case AsType::kContent:
-      return "Content";
-    case AsType::kEnterprise:
-      return "Enterprise";
-    case AsType::kUnknown:
-      return "Unknown";
-  }
-  return "Unknown";
-}
-
 void AsDatabase::add(AsInfo info) { info_[info.asn] = std::move(info); }
 
 void AsDatabase::add_country_change(Asn asn, util::UnixTime from,

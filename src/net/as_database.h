@@ -21,9 +21,6 @@ enum class AsType : std::uint8_t {
   kUnknown,
 };
 
-/// Human-readable type label, matching the paper's Table 2 wording.
-std::string to_string(AsType type);
-
 /// Static metadata for one AS.
 struct AsInfo {
   Asn asn = 0;

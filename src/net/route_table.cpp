@@ -32,40 +32,12 @@ void RouteTable::announce(const Prefix& prefix, Asn asn) {
   }
 }
 
-bool RouteTable::withdraw(const Prefix& prefix) {
-  std::int32_t node = 0;
-  for (unsigned depth = 0; depth < prefix.length(); ++depth) {
-    const unsigned bit = (prefix.address().value() >> (31 - depth)) & 1;
-    node = nodes_[static_cast<std::size_t>(node)].child[bit];
-    if (node < 0) return false;
-  }
-  Node& n = nodes_[static_cast<std::size_t>(node)];
-  if (n.value < 0) return false;
-  n.value = -1;
-  --announced_;
-  return true;
-}
-
 std::optional<Asn> RouteTable::lookup(Ipv4Address ip) const {
   std::optional<Asn> best;
   std::int32_t node = 0;
   for (unsigned depth = 0; depth <= 32; ++depth) {
     const Node& n = nodes_[static_cast<std::size_t>(node)];
     if (n.value >= 0) best = values_[static_cast<std::size_t>(n.value)];
-    if (depth == 32) break;
-    const unsigned bit = (ip.value() >> (31 - depth)) & 1;
-    node = n.child[bit];
-    if (node < 0) break;
-  }
-  return best;
-}
-
-std::optional<Prefix> RouteTable::lookup_prefix(Ipv4Address ip) const {
-  std::optional<Prefix> best;
-  std::int32_t node = 0;
-  for (unsigned depth = 0; depth <= 32; ++depth) {
-    const Node& n = nodes_[static_cast<std::size_t>(node)];
-    if (n.value >= 0) best = Prefix(ip, depth);
     if (depth == 32) break;
     const unsigned bit = (ip.value() >> (31 - depth)) & 1;
     node = n.child[bit];

@@ -24,16 +24,9 @@ class RouteTable {
   /// prefix overwrites its origin (the mechanism behind prefix transfers).
   void announce(const Prefix& prefix, Asn asn);
 
-  /// Withdraws a prefix; lookups then fall back to any covering prefix.
-  /// Returns false when the exact prefix was not announced.
-  bool withdraw(const Prefix& prefix);
-
   /// Longest-prefix-match origin AS for `ip`, or nullopt when no announced
   /// prefix covers it.
   std::optional<Asn> lookup(Ipv4Address ip) const;
-
-  /// The most-specific announced prefix covering `ip`, if any.
-  std::optional<Prefix> lookup_prefix(Ipv4Address ip) const;
 
   /// Number of announced prefixes.
   std::size_t size() const { return announced_; }

@@ -46,59 +46,45 @@ void put_u32le_bytes(unsigned char* p, std::uint32_t value) {
   p[3] = static_cast<unsigned char>((value >> 24) & 0xff);
 }
 
-/// Encodes and sends a run of same-typed frames scatter/gather: per-frame
-/// header and CRC trailer live on the stack, payload bytes go straight
-/// from the caller's views — no frame string is ever materialized. Frames
-/// ship in sendmsg chunks of up to kSendChunk (3 iovecs each, well under
-/// IOV_MAX), resuming mid-iovec after partial sends.
-bool send_frames(int fd, FrameType type,
-                 std::span<const std::string_view> payloads) {
-  constexpr std::size_t kSendChunk = 64;
-  unsigned char headers[kSendChunk][kFrameHeaderSize];
-  unsigned char trailers[kSendChunk][kFrameTrailerSize];
-  iovec iov[kSendChunk * 3];
-  for (std::size_t base = 0; base < payloads.size(); base += kSendChunk) {
-    const std::size_t count = std::min(kSendChunk, payloads.size() - base);
-    std::size_t iovcnt = 0;
-    std::size_t total = 0;
-    for (std::size_t i = 0; i < count; ++i) {
-      const std::string_view payload = payloads[base + i];
-      unsigned char* header = headers[i];
-      header[0] = static_cast<unsigned char>(type);
-      put_u32le_bytes(header + 1,
-                      static_cast<std::uint32_t>(payload.size()));
-      std::uint32_t crc = util::crc32(header, kFrameHeaderSize);
-      crc = util::crc32(payload.data(), payload.size(), crc);
-      put_u32le_bytes(trailers[i], crc);
-      iov[iovcnt++] = {header, kFrameHeaderSize};
-      if (!payload.empty()) {
-        iov[iovcnt++] = {const_cast<char*>(payload.data()), payload.size()};
-      }
-      iov[iovcnt++] = {trailers[i], kFrameTrailerSize};
-      total += kFrameHeaderSize + payload.size() + kFrameTrailerSize;
+/// Encodes and sends one frame scatter/gather: the header and CRC trailer
+/// live on the stack, the payload bytes go straight from the caller's
+/// view, so no frame string is ever materialized. Three iovecs, resumed
+/// mid-iovec after partial sends.
+bool send_frame(int fd, FrameType type, std::string_view payload) {
+  unsigned char header[kFrameHeaderSize];
+  unsigned char trailer[kFrameTrailerSize];
+  header[0] = static_cast<unsigned char>(type);
+  put_u32le_bytes(header + 1, static_cast<std::uint32_t>(payload.size()));
+  std::uint32_t crc = util::crc32(header, kFrameHeaderSize);
+  crc = util::crc32(payload.data(), payload.size(), crc);
+  put_u32le_bytes(trailer, crc);
+  iovec iov[3];
+  std::size_t iovcnt = 0;
+  iov[iovcnt++] = {header, kFrameHeaderSize};
+  if (!payload.empty()) {
+    iov[iovcnt++] = {const_cast<char*>(payload.data()), payload.size()};
+  }
+  iov[iovcnt++] = {trailer, kFrameTrailerSize};
+  std::size_t iov_idx = 0;
+  std::size_t left = kFrameHeaderSize + payload.size() + kFrameTrailerSize;
+  while (left > 0) {
+    msghdr msg{};
+    msg.msg_iov = iov + iov_idx;
+    msg.msg_iovlen = iovcnt - iov_idx;
+    const ssize_t n = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
+    if (n <= 0) {
+      if (n < 0 && errno == EINTR) continue;
+      return false;  // SO_SNDTIMEO expiry surfaces as EAGAIN: dead peer
     }
-    std::size_t iov_idx = 0;
-    std::size_t sent_total = 0;
-    while (sent_total < total) {
-      msghdr msg{};
-      msg.msg_iov = iov + iov_idx;
-      msg.msg_iovlen = iovcnt - iov_idx;
-      const ssize_t n = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
-      if (n <= 0) {
-        if (n < 0 && errno == EINTR) continue;
-        return false;  // SO_SNDTIMEO expiry surfaces as EAGAIN: dead peer
-      }
-      sent_total += static_cast<std::size_t>(n);
-      std::size_t sent = static_cast<std::size_t>(n);
-      while (sent > 0 && sent >= iov[iov_idx].iov_len) {
-        sent -= iov[iov_idx].iov_len;
-        ++iov_idx;
-      }
-      if (sent > 0) {
-        iov[iov_idx].iov_base =
-            static_cast<char*>(iov[iov_idx].iov_base) + sent;
-        iov[iov_idx].iov_len -= sent;
-      }
+    left -= static_cast<std::size_t>(n);
+    std::size_t sent = static_cast<std::size_t>(n);
+    while (sent > 0 && sent >= iov[iov_idx].iov_len) {
+      sent -= iov[iov_idx].iov_len;
+      ++iov_idx;
+    }
+    if (sent > 0) {
+      iov[iov_idx].iov_base = static_cast<char*>(iov[iov_idx].iov_base) + sent;
+      iov[iov_idx].iov_len -= sent;
     }
   }
   return true;
@@ -282,14 +268,11 @@ struct ClientPool::Impl {
     }
   }
 
-  /// Sends every payload as one pipelined flight on `conn`: one lock, one
-  /// vectored send, payloads.size() FIFO calls, written to out[i] in
-  /// payload order. Any failure fails the whole batch — the frames share
-  /// one stream, so none of them can be answered once it breaks. Defined
-  /// after PendingCall::State, which it fills in.
-  void send_calls(const std::shared_ptr<Backend>& backend, Conn& conn,
-                  FrameType type, std::span<const std::string_view> payloads,
-                  PendingCall* out);
+  /// Sends one request frame on `conn` and queues its call behind the
+  /// ones already in flight there (FIFO). A failure fails the returned
+  /// call at once. Defined after PendingCall::State, which it fills in.
+  PendingCall send_call(const std::shared_ptr<Backend>& backend, Conn& conn,
+                        FrameType type, std::string_view payload);
 
   /// The data connection for the next call to `backend` (round-robin).
   static Conn& next_conn(Backend& backend) {
@@ -310,10 +293,8 @@ struct ClientPool::Impl {
       const std::shared_ptr<const BackendList> snapshot = list();
       for (const auto& backend : *snapshot) {
         if (stop.load(std::memory_order_acquire)) break;
-        const std::string_view ping[1] = {"hp"};
-        PendingCall probe;
-        send_calls(backend, *backend->probe, FrameType::kPing, ping, &probe);
-        const CallResult result = probe.get();
+        const CallResult result =
+            send_call(backend, *backend->probe, FrameType::kPing, "hp").get();
         if (result.ok() && result.response.type == FrameType::kPong) {
           backend->pings_ok.fetch_add(1, std::memory_order_relaxed);
           backend->healthy.store(true, std::memory_order_relaxed);
@@ -426,28 +407,22 @@ CallResult PendingCall::get() {
   return result;
 }
 
-void ClientPool::Impl::send_calls(const std::shared_ptr<Backend>& backend,
-                                  Conn& conn, FrameType type,
-                                  std::span<const std::string_view> payloads,
-                                  PendingCall* out) {
-  for (std::size_t i = 0; i < payloads.size(); ++i) {
-    auto state = std::make_unique<PendingCall::State>();
-    state->backend = backend;
-    state->conn = &conn;
-    out[i] = PendingCall(std::move(state));
-  }
-  const auto fail_all = [&](CallStatus status) {
-    for (std::size_t i = 0; i < payloads.size(); ++i) {
-      out[i].state_->slot.result = CallResult{status, {}};
-      out[i].state_->slot.done = true;
-    }
+PendingCall ClientPool::Impl::send_call(
+    const std::shared_ptr<Backend>& backend, Conn& conn, FrameType type,
+    std::string_view payload) {
+  auto state = std::make_unique<PendingCall::State>();
+  state->backend = backend;
+  state->conn = &conn;
+  Slot& slot = state->slot;
+  PendingCall out(std::move(state));
+  const auto fail = [&](CallStatus status) {
+    slot.result = CallResult{status, {}};
+    slot.done = true;
+    return std::move(out);
   };
 
   std::lock_guard lock(conn.mutex);
-  if (conn.closed) {
-    fail_all(CallStatus::kShutdown);
-    return;
-  }
+  if (conn.closed) return fail(CallStatus::kShutdown);
   if (conn.fd < 0) {
     // request_timeout_ms bounds sends; reads poll against call deadlines.
     std::string error;
@@ -455,12 +430,10 @@ void ClientPool::Impl::send_calls(const std::shared_ptr<Backend>& backend,
                                config.request_timeout_ms, error);
     if (fd < 0) {
       if (!conn.is_probe) {
-        backend->connect_errors.fetch_add(payloads.size(),
-                                          std::memory_order_relaxed);
+        backend->connect_errors.fetch_add(1, std::memory_order_relaxed);
       }
       mark_down(*backend);
-      fail_all(CallStatus::kConnectFailed);
-      return;
+      return fail(CallStatus::kConnectFailed);
     }
     conn.fd = fd;
     conn.decoder = FrameDecoder(kMaxResponsePayload);
@@ -468,10 +441,9 @@ void ClientPool::Impl::send_calls(const std::shared_ptr<Backend>& backend,
       backend->reconnects.fetch_add(1, std::memory_order_relaxed);
     }
   }
-  if (!send_frames(conn.fd, type, payloads)) {
+  if (!send_frame(conn.fd, type, payload)) {
     if (!conn.is_probe) {
-      backend->io_errors.fetch_add(payloads.size(),
-                                   std::memory_order_relaxed);
+      backend->io_errors.fetch_add(1, std::memory_order_relaxed);
     }
     mark_down(*backend);
     if (conn.reading) {
@@ -480,18 +452,13 @@ void ClientPool::Impl::send_calls(const std::shared_ptr<Backend>& backend,
       break_connection(*backend, conn, CallStatus::kIoError);
       conn.cv.notify_all();
     }
-    fail_all(CallStatus::kIoError);
-    return;
+    return fail(CallStatus::kIoError);
   }
-  const Clock::time_point deadline =
+  slot.deadline =
       Clock::now() + std::chrono::milliseconds(config.request_timeout_ms);
-  for (std::size_t i = 0; i < payloads.size(); ++i) {
-    Slot& slot = out[i].state_->slot;
-    slot.deadline = deadline;
-    conn.waiters.push_back(&slot);
-  }
+  conn.waiters.push_back(&slot);
+  return out;
 }
-
 
 ClientPool::ClientPool(std::vector<Endpoint> backends,
                        ClientPoolConfig config)
@@ -509,10 +476,6 @@ ClientPool::ClientPool(std::vector<Endpoint> backends,
 }
 
 ClientPool::~ClientPool() { impl_->shutdown(); }
-
-std::size_t ClientPool::backend_count() const {
-  return impl_->list()->size();
-}
 
 const Endpoint& ClientPool::backend(std::size_t index) const {
   return (*impl_->list())[index]->endpoint;
@@ -539,22 +502,7 @@ PendingCall ClientPool::call(std::size_t backend, FrameType type,
   const std::shared_ptr<const Impl::BackendList> list = impl_->list();
   const std::shared_ptr<Impl::Backend>& b = (*list)[backend];
   b->requests.fetch_add(1, std::memory_order_relaxed);
-  const std::string_view payloads[1] = {payload};
-  PendingCall out;
-  impl_->send_calls(b, Impl::next_conn(*b), type, payloads, &out);
-  return out;
-}
-
-std::vector<PendingCall> ClientPool::call_many(
-    std::size_t backend, FrameType type,
-    std::span<const std::string_view> payloads) {
-  std::vector<PendingCall> out(payloads.size());
-  if (payloads.empty()) return out;
-  const std::shared_ptr<const Impl::BackendList> list = impl_->list();
-  const std::shared_ptr<Impl::Backend>& b = (*list)[backend];
-  b->requests.fetch_add(payloads.size(), std::memory_order_relaxed);
-  impl_->send_calls(b, Impl::next_conn(*b), type, payloads, out.data());
-  return out;
+  return impl_->send_call(b, Impl::next_conn(*b), type, payload);
 }
 
 bool ClientPool::healthy(std::size_t backend) const {

@@ -32,7 +32,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -70,7 +69,7 @@ struct CallResult {
   bool ok() const { return status == CallStatus::kOk; }
 };
 
-/// One call in flight, returned by ClientPool::call/call_many. Move-only.
+/// One call in flight, returned by ClientPool::call. Move-only.
 /// get() blocks until the response arrives or the call fails, reading
 /// the connection itself when no other waiter is (see the header
 /// comment), and returns the result once; later get()s, like get() on a
@@ -128,7 +127,6 @@ class ClientPool {
   ClientPool(const ClientPool&) = delete;
   ClientPool& operator=(const ClientPool&) = delete;
 
-  std::size_t backend_count() const;
   const Endpoint& backend(std::size_t index) const;
 
   /// Registers `endpoint` and returns its pool index, starting its
@@ -145,16 +143,6 @@ class ClientPool {
   /// once the frame is sent.
   PendingCall call(std::size_t backend, FrameType type,
                    std::string_view payload);
-
-  /// Pipelines payloads.size() same-typed request frames to `backend`
-  /// over ONE pooled connection in one vectored send: one lock, one
-  /// sendmsg batch, N FIFO-correlated calls (call i answers
-  /// payloads[i]). A send failure fails every call in the batch. The
-  /// frames are encoded scatter/gather straight from the payload views —
-  /// no per-call frame string is built.
-  std::vector<PendingCall> call_many(
-      std::size_t backend, FrameType type,
-      std::span<const std::string_view> payloads);
 
   /// Current health bit: set by successful probes/calls, cleared by any
   /// failure. A fresh pool reports healthy until proven otherwise.

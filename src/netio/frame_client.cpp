@@ -106,23 +106,6 @@ int connect_tcp(const Endpoint& ep, int connect_timeout_ms,
   return fd;
 }
 
-FrameClient::FrameClient(FrameClient&& other) noexcept
-    : fd_(std::exchange(other.fd_, -1)),
-      decoder_(std::move(other.decoder_)),
-      failure_(other.failure_),
-      error_(std::move(other.error_)) {}
-
-FrameClient& FrameClient::operator=(FrameClient&& other) noexcept {
-  if (this != &other) {
-    close();
-    fd_ = std::exchange(other.fd_, -1);
-    decoder_ = std::move(other.decoder_);
-    failure_ = other.failure_;
-    error_ = std::move(other.error_);
-  }
-  return *this;
-}
-
 bool FrameClient::fail(Failure failure, std::string error) {
   failure_ = failure;
   error_ = std::move(error);

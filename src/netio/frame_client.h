@@ -66,8 +66,6 @@ class FrameClient {
   /// Takes ownership of an already connected socket.
   explicit FrameClient(int fd) : fd_(fd) {}
   ~FrameClient() { close(); }
-  FrameClient(FrameClient&& other) noexcept;
-  FrameClient& operator=(FrameClient&& other) noexcept;
   FrameClient(const FrameClient&) = delete;
   FrameClient& operator=(const FrameClient&) = delete;
 

@@ -89,17 +89,6 @@ PrefixMap uniform_prefix_map(
   return map;
 }
 
-std::size_t prefix_map_entry_of(const PrefixMap& map,
-                                std::uint8_t first_byte) {
-  // Maps top out at 256 entries; a linear scan over the (cache-resident)
-  // entry array is fine for control-plane callers. The router's data
-  // plane never calls this — it compiles a byte->entry table instead.
-  for (std::size_t i = 0; i < map.entries.size(); ++i) {
-    if (first_byte <= map.entries[i].hi) return i;
-  }
-  return map.entries.empty() ? 0 : map.entries.size() - 1;
-}
-
 std::string serialize_prefix_map(const PrefixMap& map) {
   std::string out;
   for (int shift = 0; shift < 64; shift += 8) {

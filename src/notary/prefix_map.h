@@ -64,10 +64,6 @@ PrefixMap uniform_prefix_map(
     const std::vector<std::vector<netio::Endpoint>>& replica_sets,
     std::uint64_t epoch = 1);
 
-/// Index of the entry owning fingerprints that start with `first_byte`.
-/// The map must be valid (coverage is total, so this always resolves).
-std::size_t prefix_map_entry_of(const PrefixMap& map, std::uint8_t first_byte);
-
 /// Wire codec (kMapUpdate / kMapInfo payloads).
 std::string serialize_prefix_map(const PrefixMap& map);
 /// Parses AND validates; false + `error` on malformed bytes or an

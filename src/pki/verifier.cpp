@@ -53,10 +53,6 @@ const char* revocation_status_cstr(RevocationStatus status) {
   return "unknown";
 }
 
-std::string to_string(RevocationStatus status) {
-  return revocation_status_cstr(status);
-}
-
 bool is_self_signature(const x509::Certificate& cert) {
   return crypto::verify(cert.spki, cert.tbs_der, cert.signature);
 }
@@ -72,26 +68,29 @@ bool is_self_signature(const x509::Certificate& cert) {
 //
 // Racing threads may compute the same entry twice; both compute the same
 // value (the functions are pure), so the winner of the emplace is
-// indistinguishable from the loser and results stay deterministic.
+// indistinguishable from the loser and results stay deterministic. The
+// counters are too: a signature check counts once per entry, when its
+// emplace inserts, and every other lookup (a hit, or a losing emplace)
+// counts as a memo hit, whatever the schedule.
 class VerifierMemo {
  public:
   template <typename Fn>
   bool self_signature(const x509::Certificate* cert, Fn&& compute) {
     return memoized(self_sig_, static_cast<const void*>(cert),
-                    &sig_cache_hits, std::forward<Fn>(compute));
+                    /*counts_signature=*/true, std::forward<Fn>(compute));
   }
 
   template <typename Fn>
   bool root_member(const x509::Certificate* cert, Fn&& compute) {
-    return memoized(root_member_, static_cast<const void*>(cert), nullptr,
-                    std::forward<Fn>(compute));
+    return memoized(root_member_, static_cast<const void*>(cert),
+                    /*counts_signature=*/false, std::forward<Fn>(compute));
   }
 
   template <typename Fn>
   bool signature_pair(const x509::Certificate* issuer,
                       const x509::Certificate* child, Fn&& compute) {
-    return memoized(sig_pair_, PtrPair{issuer, child}, &sig_cache_hits,
-                    std::forward<Fn>(compute));
+    return memoized(sig_pair_, PtrPair{issuer, child},
+                    /*counts_signature=*/true, std::forward<Fn>(compute));
   }
 
   std::atomic<std::uint64_t> verified{0};
@@ -122,22 +121,31 @@ class VerifierMemo {
   };
 
   // Returns the cached value for `key`, or computes it outside the lock and
-  // caches it. The compute callback must be pure in `key`.
+  // caches it. The compute callback must be pure in `key`. With
+  // `counts_signature`, the inserting call counts a signature check and
+  // every other call a memo hit.
   template <typename MapT, typename KeyT, typename Fn>
-  static bool memoized(Shards<MapT>& shards, const KeyT& key,
-                       std::atomic<std::uint64_t>* hits, Fn&& compute) {
+  bool memoized(Shards<MapT>& shards, const KeyT& key, bool counts_signature,
+                Fn&& compute) {
     auto& shard =
         shards.shard[typename MapT::hasher{}(key) % kShards];
     {
       std::lock_guard lock(shard.mutex);
       if (const auto it = shard.map.find(key); it != shard.map.end()) {
-        if (hits != nullptr) hits->fetch_add(1, std::memory_order_relaxed);
+        if (counts_signature) {
+          sig_cache_hits.fetch_add(1, std::memory_order_relaxed);
+        }
         return it->second;
       }
     }
     const bool value = compute();
     std::lock_guard lock(shard.mutex);
-    return shard.map.emplace(key, value).first->second;
+    const auto [it, inserted] = shard.map.emplace(key, value);
+    if (counts_signature) {
+      (inserted ? sig_checks : sig_cache_hits)
+          .fetch_add(1, std::memory_order_relaxed);
+    }
+    return it->second;
   }
 
   Shards<std::unordered_map<const void*, bool>> self_sig_;
@@ -186,27 +194,21 @@ ValidationResult Verifier::verify_impl(
                                    const x509::Certificate& child,
                                    bool child_resident) {
     const auto compute = [&] {
-      if (memo != nullptr) {
-        memo->sig_checks.fetch_add(1, std::memory_order_relaxed);
-      }
       return crypto::verify(issuer.spki, child.tbs_der, child.signature);
     };
-    if (memo != nullptr && issuer_resident && child_resident) {
+    if (memo == nullptr) return compute();
+    if (issuer_resident && child_resident) {
       return memo->signature_pair(&issuer, &child, compute);
     }
+    memo->sig_checks.fetch_add(1, std::memory_order_relaxed);
     return compute();
   };
   const auto self_signature = [&](const x509::Certificate& cert,
                                   bool resident) {
-    const auto compute = [&] {
-      if (memo != nullptr) {
-        memo->sig_checks.fetch_add(1, std::memory_order_relaxed);
-      }
-      return is_self_signature(cert);
-    };
-    if (memo != nullptr && resident) {
-      return memo->self_signature(&cert, compute);
-    }
+    const auto compute = [&] { return is_self_signature(cert); };
+    if (memo == nullptr) return compute();
+    if (resident) return memo->self_signature(&cert, compute);
+    memo->sig_checks.fetch_add(1, std::memory_order_relaxed);
     return compute();
   };
   const auto root_member = [&](const x509::Certificate& cert, bool resident) {
@@ -279,11 +281,6 @@ ValidationResult Verifier::verify_impl(
     for (const std::size_t index : roots_.matches(issuer_key)) {
       try_candidate(roots_.at(index), false, /*resident=*/true);
       if (next) {
-        if (options_.crl_store != nullptr &&
-            options_.crl_store->is_revoked(leaf.issuer, leaf.serial)) {
-          out.reason = InvalidReason::kRevoked;
-          return out;
-        }
         out.valid = true;
         out.chain_length = depth + 1;
         out.transvalid = used_pool;
@@ -378,7 +375,8 @@ std::vector<RevocationStatus> BatchVerifier::check_revocation_all(
     std::optional<x509::Crl> crl = x509::parse_crl(der);
     if (!crl.has_value()) return verdict;
     // A CRL whose nextUpdate precedes thisUpdate is malformed, not merely
-    // stale — same rule CrlStore::add enforces.
+    // stale: a validity window that ends before it starts cannot be
+    // reasoned about.
     if (crl->next_update.has_value() &&
         *crl->next_update < crl->this_update) {
       return verdict;

@@ -28,7 +28,6 @@
 #include <string_view>
 #include <vector>
 
-#include "pki/crl_store.h"
 #include "pki/root_store.h"
 #include "util/bytes.h"
 #include "x509/certificate.h"
@@ -49,7 +48,10 @@ enum class InvalidReason : std::uint8_t {
   kMalformedVersion,  ///< illegal version number (paper disregards these)
   kNeverValid,        ///< NotAfter precedes NotBefore
   kExpired,           ///< outside validity period (strict mode only)
-  kRevoked,           ///< listed on its issuer's CRL (when a store is given)
+  /// Kept so the SMAR reason byte keeps its range; no verifier path
+  /// produces it. Revocation is a separate answer: RevocationStatus, from
+  /// BatchVerifier::check_revocation_all.
+  kRevoked,
 };
 
 /// Human-readable reason label.
@@ -73,11 +75,8 @@ enum class RevocationStatus : std::uint8_t {
   kUnknown,       ///< no distribution points, or responder answered unknown
 };
 
-/// Human-readable status label.
-std::string to_string(RevocationStatus status);
-
-/// Same label as a static string — for render paths that append into a
-/// caller-supplied buffer without allocating.
+/// Human-readable status label, as a static string — render paths append
+/// it into a caller-supplied buffer without allocating.
 const char* revocation_status_cstr(RevocationStatus status);
 
 /// Where CRLs and OCSP answers come from during a revocation pass. In
@@ -144,9 +143,6 @@ struct VerifyOptions {
   util::UnixTime at_time = 0;
   /// Maximum chain length (leaf..root inclusive).
   int max_chain_length = 8;
-  /// When set, certificates listed on their issuer's CRL are classified
-  /// kRevoked even if the chain otherwise verifies.
-  const class CrlStore* crl_store = nullptr;
 };
 
 // Memoizes the pure sub-results of chain walks (defined in verifier.cpp).
@@ -177,12 +173,19 @@ class Verifier {
 };
 
 /// Counters a BatchVerifier accumulates across its lifetime. Totals are
-/// exact; they are only incremented with relaxed atomics, so read them
-/// after the parallel work completes.
+/// exact and the same for every thread count and schedule; they are only
+/// incremented with relaxed atomics, so read them after the parallel work
+/// completes.
 struct BatchVerifyStats {
-  std::uint64_t verified = 0;        ///< certificates verified
-  std::uint64_t sig_checks = 0;      ///< signature checks actually computed
-  std::uint64_t sig_cache_hits = 0;  ///< signature checks answered by memo
+  std::uint64_t verified = 0;  ///< certificates verified
+  /// Signature checks the memo could not answer: one per distinct memoized
+  /// (issuer, child) or self-signature entry, plus every leaf-side check.
+  /// Two workers that miss one entry at once both compute it, but only the
+  /// one whose result is cached counts here.
+  std::uint64_t sig_checks = 0;
+  /// Memoizable signature checks answered from the memo, counting the
+  /// loser of such a race.
+  std::uint64_t sig_cache_hits = 0;
 };
 
 /// Corpus-scale validation: the same results as Verifier::verify for every

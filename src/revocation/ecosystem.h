@@ -89,8 +89,7 @@ struct EcosystemConfig {
 
   /// CRL editions signed per authority (>= 1); each earlier edition is
   /// `edition_period` older. Only the final edition is served; the rest
-  /// model periodic publication and feed CrlStore replace-with-fresher
-  /// tests.
+  /// model periodic publication (Ecosystem::editions).
   int editions = 3;
   util::UnixTime edition_period = 14 * util::kSecondsPerDay;
 };

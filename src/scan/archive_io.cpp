@@ -1,13 +1,10 @@
 #include "scan/archive_io.h"
 
 #include <algorithm>
-#include <charconv>
 #include <cstring>
 #include <fstream>
 #include <istream>
-#include <limits>
 #include <ostream>
-#include <sstream>
 #include <utility>
 #include <vector>
 
@@ -581,61 +578,6 @@ std::string escape_san_entry(const std::string& s) {
   return out;
 }
 
-std::optional<std::string> unescape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (std::size_t i = 0; i < s.size(); ++i) {
-    if (s[i] != '%') {
-      out.push_back(s[i]);
-      continue;
-    }
-    if (i + 2 >= s.size()) return std::nullopt;
-    unsigned value = 0;
-    const auto [ptr, ec] =
-        std::from_chars(s.data() + i + 1, s.data() + i + 3, value, 16);
-    if (ec != std::errc{} || ptr != s.data() + i + 3) return std::nullopt;
-    out.push_back(static_cast<char>(value));
-    i += 2;
-  }
-  return out;
-}
-
-std::vector<std::string> split_tabs(const std::string& line) {
-  std::vector<std::string> fields;
-  std::size_t pos = 0;
-  for (;;) {
-    const std::size_t tab = line.find('\t', pos);
-    if (tab == std::string::npos) {
-      fields.push_back(line.substr(pos));
-      return fields;
-    }
-    fields.push_back(line.substr(pos, tab - pos));
-    pos = tab + 1;
-  }
-}
-
-// Splits the SAN column into still-escaped entries. Every entry is
-// terminated by '|' (so empty entries and empty lists are
-// distinguishable); a non-empty field without the final '|' is malformed.
-std::optional<std::vector<std::string>> split_san_field(
-    const std::string& field) {
-  std::vector<std::string> entries;
-  std::size_t pos = 0;
-  while (pos < field.size()) {
-    const std::size_t bar = field.find('|', pos);
-    if (bar == std::string::npos) return std::nullopt;  // unterminated
-    entries.push_back(field.substr(pos, bar - pos));
-    pos = bar + 1;
-  }
-  return entries;
-}
-
-template <typename T>
-bool parse_int(const std::string& s, T& out) {
-  const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), out);
-  return ec == std::errc{} && ptr == s.data() + s.size();
-}
-
 }  // namespace
 
 // --- public binary API -------------------------------------------------------
@@ -773,7 +715,7 @@ void export_tsv(const ScanArchive& archive, std::ostream& out) {
     }
     // Each SAN entry is escaped individually (including '|') and
     // '|'-terminated, so hostile entry contents and empty entries both
-    // round-trip; the column needs no further escaping.
+    // stay unambiguous; the column needs no further escaping.
     std::string san_joined;
     for (const std::string& san : cert.san) {
       san_joined += escape_san_entry(san);
@@ -799,106 +741,6 @@ void export_tsv(const ScanArchive& archive, std::ostream& out) {
           << '\t' << obs.cert << '\t' << obs.ip << '\t' << obs.device << '\n';
     }
   }
-}
-
-std::optional<ScanArchive> import_tsv(std::istream& in) {
-  ScanArchive archive;
-  std::string line;
-  std::uint32_t cert_count = 0;
-  std::int64_t current_scan = -1;
-  util::UnixTime prev_start = std::numeric_limits<util::UnixTime>::min();
-  while (std::getline(in, line)) {
-    if (line.empty() || line[0] == '#') continue;
-    const std::vector<std::string> fields = split_tabs(line);
-    if (fields[0] == "C") {
-      if (fields.size() != 20) return std::nullopt;
-      CertRecord cert;
-      const std::string& fp_hex = fields[1];
-      if (fp_hex.size() != cert.fingerprint.size() * 2) return std::nullopt;
-      for (std::size_t i = 0; i < cert.fingerprint.size(); ++i) {
-        unsigned byte = 0;
-        const auto* begin = fp_hex.data() + 2 * i;
-        const auto [ptr, ec] = std::from_chars(begin, begin + 2, byte, 16);
-        if (ec != std::errc{} || ptr != begin + 2) return std::nullopt;
-        cert.fingerprint[i] = static_cast<std::uint8_t>(byte);
-      }
-      const auto subject = unescape(fields[3]);
-      const auto issuer = unescape(fields[4]);
-      const auto issuer_dn = unescape(fields[5]);
-      const auto serial = unescape(fields[6]);
-      const auto aki = unescape(fields[10]);
-      const auto crl = unescape(fields[11]);
-      const auto aia = unescape(fields[12]);
-      const auto ocsp = unescape(fields[13]);
-      const auto oid = unescape(fields[14]);
-      int is_ca = 0, valid = 0, transvalid = 0, reason = 0;
-      if (!subject || !issuer || !issuer_dn || !serial || !aki || !crl ||
-          !aia || !ocsp || !oid || !parse_int(fields[2], cert.key_fingerprint) ||
-          !parse_int(fields[7], cert.not_before) ||
-          !parse_int(fields[8], cert.not_after) ||
-          !parse_int(fields[15], cert.raw_version) ||
-          !parse_int(fields[16], is_ca) || !parse_int(fields[17], valid) ||
-          !parse_int(fields[18], transvalid) ||
-          !parse_int(fields[19], reason)) {
-        return std::nullopt;
-      }
-      cert.subject_cn = *subject;
-      cert.issuer_cn = *issuer;
-      cert.issuer_dn = *issuer_dn;
-      cert.serial_hex = *serial;
-      cert.aki_hex = *aki;
-      cert.crl_url = *crl;
-      cert.aia_url = *aia;
-      cert.ocsp_url = *ocsp;
-      cert.policy_oid = *oid;
-      const auto san_entries = split_san_field(fields[9]);
-      if (!san_entries) return std::nullopt;
-      for (const std::string& entry : *san_entries) {
-        auto san = unescape(entry);
-        if (!san) return std::nullopt;
-        cert.san.push_back(std::move(*san));
-      }
-      cert.is_ca = is_ca != 0;
-      cert.valid = valid != 0;
-      cert.transvalid = transvalid != 0;
-      if (reason < 0 ||
-          reason > static_cast<int>(pki::InvalidReason::kRevoked)) {
-        return std::nullopt;
-      }
-      cert.invalid_reason = static_cast<pki::InvalidReason>(reason);
-      if (archive.intern(std::move(cert)) != cert_count) return std::nullopt;
-      ++cert_count;
-    } else if (fields[0] == "O") {
-      if (fields.size() != 8) return std::nullopt;
-      std::int64_t scan_index = 0;
-      int campaign = 0;
-      ScanEvent event;
-      Observation obs;
-      if (!parse_int(fields[1], scan_index) ||
-          !parse_int(fields[2], campaign) || campaign < 0 || campaign > 1 ||
-          !parse_int(fields[3], event.start) ||
-          !parse_int(fields[4], event.duration_seconds) ||
-          !parse_int(fields[5], obs.cert) || !parse_int(fields[6], obs.ip) ||
-          !parse_int(fields[7], obs.device)) {
-        return std::nullopt;
-      }
-      event.campaign = static_cast<Campaign>(campaign);
-      if (scan_index == current_scan + 1) {
-        if (event.start < prev_start) return std::nullopt;
-        prev_start = event.start;
-        archive.begin_scan(event);
-        current_scan = scan_index;
-      } else if (scan_index != current_scan) {
-        return std::nullopt;  // scans must arrive in order
-      }
-      if (obs.cert >= cert_count) return std::nullopt;
-      archive.add_observation(static_cast<std::size_t>(current_scan),
-                              obs.cert, obs.ip, obs.device);
-    } else {
-      return std::nullopt;
-    }
-  }
-  return archive;
 }
 
 }  // namespace sm::scan

@@ -12,12 +12,12 @@
 //    unframed stream, no checksums) is rejected like any unknown version.
 //  * a streaming visitor (ArchiveReader) that walks certificates and scans
 //    one record at a time without materializing the whole ScanArchive;
-//  * a TSV interchange format so real scan data (e.g. parsed scans.io
-//    snapshots) can be fed to the analysis/linking/tracking pipeline, and
-//    simulated data can be exported to external tooling.
+//  * a TSV export (`sm_survey simulate --tsv`) so simulated data can be
+//    fed to external tooling.
 //
-// All formats round-trip every field the pipeline consumes, including
-// hostile string contents (tabs, newlines, '%', '|' inside SAN entries).
+// The binary format round-trips every field the pipeline consumes. The
+// TSV export escapes hostile string contents (tabs, newlines, '%', '|'
+// inside SAN entries), so every row and SAN list stays unambiguous.
 #pragma once
 
 #include <cstdint>
@@ -117,11 +117,7 @@ class ArchiveReader {
 ///   #observations <scan_index, campaign, scan_start, cert_index, ip, device>
 /// Strings are percent-escaped for tabs/newlines/percent signs; SAN list
 /// entries additionally escape '|' and each entry is terminated by '|', so
-/// arbitrary entry contents (and empty entries) round-trip losslessly.
+/// arbitrary entry contents (and empty entries) stay unambiguous.
 void export_tsv(const ScanArchive& archive, std::ostream& out);
-
-/// Parses the TSV format written by export_tsv. Returns nullopt on
-/// malformed input, including a SAN field whose last entry lacks its '|'.
-std::optional<ScanArchive> import_tsv(std::istream& in);
 
 }  // namespace sm::scan

@@ -6,7 +6,6 @@
 namespace {
 
 thread_local std::uint64_t g_news = 0;
-thread_local std::uint64_t g_deletes = 0;
 
 void* allocate(std::size_t size) {
   ++g_news;
@@ -22,10 +21,7 @@ void* allocate_aligned(std::size_t size, std::size_t align) {
   return std::aligned_alloc(align, rounded);
 }
 
-void deallocate(void* p) {
-  ++g_deletes;
-  std::free(p);
-}
+void deallocate(void* p) { std::free(p); }
 
 // Throwing operator-new forms must not return nullptr; the hot paths
 // under test never exhaust memory, so abort stands in for std::bad_alloc
@@ -44,12 +40,10 @@ bool active() { return true; }
 
 std::uint64_t thread_new_count() { return g_news; }
 
-std::uint64_t thread_delete_count() { return g_deletes; }
-
 }  // namespace sm::util::alloc_hook
 
-// The full replaceable allocation-function set forwards to the counting
-// helpers above.
+// The full replaceable allocation-function set forwards to the helpers
+// above; only allocations are counted.
 
 void* operator new(std::size_t size) { return checked(allocate(size)); }
 

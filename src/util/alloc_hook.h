@@ -30,7 +30,4 @@ bool active();
 /// made by the calling thread since it started.
 std::uint64_t thread_new_count();
 
-/// Number of operator-delete calls made by the calling thread.
-std::uint64_t thread_delete_count();
-
 }  // namespace sm::util::alloc_hook

@@ -1,25 +1,8 @@
 #include "util/datetime.h"
 
-#include <array>
-#include <charconv>
 #include <cstdio>
 
 namespace sm::util {
-
-namespace {
-
-bool is_leap(int y) {
-  return y % 4 == 0 && (y % 100 != 0 || y % 400 == 0);
-}
-
-unsigned last_day_of_month(int y, unsigned m) {
-  static constexpr std::array<unsigned, 12> kDays = {31, 28, 31, 30, 31, 30,
-                                                     31, 31, 30, 31, 30, 31};
-  if (m == 2 && is_leap(y)) return 29;
-  return kDays[m - 1];
-}
-
-}  // namespace
 
 std::int64_t days_from_civil(int year, unsigned month, unsigned day) {
   // Howard Hinnant's algorithm, valid for all representable inputs.
@@ -86,49 +69,6 @@ std::string format_date(UnixTime t) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%04d-%02u-%02u", c.year, c.month, c.day);
   return buf;
-}
-
-std::optional<UnixTime> parse_datetime(const std::string& s) {
-  CivilDateTime c;
-  auto parse_uint = [&](std::size_t pos, std::size_t len,
-                        unsigned& out) -> bool {
-    if (pos + len > s.size()) return false;
-    unsigned v = 0;
-    const auto [ptr, ec] =
-        std::from_chars(s.data() + pos, s.data() + pos + len, v);
-    if (ec != std::errc{} || ptr != s.data() + pos + len) return false;
-    out = v;
-    return true;
-  };
-  unsigned y = 0, mo = 0, d = 0;
-  if (s.size() != 10 && s.size() != 19) return std::nullopt;
-  if (!parse_uint(0, 4, y) || s[4] != '-' || !parse_uint(5, 2, mo) ||
-      s[7] != '-' || !parse_uint(8, 2, d)) {
-    return std::nullopt;
-  }
-  c.year = static_cast<int>(y);
-  c.month = mo;
-  c.day = d;
-  if (mo < 1 || mo > 12 || d < 1 || d > last_day_of_month(c.year, mo)) {
-    return std::nullopt;
-  }
-  if (s.size() == 19) {
-    unsigned h = 0, mi = 0, sec = 0;
-    if (s[10] != ' ' || !parse_uint(11, 2, h) || s[13] != ':' ||
-        !parse_uint(14, 2, mi) || s[16] != ':' || !parse_uint(17, 2, sec)) {
-      return std::nullopt;
-    }
-    if (h > 23 || mi > 59 || sec > 59) return std::nullopt;
-    c.hour = h;
-    c.minute = mi;
-    c.second = sec;
-  }
-  return to_unix(c);
-}
-
-bool fits_utctime(UnixTime t) {
-  const int year = from_unix(t).year;
-  return year >= 1950 && year <= 2049;
 }
 
 }  // namespace sm::util

@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 
 namespace sm::util {
@@ -49,12 +48,5 @@ std::string format_datetime(UnixTime t);
 
 /// Formats as "YYYY-MM-DD".
 std::string format_date(UnixTime t);
-
-/// Parses "YYYY-MM-DD" or "YYYY-MM-DD HH:MM:SS". Returns nullopt when the
-/// string is malformed or fields are out of range.
-std::optional<UnixTime> parse_datetime(const std::string& s);
-
-/// True when `t` falls in a year representable by ASN.1 UTCTime (1950-2049).
-bool fits_utctime(UnixTime t);
 
 }  // namespace sm::util

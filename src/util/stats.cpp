@@ -27,11 +27,6 @@ double EmpiricalCdf::percentile(double p) const {
   return sorted_[rank];
 }
 
-double EmpiricalCdf::min() const {
-  if (sorted_.empty()) throw std::logic_error("min of empty CDF");
-  return sorted_.front();
-}
-
 double EmpiricalCdf::max() const {
   if (sorted_.empty()) throw std::logic_error("max of empty CDF");
   return sorted_.back();

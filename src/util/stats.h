@@ -29,7 +29,6 @@ class EmpiricalCdf {
   double percentile(double p) const;
 
   double median() const { return percentile(0.5); }
-  double min() const;
   double max() const;
   double mean() const;
   std::size_t size() const { return sorted_.size(); }

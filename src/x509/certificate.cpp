@@ -164,50 +164,6 @@ std::optional<BasicConstraints> Certificate::basic_constraints() const {
   return out;
 }
 
-std::string KeyUsage::to_string() const {
-  static constexpr const char* kNames[] = {
-      "digitalSignature", "nonRepudiation", "keyEncipherment",
-      "dataEncipherment", "keyAgreement",   "keyCertSign",
-      "cRLSign",          "encipherOnly",   "decipherOnly"};
-  std::string out;
-  for (unsigned i = 0; i < 9; ++i) {
-    if (!(bits & (1u << i))) continue;
-    if (!out.empty()) out += ", ";
-    out += kNames[i];
-  }
-  return out;
-}
-
-std::optional<KeyUsage> Certificate::key_usage() const {
-  const Extension* ext = find_extension(asn1::oids::key_usage());
-  if (!ext) return std::nullopt;
-  const auto tlv = asn1::parse_single(ext->value);
-  if (!tlv || tlv->tag != static_cast<std::uint8_t>(asn1::Tag::kBitString)) {
-    return std::nullopt;
-  }
-  const auto bits = asn1::decode_named_bit_string(tlv->content);
-  if (!bits) return std::nullopt;
-  return KeyUsage{*bits};
-}
-
-std::vector<asn1::Oid> Certificate::extended_key_usage() const {
-  const Extension* ext = find_extension(asn1::oids::extended_key_usage());
-  if (!ext) return {};
-  // ExtKeyUsageSyntax ::= SEQUENCE OF KeyPurposeId
-  std::vector<asn1::Oid> out;
-  const auto outer = asn1::parse_single(ext->value);
-  if (!outer || outer->tag != static_cast<std::uint8_t>(asn1::Tag::kSequence)) {
-    return out;
-  }
-  asn1::Reader purposes(outer->content);
-  while (!purposes.at_end()) {
-    const auto oid = purposes.read_oid();
-    if (!oid) break;
-    out.push_back(*oid);
-  }
-  return out;
-}
-
 std::vector<asn1::Oid> Certificate::policy_oids() const {
   const Extension* ext = find_extension(asn1::oids::certificate_policies());
   if (!ext) return {};

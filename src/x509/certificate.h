@@ -75,9 +75,6 @@ struct KeyUsage {
     return *this;
   }
   friend bool operator==(const KeyUsage&, const KeyUsage&) = default;
-
-  /// Comma-separated names, e.g. "digitalSignature, keyCertSign".
-  std::string to_string() const;
 };
 
 /// Decoded AuthorityInfoAccess: OCSP responder URLs and caIssuers URLs.
@@ -138,12 +135,6 @@ struct Certificate {
 
   /// Decoded BasicConstraints, if present.
   std::optional<BasicConstraints> basic_constraints() const;
-
-  /// Decoded KeyUsage, if present and well-formed.
-  std::optional<KeyUsage> key_usage() const;
-
-  /// ExtendedKeyUsage purpose OIDs ({} when absent).
-  std::vector<asn1::Oid> extended_key_usage() const;
 
   /// Certificate-policy OIDs ({} when absent) — the "OID" linking feature
   /// of the paper's Table 6.

@@ -17,16 +17,10 @@ bool serial_less(const RevokedEntry& a, const RevokedEntry& b) {
 }  // namespace
 
 bool Crl::is_revoked(const bignum::BigUint& serial) const {
-  return revocation_date(serial).has_value();
-}
-
-std::optional<util::UnixTime> Crl::revocation_date(
-    const bignum::BigUint& serial) const {
   const RevokedEntry probe{serial, 0};
   const auto it =
       std::lower_bound(revoked.begin(), revoked.end(), probe, serial_less);
-  if (it == revoked.end() || !(it->serial == serial)) return std::nullopt;
-  return it->revocation_date;
+  return it != revoked.end() && it->serial == serial;
 }
 
 std::optional<Crl> parse_crl(util::BytesView der) {

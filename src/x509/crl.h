@@ -1,7 +1,8 @@
 // X.509 CRLs (RFC 5280 §5): the CertificateList structure, its DER
 // encode/parse round-trip, and a builder. Revocation is one of the
-// invalidity causes the paper's §2 taxonomy lists; together with
-// pki::CrlStore this lets the verifier classify revoked certificates.
+// invalidity causes the paper's §2 taxonomy lists; the revocation pass
+// (pki::BatchVerifier::check_revocation_all) parses and signature-checks
+// the CRLs a pki::RevocationSource serves.
 #pragma once
 
 #include <optional>
@@ -37,10 +38,6 @@ struct Crl {
 
   /// True when `serial` appears in the revoked list (binary search).
   bool is_revoked(const bignum::BigUint& serial) const;
-
-  /// The revocation date for `serial`, if revoked.
-  std::optional<util::UnixTime> revocation_date(
-      const bignum::BigUint& serial) const;
 };
 
 /// Parses a DER CertificateList. Returns nullopt on structural errors.

@@ -89,7 +89,7 @@ TEST(BigUint, DivModSmall) {
 }
 
 TEST(BigUint, DivByZeroThrows) {
-  EXPECT_THROW(BigUint(1) / BigUint(0), std::domain_error);
+  EXPECT_THROW(BigUint::divmod(BigUint(1), BigUint(0)), std::domain_error);
   EXPECT_THROW(BigUint(1) % BigUint(0), std::domain_error);
 }
 
@@ -118,7 +118,7 @@ TEST_P(BigUintAlgebra, MultiplicationDivisionInverse) {
     const BigUint a = random_biguint(rng, 192);
     BigUint b = random_biguint(rng, 96);
     if (b.is_zero()) b = BigUint(3);
-    EXPECT_EQ((a * b) / b, a);
+    EXPECT_EQ(BigUint::divmod(a * b, b).first, a);
     EXPECT_TRUE(((a * b) % b).is_zero());
   }
 }
@@ -167,12 +167,6 @@ TEST(BigUint, ModPowFermat) {
 TEST(BigUint, ModPowZeroExponent) {
   EXPECT_EQ(BigUint::mod_pow(BigUint(7), BigUint(0), BigUint(13)), BigUint(1));
   EXPECT_EQ(BigUint::mod_pow(BigUint(7), BigUint(5), BigUint(1)), BigUint(0));
-}
-
-TEST(BigUint, Gcd) {
-  EXPECT_EQ(BigUint::gcd(BigUint(48), BigUint(36)), BigUint(12));
-  EXPECT_EQ(BigUint::gcd(BigUint(17), BigUint(13)), BigUint(1));
-  EXPECT_EQ(BigUint::gcd(BigUint(0), BigUint(5)), BigUint(5));
 }
 
 TEST(BigUint, ModInverse) {

@@ -1,10 +1,13 @@
 // Tests for X.509 CRLs and revocation: CertificateList build/parse
-// round-trips, CrlStore signature gating, verifier integration, and
-// KeyUsage named-bit encoding.
+// round-trips, the revocation pass's CRL rules (signature gating, validity
+// windows, staleness), and KeyUsage named-bit encoding.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+#include <string_view>
+
 #include "asn1/der.h"
-#include "pki/crl_store.h"
 #include "pki/verifier.h"
 #include "util/prng.h"
 #include "x509/builder.h"
@@ -63,20 +66,23 @@ TEST(NamedBits, KnownEncodings) {
   EXPECT_EQ(dec[4], 0x80);
 }
 
-TEST(NamedBits, RoundTripAllMasks) {
+TEST(NamedBits, EncodesEveryMaskMinimally) {
+  // X.690 11.2.2: trailing zero bits are dropped, so the content is the
+  // unused-bit count and just enough octets for the highest set bit, with
+  // named bit i at octet i / 8, most significant bit first.
   for (std::uint32_t bits = 0; bits < (1u << 9); ++bits) {
     const auto der = named_bits_der(bits);
     const auto tlv = asn1::parse_single(der);
     ASSERT_TRUE(tlv.has_value());
-    EXPECT_EQ(asn1::decode_named_bit_string(tlv->content), bits) << bits;
+    const unsigned used = bits == 0 ? 0 : 32 - __builtin_clz(bits);
+    util::Bytes expected = {static_cast<std::uint8_t>((8 - used % 8) % 8)};
+    expected.resize(1 + (used + 7) / 8, 0);
+    for (unsigned i = 0; i < used; ++i) {
+      if ((bits >> i) & 1) expected[1 + i / 8] |= 0x80 >> (i % 8);
+    }
+    EXPECT_EQ(util::Bytes(tlv->content.begin(), tlv->content.end()), expected)
+        << bits;
   }
-}
-
-TEST(NamedBits, DecodeRejectsNonZeroPadding) {
-  // 7 unused bits declared but padding bits set.
-  const util::Bytes content = {0x07, 0x81};
-  EXPECT_FALSE(asn1::decode_named_bit_string(content).has_value());
-  EXPECT_FALSE(asn1::decode_named_bit_string({}).has_value());
 }
 
 // --- KeyUsage on certificates -----------------------------------------------------
@@ -94,15 +100,15 @@ TEST(KeyUsage, BuilderRoundTrip) {
                         .set_public_key(key.pub)
                         .set_key_usage(usage)
                         .sign(key);
-  const auto parsed = cert.key_usage();
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(*parsed, usage);
-  EXPECT_TRUE(parsed->has(x509::KeyUsageBit::kKeyCertSign));
-  EXPECT_FALSE(parsed->has(x509::KeyUsageBit::kDigitalSignature));
-  EXPECT_EQ(parsed->to_string(), "keyCertSign, cRLSign");
+  EXPECT_TRUE(usage.has(x509::KeyUsageBit::kKeyCertSign));
+  EXPECT_FALSE(usage.has(x509::KeyUsageBit::kDigitalSignature));
+  // The parsed certificate carries the critical extension with the
+  // named-bit encoding of the mask: bits 5 and 6, one unused bit.
   const auto* raw = cert.find_extension(asn1::oids::key_usage());
   ASSERT_NE(raw, nullptr);
   EXPECT_TRUE(raw->critical);
+  EXPECT_EQ(raw->value, named_bits_der(usage.bits));
+  EXPECT_EQ(raw->value, (util::Bytes{0x03, 0x02, 0x01, 0x06}));
 }
 
 TEST(KeyUsage, AbsentWhenNotSet) {
@@ -114,7 +120,7 @@ TEST(KeyUsage, AbsentWhenNotSet) {
                         .set_validity(0, 1)
                         .set_public_key(key.pub)
                         .sign(key);
-  EXPECT_FALSE(cert.key_usage().has_value());
+  EXPECT_EQ(cert.find_extension(asn1::oids::key_usage()), nullptr);
 }
 
 // --- CRL build/parse ---------------------------------------------------------------
@@ -139,8 +145,11 @@ TEST(CrlRoundTrip, BuildParseQuery) {
   EXPECT_TRUE(crl.is_revoked(bignum::BigUint(42)));
   EXPECT_TRUE(crl.is_revoked(bignum::BigUint(7)));
   EXPECT_FALSE(crl.is_revoked(bignum::BigUint(43)));
-  EXPECT_EQ(crl.revocation_date(bignum::BigUint(7)),
-            util::make_date(2014, 4, 1));
+  // Sorted by serial, each with its revocation date.
+  EXPECT_EQ(crl.revoked[0], (x509::RevokedEntry{bignum::BigUint(7),
+                                                util::make_date(2014, 4, 1)}));
+  EXPECT_EQ(crl.revoked[1], (x509::RevokedEntry{bignum::BigUint(42),
+                                                util::make_date(2014, 5, 20)}));
 
   // Independent parse agrees.
   const auto reparsed = x509::parse_crl(crl.der);
@@ -172,133 +181,140 @@ TEST(CrlRoundTrip, ParserRejectsGarbage) {
   EXPECT_FALSE(x509::parse_crl(truncated).has_value());
 }
 
-// --- CrlStore ----------------------------------------------------------------------
+// --- the revocation pass's CRL rules ----------------------------------------------
 
-TEST(CrlStore, VerifiesSignatureAndIssuer) {
+// Serves a fixed CRL per issuer key; no OCSP responder answers.
+class FixedCrls final : public pki::RevocationSource {
+ public:
+  void publish(const x509::Certificate& ca, const Crl& crl) {
+    der_[ca.subject.to_string()] = crl.der;
+  }
+
+  bool fetch_crl(std::string_view issuer_key,
+                 util::Bytes& der) const override {
+    const auto it = der_.find(std::string(issuer_key));
+    if (it == der_.end()) return false;
+    der.insert(der.end(), it->second.begin(), it->second.end());
+    return true;
+  }
+
+  OcspAnswer ocsp(std::string_view, std::string_view) const override {
+    return OcspAnswer::kUnreachable;
+  }
+
+ private:
+  std::map<std::string, util::Bytes> der_;
+};
+
+// The CRL-only revocation status of `serial` under `ca`, the one trusted
+// root, at `now`.
+pki::RevocationStatus crl_status(const FixedCrls& source,
+                                 const x509::Certificate& ca,
+                                 std::uint64_t serial, util::UnixTime now) {
+  pki::RootStore roots;
+  roots.add(ca);
+  const pki::IntermediatePool pool;
+  const pki::BatchVerifier verifier(roots, pool);
+  const pki::RevocationQuery query{ca.subject.to_string(),
+                                   bignum::BigUint(serial).to_hex(),
+                                   /*has_crl=*/true, /*has_ocsp=*/false};
+  return verifier.check_revocation_all({&query, 1}, source, now)[0];
+}
+
+TEST(CrlRevocation, VerifiesSignatureAndIssuer) {
+  using pki::RevocationStatus;
   const auto ca_key = sim_key(6);
   const auto ca = make_ca("Store CA", ca_key);
-  const Crl good = CrlBuilder()
-                       .set_issuer(ca.subject)
-                       .set_this_update(util::make_date(2014, 1, 1))
-                       .add_revoked(bignum::BigUint(9), 0)
-                       .sign(ca_key);
-  pki::CrlStore store;
-  EXPECT_TRUE(store.add(good, ca));
-  EXPECT_EQ(store.size(), 1u);
-  EXPECT_TRUE(store.is_revoked(ca.subject, bignum::BigUint(9)));
-  EXPECT_FALSE(store.is_revoked(ca.subject, bignum::BigUint(10)));
-  EXPECT_FALSE(
-      store.is_revoked(Name::with_common_name("Other CA"), bignum::BigUint(9)));
+  const util::UnixTime now = util::make_date(2014, 3, 1);
+  FixedCrls source;
+  EXPECT_EQ(crl_status(source, ca, 9, now), RevocationStatus::kUnreachable);
 
-  // A CRL signed by the wrong key is rejected.
+  source.publish(ca, CrlBuilder()
+                         .set_issuer(ca.subject)
+                         .set_this_update(util::make_date(2014, 1, 1))
+                         .add_revoked(bignum::BigUint(9), 0)
+                         .sign(ca_key));
+  EXPECT_EQ(crl_status(source, ca, 9, now), RevocationStatus::kRevoked);
+  EXPECT_EQ(crl_status(source, ca, 10, now), RevocationStatus::kGood);
+
+  // A CRL signed by the wrong key proves nothing either way.
   const auto rogue_key = sim_key(7);
-  const Crl forged = CrlBuilder()
+  source.publish(ca, CrlBuilder()
                          .set_issuer(ca.subject)
                          .set_this_update(util::make_date(2014, 2, 1))
                          .add_revoked(bignum::BigUint(10), 0)
-                         .sign(rogue_key);
-  EXPECT_FALSE(store.add(forged, ca));
-  EXPECT_FALSE(store.is_revoked(ca.subject, bignum::BigUint(10)));
+                         .sign(rogue_key));
+  EXPECT_EQ(crl_status(source, ca, 10, now), RevocationStatus::kUnknown);
+  EXPECT_EQ(crl_status(source, ca, 11, now), RevocationStatus::kUnknown);
 
-  // A mismatched issuer name is rejected even with a valid signature.
-  const Crl misnamed = CrlBuilder()
-                           .set_issuer(Name::with_common_name("Not Store CA"))
-                           .set_this_update(0)
-                           .sign(ca_key);
-  EXPECT_FALSE(store.add(misnamed, ca));
+  // Nor does one naming another issuer, even with a valid signature.
+  source.publish(ca, CrlBuilder()
+                         .set_issuer(Name::with_common_name("Not Store CA"))
+                         .set_this_update(0)
+                         .sign(ca_key));
+  EXPECT_EQ(crl_status(source, ca, 10, now), RevocationStatus::kUnknown);
 }
 
-TEST(CrlStore, KeepsFreshestCrl) {
-  const auto ca_key = sim_key(8);
-  const auto ca = make_ca("Fresh CA", ca_key);
-  const Crl old_crl = CrlBuilder()
-                          .set_issuer(ca.subject)
-                          .set_this_update(util::make_date(2014, 1, 1))
-                          .add_revoked(bignum::BigUint(1), 0)
-                          .sign(ca_key);
-  const Crl new_crl = CrlBuilder()
-                          .set_issuer(ca.subject)
-                          .set_this_update(util::make_date(2014, 6, 1))
-                          .add_revoked(bignum::BigUint(2), 0)
-                          .sign(ca_key);
-  pki::CrlStore store;
-  EXPECT_TRUE(store.add(new_crl, ca));
-  // A well-signed but older edition is not kept — and says so.
-  EXPECT_FALSE(store.add(old_crl, ca));
-  EXPECT_EQ(store.size(), 1u);
-  EXPECT_FALSE(store.is_revoked(ca.subject, bignum::BigUint(1)));
-  EXPECT_TRUE(store.is_revoked(ca.subject, bignum::BigUint(2)));
-}
-
-TEST(CrlStore, RejectsNextUpdateBeforeThisUpdate) {
+TEST(CrlRevocation, RejectsNextUpdateBeforeThisUpdate) {
+  using pki::RevocationStatus;
   const auto ca_key = sim_key(30);
   const auto ca = make_ca("Backwards CA", ca_key);
-  // nextUpdate earlier than thisUpdate: a malformed validity window the
-  // store refuses even though the signature verifies.
-  const Crl backwards = CrlBuilder()
-                            .set_issuer(ca.subject)
-                            .set_this_update(util::make_date(2014, 6, 1))
-                            .set_next_update(util::make_date(2014, 5, 1))
-                            .add_revoked(bignum::BigUint(5), 0)
-                            .sign(ca_key);
-  pki::CrlStore store;
-  EXPECT_FALSE(store.add(backwards, ca));
-  EXPECT_FALSE(store.add_unverified(backwards));
-  EXPECT_EQ(store.size(), 0u);
-  EXPECT_FALSE(store.is_revoked(ca.subject, bignum::BigUint(5)));
+  const util::UnixTime this_update = util::make_date(2014, 6, 1);
+  // nextUpdate earlier than thisUpdate: a malformed validity window that
+  // answers nothing even though the signature verifies.
+  FixedCrls source;
+  source.publish(ca, CrlBuilder()
+                         .set_issuer(ca.subject)
+                         .set_this_update(this_update)
+                         .set_next_update(util::make_date(2014, 5, 1))
+                         .add_revoked(bignum::BigUint(5), 0)
+                         .sign(ca_key));
+  EXPECT_EQ(crl_status(source, ca, 5, this_update), RevocationStatus::kUnknown);
 
   // The degenerate-but-legal equal-boundary window is accepted.
-  const Crl instant = CrlBuilder()
-                          .set_issuer(ca.subject)
-                          .set_this_update(util::make_date(2014, 6, 1))
-                          .set_next_update(util::make_date(2014, 6, 1))
-                          .sign(ca_key);
-  EXPECT_TRUE(store.add(instant, ca));
-  EXPECT_EQ(store.size(), 1u);
+  source.publish(ca, CrlBuilder()
+                         .set_issuer(ca.subject)
+                         .set_this_update(this_update)
+                         .set_next_update(this_update)
+                         .add_revoked(bignum::BigUint(5), 0)
+                         .sign(ca_key));
+  EXPECT_EQ(crl_status(source, ca, 5, this_update), RevocationStatus::kRevoked);
+  EXPECT_EQ(crl_status(source, ca, 6, this_update), RevocationStatus::kGood);
 }
 
-TEST(CrlStore, StalenessEdges) {
+TEST(CrlRevocation, StalenessEdges) {
+  using pki::RevocationStatus;
   const auto ca_key = sim_key(31);
   const auto ca = make_ca("Stale CA", ca_key);
   const util::UnixTime next = util::make_date(2014, 7, 1);
-  const Crl dated = CrlBuilder()
-                        .set_issuer(ca.subject)
-                        .set_this_update(util::make_date(2014, 6, 1))
-                        .set_next_update(next)
-                        .sign(ca_key);
-  pki::CrlStore store;
-  // No CRL for the issuer: not stale (there is nothing to be stale).
-  EXPECT_FALSE(store.is_stale(ca.subject, next + 1));
-  ASSERT_TRUE(store.add(dated, ca));
-  EXPECT_FALSE(store.is_stale(ca.subject, next - 1));
-  EXPECT_FALSE(store.is_stale(ca.subject, next));  // deadline instant: fresh
-  EXPECT_TRUE(store.is_stale(ca.subject, next + 1));
-
-  // A replacement edition pushes the deadline out again.
-  const Crl fresher = CrlBuilder()
-                          .set_issuer(ca.subject)
-                          .set_this_update(util::make_date(2014, 7, 15))
-                          .set_next_update(util::make_date(2014, 8, 15))
-                          .sign(ca_key);
-  ASSERT_TRUE(store.add(fresher, ca));
-  EXPECT_EQ(store.size(), 1u);
-  EXPECT_FALSE(store.is_stale(ca.subject, next + 1));
-  EXPECT_TRUE(store.is_stale(ca.subject, util::make_date(2014, 9, 1)));
+  FixedCrls source;
+  source.publish(ca, CrlBuilder()
+                         .set_issuer(ca.subject)
+                         .set_this_update(util::make_date(2014, 6, 1))
+                         .set_next_update(next)
+                         .add_revoked(bignum::BigUint(3), 0)
+                         .sign(ca_key));
+  EXPECT_EQ(crl_status(source, ca, 4, next - 1), RevocationStatus::kGood);
+  // The deadline instant is still fresh.
+  EXPECT_EQ(crl_status(source, ca, 4, next), RevocationStatus::kGood);
+  EXPECT_EQ(crl_status(source, ca, 4, next + 1), RevocationStatus::kStaleCrl);
+  // A revoked entry outranks staleness.
+  EXPECT_EQ(crl_status(source, ca, 3, next + 1), RevocationStatus::kRevoked);
 
   // Absence of a nextUpdate deadline is not staleness.
   const auto quiet_key = sim_key(32);
   const auto quiet = make_ca("No Deadline CA", quiet_key);
-  const Crl open_ended = CrlBuilder()
-                             .set_issuer(quiet.subject)
-                             .set_this_update(util::make_date(2010, 1, 1))
-                             .sign(quiet_key);
-  ASSERT_TRUE(store.add(open_ended, quiet));
-  EXPECT_FALSE(store.is_stale(quiet.subject, util::make_date(2030, 1, 1)));
+  source.publish(quiet, CrlBuilder()
+                            .set_issuer(quiet.subject)
+                            .set_this_update(util::make_date(2010, 1, 1))
+                            .sign(quiet_key));
+  EXPECT_EQ(crl_status(source, quiet, 4, util::make_date(2030, 1, 1)),
+            RevocationStatus::kGood);
 }
 
-// --- verifier integration ------------------------------------------------------------
-
-TEST(Revocation, VerifierClassifiesRevokedLeaf) {
+TEST(CrlRevocation, RevokedLeafStaysChainValid) {
+  // Revocation is its own answer: the chain walk never reads a CRL, so a
+  // revoked leaf still verifies, and the revocation pass calls it revoked.
   const auto root_key = sim_key(9);
   const auto root = make_ca("Rev Root", root_key);
   const auto leaf_key = sim_key(10);
@@ -310,43 +326,22 @@ TEST(Revocation, VerifierClassifiesRevokedLeaf) {
                                       util::make_date(2015, 1, 1))
                         .set_public_key(leaf_key.pub)
                         .sign(root_key);
+  FixedCrls source;
+  source.publish(root, CrlBuilder()
+                           .set_issuer(root.subject)
+                           .set_this_update(util::make_date(2014, 1, 1))
+                           .add_revoked(bignum::BigUint(777),
+                                        util::make_date(2014, 1, 1))
+                           .sign(root_key));
 
   pki::RootStore roots;
   roots.add(root);
   const pki::IntermediatePool pool;
-
-  pki::CrlStore crls;
-  const Crl crl = CrlBuilder()
-                      .set_issuer(root.subject)
-                      .set_this_update(util::make_date(2014, 1, 1))
-                      .add_revoked(bignum::BigUint(777),
-                                   util::make_date(2014, 1, 1))
-                      .sign(root_key);
-  ASSERT_TRUE(crls.add(crl, root));
-
-  // Without a CRL store: valid.
-  const pki::Verifier plain(roots, pool);
-  EXPECT_TRUE(plain.verify(leaf).valid);
-
-  // With the store: revoked.
-  pki::VerifyOptions options;
-  options.crl_store = &crls;
-  const pki::Verifier checking(roots, pool, options);
-  const auto result = checking.verify(leaf);
-  EXPECT_FALSE(result.valid);
-  EXPECT_EQ(result.reason, pki::InvalidReason::kRevoked);
-  EXPECT_EQ(to_string(result.reason), "revoked");
-
-  // A sibling with a different serial still validates.
-  const auto other = CertificateBuilder()
-                         .set_serial(bignum::BigUint(778))
-                         .set_issuer(root.subject)
-                         .set_subject(Name::with_common_name("fine.example"))
-                         .set_validity(util::make_date(2013, 1, 1),
-                                       util::make_date(2015, 1, 1))
-                         .set_public_key(leaf_key.pub)
-                         .sign(root_key);
-  EXPECT_TRUE(checking.verify(other).valid);
+  EXPECT_TRUE(pki::Verifier(roots, pool).verify(leaf).valid);
+  const util::UnixTime now = util::make_date(2014, 2, 1);
+  EXPECT_EQ(crl_status(source, root, 777, now),
+            pki::RevocationStatus::kRevoked);
+  EXPECT_EQ(crl_status(source, root, 778, now), pki::RevocationStatus::kGood);
 }
 
 }  // namespace

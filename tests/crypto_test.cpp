@@ -132,7 +132,7 @@ INSTANTIATE_TEST_SUITE_P(Schemes, SchemeTest,
                          ::testing::Values(SigScheme::kRsaSha256,
                                            SigScheme::kSimSha256),
                          [](const auto& info) {
-                           return to_string(info.param) == "rsa-sha256"
+                           return info.param == SigScheme::kRsaSha256
                                       ? std::string("Rsa")
                                       : std::string("Sim");
                          });
@@ -153,11 +153,6 @@ TEST(SimScheme, SchemesDoNotCrossVerify) {
   const Bytes msg = to_bytes("msg");
   EXPECT_FALSE(verify(rsa.pub, msg, sign(sim, msg)));
   EXPECT_FALSE(verify(sim.pub, msg, sign(rsa, msg)));
-}
-
-TEST(SchemeNames, ToString) {
-  EXPECT_EQ(to_string(SigScheme::kRsaSha256), "rsa-sha256");
-  EXPECT_EQ(to_string(SigScheme::kSimSha256), "sim-sha256");
 }
 
 TEST(Verify, MalformedKeyMaterialReturnsFalse) {

@@ -22,22 +22,8 @@ class LoopbackClient {
   /// `rcvbuf` > 0 shrinks SO_RCVBUF before connecting (the backpressure
   /// tests use a tiny receive window to keep response bytes queued on the
   /// server; the window scale is fixed at the handshake).
-  explicit LoopbackClient(std::uint16_t port, int rcvbuf = 0) {
-    const netio::Endpoint ep{"127.0.0.1", port};
-    if (rcvbuf <= 0) {
-      client_.connect(ep);
-      return;
-    }
-    const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-    if (fd < 0) return;
-    ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof rcvbuf);
-    std::string error;
-    if (!netio::connect_socket(fd, ep, 0, 0, error)) {
-      ::close(fd);
-      return;
-    }
-    client_ = netio::FrameClient(fd);
-  }
+  explicit LoopbackClient(std::uint16_t port, int rcvbuf = 0)
+      : client_(open_socket(port, rcvbuf)) {}
 
   bool connected() const { return client_.connected(); }
 
@@ -81,6 +67,21 @@ class LoopbackClient {
   }
 
  private:
+  // A socket connected to 127.0.0.1:`port`, or -1.
+  static int open_socket(std::uint16_t port, int rcvbuf) {
+    const netio::Endpoint ep{"127.0.0.1", port};
+    std::string error;
+    if (rcvbuf <= 0) return netio::connect_tcp(ep, 0, 0, error);
+    const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+    if (fd < 0) return -1;
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof rcvbuf);
+    if (!netio::connect_socket(fd, ep, 0, 0, error)) {
+      ::close(fd);
+      return -1;
+    }
+    return fd;
+  }
+
   netio::FrameClient client_;
 };
 

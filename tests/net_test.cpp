@@ -94,16 +94,6 @@ TEST(RouteTable, LongestPrefixMatchWins) {
   EXPECT_EQ(t.size(), 3u);
 }
 
-TEST(RouteTable, LookupPrefixReturnsMostSpecific) {
-  RouteTable t;
-  t.announce(*Prefix::parse("10.0.0.0/8"), 100);
-  t.announce(*Prefix::parse("10.1.0.0/16"), 200);
-  EXPECT_EQ(t.lookup_prefix(*Ipv4Address::parse("10.1.2.3"))->to_string(),
-            "10.1.0.0/16");
-  EXPECT_EQ(t.lookup_prefix(*Ipv4Address::parse("10.200.2.3"))->to_string(),
-            "10.0.0.0/8");
-}
-
 TEST(RouteTable, ReannounceOverwrites) {
   RouteTable t;
   const Prefix p = *Prefix::parse("20.0.0.0/16");
@@ -111,16 +101,6 @@ TEST(RouteTable, ReannounceOverwrites) {
   t.announce(p, 2);
   EXPECT_EQ(t.size(), 1u);
   EXPECT_EQ(t.lookup(*Ipv4Address::parse("20.0.1.1")), 2u);
-}
-
-TEST(RouteTable, WithdrawFallsBack) {
-  RouteTable t;
-  t.announce(*Prefix::parse("10.0.0.0/8"), 100);
-  t.announce(*Prefix::parse("10.1.0.0/16"), 200);
-  EXPECT_TRUE(t.withdraw(*Prefix::parse("10.1.0.0/16")));
-  EXPECT_EQ(t.lookup(*Ipv4Address::parse("10.1.2.3")), 100u);
-  EXPECT_FALSE(t.withdraw(*Prefix::parse("10.1.0.0/16")));
-  EXPECT_FALSE(t.withdraw(*Prefix::parse("99.0.0.0/8")));
 }
 
 TEST(RouteTable, HostRouteAndDefaultRoute) {
@@ -227,13 +207,6 @@ TEST(AsDatabase, CountryChangesOverTime) {
   EXPECT_EQ(db.country_at(100, 5000), "DEU");
   EXPECT_EQ(db.country_at(100, 90000), "DEU");
   EXPECT_EQ(db.country_at(42, 0), "");
-}
-
-TEST(AsType, Labels) {
-  EXPECT_EQ(to_string(AsType::kTransitAccess), "Transit/Access");
-  EXPECT_EQ(to_string(AsType::kContent), "Content");
-  EXPECT_EQ(to_string(AsType::kEnterprise), "Enterprise");
-  EXPECT_EQ(to_string(AsType::kUnknown), "Unknown");
 }
 
 }  // namespace

@@ -341,9 +341,12 @@ TEST_F(EchoServerTest, CallManyPipelinesABatchOverOneConnection) {
   for (int i = 0; i < 32; ++i) {
     payloads.push_back("batch-" + std::to_string(i));
   }
-  std::vector<std::string_view> views(payloads.begin(), payloads.end());
-  auto futures = pool.call_many(0, FrameType::kPing, views);
-  ASSERT_EQ(futures.size(), payloads.size());
+  // Every call is sent before any answer is read: one connection, so the
+  // 32 frames are in flight together and answer in FIFO order.
+  std::vector<PendingCall> futures;
+  for (const std::string& payload : payloads) {
+    futures.push_back(pool.call(0, FrameType::kPing, payload));
+  }
   for (std::size_t i = 0; i < futures.size(); ++i) {
     CallResult result = futures[i].get();
     ASSERT_TRUE(result.ok()) << "call " << i;
@@ -356,8 +359,9 @@ TEST_F(EchoServerTest, CallManyPipelinesABatchOverOneConnection) {
   server.shutdown();
 }
 
-// kRevocationQuery batches ride the same call_many pipelining as every
-// other frame type. When the backend stalls mid-batch, correlation is
+// kRevocationQuery batches ride the same pipelining as every other frame
+// type: N calls in flight on one connection, as the router issues a
+// sub-batch. When the backend stalls mid-batch, correlation is
 // positional, so the whole in-flight pipeline fails with kTimeout, the
 // backend is marked down, and the connection resets — after which the
 // next batch reconnects and succeeds (the health bit is advisory routing
@@ -391,11 +395,16 @@ TEST_F(EchoServerTest, CallManyRevocationBatchAndMidBatchMarkDown) {
   for (int i = 0; i < kBatch; ++i) {
     payloads.push_back("fp-" + std::to_string(i));
   }
-  std::vector<std::string_view> views(payloads.begin(), payloads.end());
+  const auto send_batch = [&] {
+    std::vector<PendingCall> calls;
+    for (const std::string& payload : payloads) {
+      calls.push_back(pool.call(0, FrameType::kRevocationQuery, payload));
+    }
+    return calls;
+  };
 
   // A healthy batch pipelines in order over the one connection.
-  auto futures = pool.call_many(0, FrameType::kRevocationQuery, views);
-  ASSERT_EQ(futures.size(), payloads.size());
+  auto futures = send_batch();
   for (std::size_t i = 0; i < futures.size(); ++i) {
     CallResult result = futures[i].get();
     ASSERT_TRUE(result.ok()) << "call " << i;
@@ -409,7 +418,7 @@ TEST_F(EchoServerTest, CallManyRevocationBatchAndMidBatchMarkDown) {
   // and everything behind it on the pipeline is unidentifiable — the
   // whole flight fails and the backend is marked down.
   stall_at.store(kBatch + 4, std::memory_order_relaxed);
-  auto stalled = pool.call_many(0, FrameType::kRevocationQuery, views);
+  auto stalled = send_batch();
   int failed = 0;
   for (auto& future : stalled) {
     const CallResult result = future.get();
@@ -427,7 +436,7 @@ TEST_F(EchoServerTest, CallManyRevocationBatchAndMidBatchMarkDown) {
   // Marked down is not gated off: the next batch reconnects the reset
   // connection and pipelines normally.
   stall_at.store(-1, std::memory_order_relaxed);
-  auto retry = pool.call_many(0, FrameType::kRevocationQuery, views);
+  auto retry = send_batch();
   for (std::size_t i = 0; i < retry.size(); ++i) {
     CallResult result = retry[i].get();
     ASSERT_TRUE(result.ok()) << "retry call " << i;
@@ -1189,8 +1198,11 @@ TEST_F(EchoServerTest, ClientPoolDroppedCallDoesNotDesyncTheConnection) {
   ASSERT_TRUE(next.ok());
   EXPECT_EQ(next.response.payload, "next");
 
-  const std::string_view batch[] = {"b0", "b1", "b2"};
-  { auto unread = pool.call_many(0, FrameType::kPing, batch); }
+  {
+    PendingCall unread[] = {pool.call(0, FrameType::kPing, "b0"),
+                            pool.call(0, FrameType::kPing, "b1"),
+                            pool.call(0, FrameType::kPing, "b2")};
+  }
   PendingCall call = pool.call(0, FrameType::kPing, "overwritten");
   call = pool.call(0, FrameType::kPing, "kept");
   next = call.get();

@@ -293,25 +293,10 @@ TEST(DateTime, LeapYearHandling) {
             1 * kSecondsPerDay);  // 2100 is not
 }
 
-TEST(DateTime, FormatAndParseRoundTrip) {
+TEST(DateTime, FormatsDateAndTime) {
   const UnixTime t = make_date(2013, 11, 5) + 7 * 3600 + 8 * 60 + 9;
   EXPECT_EQ(format_datetime(t), "2013-11-05 07:08:09");
-  EXPECT_EQ(parse_datetime("2013-11-05 07:08:09"), t);
-  EXPECT_EQ(parse_datetime("2013-11-05"), make_date(2013, 11, 5));
-}
-
-TEST(DateTime, ParseRejectsGarbage) {
-  EXPECT_FALSE(parse_datetime("not a date").has_value());
-  EXPECT_FALSE(parse_datetime("2013-13-05").has_value());
-  EXPECT_FALSE(parse_datetime("2013-02-30").has_value());
-  EXPECT_FALSE(parse_datetime("2013-11-05 25:00:00").has_value());
-}
-
-TEST(DateTime, UtcTimeWindow) {
-  EXPECT_TRUE(fits_utctime(make_date(1950, 1, 1)));
-  EXPECT_TRUE(fits_utctime(make_date(2049, 12, 31)));
-  EXPECT_FALSE(fits_utctime(make_date(2050, 1, 1)));
-  EXPECT_FALSE(fits_utctime(make_date(1949, 12, 31)));
+  EXPECT_EQ(format_date(t), "2013-11-05");
 }
 
 // Property sweep: day arithmetic round-trips across four centuries.
@@ -408,7 +393,6 @@ TEST(EmpiricalCdf, BasicQueries) {
   EXPECT_DOUBLE_EQ(cdf.at(3), 0.6);
   EXPECT_DOUBLE_EQ(cdf.at(100), 1.0);
   EXPECT_DOUBLE_EQ(cdf.median(), 3);
-  EXPECT_DOUBLE_EQ(cdf.min(), 1);
   EXPECT_DOUBLE_EQ(cdf.max(), 5);
   EXPECT_DOUBLE_EQ(cdf.mean(), 3);
 }

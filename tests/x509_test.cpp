@@ -316,10 +316,18 @@ TEST(Extensions, ExtendedKeyUsage) {
           .set_extended_key_usage(
               {asn1::oids::kp_server_auth(), asn1::oids::kp_client_auth()})
           .sign(key);
-  const auto purposes = cert.extended_key_usage();
-  ASSERT_EQ(purposes.size(), 2u);
-  EXPECT_EQ(purposes[0], asn1::oids::kp_server_auth());
-  EXPECT_EQ(purposes[1], asn1::oids::kp_client_auth());
+  // ExtKeyUsageSyntax ::= SEQUENCE OF KeyPurposeId, non-critical.
+  const Extension* ext =
+      cert.find_extension(asn1::oids::extended_key_usage());
+  ASSERT_NE(ext, nullptr);
+  EXPECT_FALSE(ext->critical);
+  const auto outer = asn1::parse_single(ext->value);
+  ASSERT_TRUE(outer.has_value());
+  EXPECT_EQ(outer->tag, static_cast<std::uint8_t>(asn1::Tag::kSequence));
+  asn1::Reader purposes(outer->content);
+  EXPECT_EQ(purposes.read_oid(), asn1::oids::kp_server_auth());
+  EXPECT_EQ(purposes.read_oid(), asn1::oids::kp_client_auth());
+  EXPECT_TRUE(purposes.at_end());
 }
 
 TEST(Extensions, AbsentExtensionsGiveEmptyResults) {
@@ -338,8 +346,8 @@ TEST(Extensions, AbsentExtensionsGiveEmptyResults) {
   EXPECT_TRUE(cert.authority_info_access().ocsp.empty());
   EXPECT_FALSE(cert.basic_constraints().has_value());
   EXPECT_TRUE(cert.policy_oids().empty());
-  EXPECT_TRUE(cert.extended_key_usage().empty());
-  EXPECT_FALSE(cert.key_usage().has_value());
+  EXPECT_EQ(cert.find_extension(asn1::oids::extended_key_usage()), nullptr);
+  EXPECT_EQ(cert.find_extension(asn1::oids::key_usage()), nullptr);
 }
 
 // --- fingerprints / identity -------------------------------------------------
