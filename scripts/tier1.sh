@@ -61,6 +61,10 @@ check_rejects ./build/tools/sm_notary_router --backend 127.0.0.1:1 \
     --threads +7
 check_rejects ./build/tools/sm_notary_router --backend 127.0.0.1:1 \
     --port ' 80'
+# The pool sizes itself by demand; the old fixed-size flag must be
+# rejected, not silently ignored.
+check_rejects ./build/tools/sm_notary_router --backend 127.0.0.1:1 \
+    --connections-per-backend 2
 # The load generators live in perfbench now; their old flags must be
 # rejected, not silently ignored.
 check_rejects ./build/tools/sm_notaryd --bench 10
@@ -161,9 +165,10 @@ if [[ "$run_tsan" == 1 ]]; then
     echo "-- $t (tsan)"
     ./build-tsan/tests/"$t" --gtest_brief=1
   done
-  # ClientPool callers hand a connection's reading role to each other;
-  # those handoffs race only under real parallelism, so the pool and the
-  # router over it get repeated runs.
+  # ClientPool callers check connections in and out of a shared idle
+  # list while shutdown wakes the blocked ones; those races show only
+  # under real parallelism, so the pool and the router over it get
+  # repeated runs.
   for t in netio_test router_test; do
     echo "-- $t (tsan, repeat 20)"
     ./build-tsan/tests/"$t" --gtest_brief=1 --gtest_repeat=20

@@ -4,12 +4,9 @@
 
 #include <cstdint>
 #include <map>
-#include <optional>
 #include <string>
-#include <vector>
 
 #include "net/route_table.h"
-#include "util/datetime.h"
 
 namespace sm::net {
 
@@ -29,26 +26,17 @@ struct AsInfo {
   AsType type = AsType::kUnknown;
 };
 
-/// Lookup table of AS metadata, with optional dated country overrides to
-/// model CAIDA's quarterly AS-to-organization snapshots (the paper notes a
-/// 3-4 month resolution for AS-to-country mapping).
+/// Lookup table of AS metadata.
 class AsDatabase {
  public:
   /// Registers (or replaces) an AS entry.
   void add(AsInfo info);
-
-  /// Records that `asn` is located in `country` from `from` onwards.
-  void add_country_change(Asn asn, util::UnixTime from, std::string country);
 
   /// Static info for `asn`, or nullptr when unknown.
   const AsInfo* find(Asn asn) const;
 
   /// The AS type, kUnknown for unregistered ASes.
   AsType type_of(Asn asn) const;
-
-  /// The country of `asn` at time `t`, honouring dated overrides; "" when
-  /// unknown.
-  std::string country_at(Asn asn, util::UnixTime t) const;
 
   /// Display label "#3320 Deutsche Telekom AG (DEU)" as in Table 3.
   std::string label(Asn asn) const;
@@ -57,8 +45,6 @@ class AsDatabase {
 
  private:
   std::map<Asn, AsInfo> info_;
-  // Per-AS sorted list of (effective-from, country).
-  std::map<Asn, std::vector<std::pair<util::UnixTime, std::string>>> moves_;
 };
 
 }  // namespace sm::net

@@ -1,33 +1,21 @@
-// ClientPool — pooled, pipelined frame-protocol client connections, the
-// router tier's path to its backends.
+// ClientPool — the router tier's path to its backends: a checkout pool of
+// FrameClient connections per backend.
 //
-//  * Each backend gets a fixed set of persistent connections. A call()
-//    picks one (round-robin), appends the request frame, and returns a
-//    PendingCall; many calls share one connection in flight
-//    (pipelining), so a single TCP stream amortizes syscalls and keeps
-//    the backend's epoll loop busy.
-//  * Correlation is FIFO per connection: the server answers every frame
-//    on the connection it arrived on, in arrival order, so the oldest
-//    unanswered call owns the next response. (No request ids on the
-//    wire — ordering IS the correlation scheme. Responses across
-//    *different* connections complete out of order freely.)
-//  * No thread reads on the pool's behalf: the callers waiting on a
-//    connection read it themselves, leader/follower style. One of them
-//    holds the connection's reading role, polls and receives with the
-//    lock released, completes every call whose answer arrived (in FIFO
-//    order, its own or not) and passes the role on once its own answer
-//    is in; the others sleep until their call completes or the role is
-//    free. The oldest waiter's deadline is the read timeout. A timeout,
-//    EOF, or malformed response fails every call in flight on that
-//    connection (their responses are unidentifiable once the stream is
-//    broken) and the connection reconnects lazily.
-//  * A prober thread kPings every backend on a fixed cadence and flips
-//    its health bit; callers can route around unhealthy backends and
-//    the prober's successful ping marks them back up. It is the pool's
-//    only thread.
-//  * Counters are per-backend and per-error-class, since-start
-//    (requests, ok, connect errors, timeouts, io errors, pings ok/
-//    failed, mark-downs, reconnects) — the ROUTER-STATS raw material.
+//  * call() takes an idle connection of the backend (or connects a new
+//    one), sends the request frame and returns a PendingCall that owns
+//    the connection until get(). No connection is shared by two calls,
+//    so the next frame on it is the call's answer, and a backend's pool
+//    grows only to its peak number of concurrent calls.
+//  * get() reads that answer. A good answer puts the connection back on
+//    the idle list. A failure closes it and the backend's idle ones
+//    (which likely lead to the same dead or restarted process) and marks
+//    the backend down.
+//  * A prober thread, the pool's only thread, kPings every backend over
+//    its own connection on a fixed cadence: a failed ping marks the
+//    backend down, a good one marks it up, and callers route around
+//    backends that are down.
+//  * Counters are per-backend and per-error-class, since start — the
+//    ROUTER-STATS raw material.
 #pragma once
 
 #include <cstdint>
@@ -43,11 +31,9 @@ namespace sm::netio {
 
 /// Pool tunables.
 struct ClientPoolConfig {
-  /// Persistent connections per backend.
-  std::size_t connections_per_backend = 2;
   int connect_timeout_ms = 1'000;
-  /// Deadline for the oldest in-flight call on a connection; hitting it
-  /// fails everything queued behind it too.
+  /// Bounds each send and each wait for answer bytes (FrameClient's I/O
+  /// timeout).
   int request_timeout_ms = 2'000;
   /// Health-probe cadence; 0 disables the prober thread.
   int ping_interval_ms = 200;
@@ -57,7 +43,7 @@ struct ClientPoolConfig {
 enum class CallStatus {
   kOk,            ///< response frame received
   kConnectFailed, ///< could not establish a connection
-  kTimeout,       ///< oldest-waiter deadline expired
+  kTimeout,       ///< request_timeout_ms expired on the send or the answer
   kIoError,       ///< send/recv error, EOF, or malformed response
   kShutdown,      ///< pool destroyed with the call in flight
 };
@@ -69,15 +55,12 @@ struct CallResult {
   bool ok() const { return status == CallStatus::kOk; }
 };
 
-/// One call in flight, returned by ClientPool::call. Move-only.
-/// get() blocks until the response arrives or the call fails, reading
-/// the connection itself when no other waiter is (see the header
-/// comment), and returns the result once; later get()s, like get() on a
-/// default-constructed or moved-from PendingCall, return kShutdown. A
-/// PendingCall destroyed before get() waits for its answer and discards
-/// it, so the calls behind it on the connection stay correlated. A
-/// PendingCall may outlive its pool: destroying the pool fails it with
-/// kShutdown.
+/// One call in flight, returned by ClientPool::call. Move-only. get()
+/// blocks until the answer arrives or the call fails and returns the
+/// result once; later get()s, and get() on an empty PendingCall, return
+/// kShutdown. Destroyed before get(), it waits for its answer and drops
+/// it, so its connection goes back clean. It may outlive its pool:
+/// destroying the pool fails it with kShutdown.
 class PendingCall {
  public:
   PendingCall();
@@ -95,8 +78,8 @@ class PendingCall {
   std::unique_ptr<State> state_;
 };
 
-/// Since-start, per-backend counters (relaxed atomics under the hood;
-/// this is the copied-out view).
+/// Since-start, per-backend counters, copied out under the backend's
+/// lock. Probe traffic counts only in pings_*.
 struct BackendCounters {
   std::uint64_t requests = 0;
   std::uint64_t ok = 0;
@@ -110,12 +93,10 @@ struct BackendCounters {
 };
 
 /// The pool. Construct with the backend list, then call() from any
-/// thread. Backends can be added while the pool is live (resharding
-/// brings up successors at runtime) but never removed — indices handed
-/// out stay valid for the pool's lifetime, which is what lets the router
-/// publish routing tables that name backends by index. Destruction fails
-/// outstanding calls with kShutdown (a caller blocked in get() returns
-/// at once) and joins the prober thread.
+/// thread. Backends can be added while the pool is live (resharding) but
+/// never removed, so the indices routing tables name stay valid.
+/// Destruction fails outstanding calls with kShutdown (a caller blocked
+/// in get() returns at once) and joins the prober thread.
 class ClientPool {
  public:
   /// add_backend's failure value (pool already shutting down).
@@ -129,29 +110,26 @@ class ClientPool {
 
   const Endpoint& backend(std::size_t index) const;
 
-  /// Registers `endpoint` and returns its pool index, starting its
-  /// connections and enrolling it with the health prober. Idempotent: an
-  /// endpoint already in the pool (same host:port) returns its existing
-  /// index. Thread-safe against calls, probes, and other add_backend
-  /// invocations (the backend list is copy-on-add behind an atomic
-  /// shared_ptr, the same RCU pattern as the router's prefix map).
-  /// Returns kNoBackend if the pool is already shutting down.
+  /// Registers `endpoint` and returns its pool index, enrolling it with
+  /// the prober. Idempotent: an endpoint already in the pool (same
+  /// host:port) returns its existing index. Thread-safe against calls,
+  /// probes and other add_backend calls (the backend list is copy-on-add
+  /// behind an atomic shared_ptr). kNoBackend once the pool shuts down.
   std::size_t add_backend(const Endpoint& endpoint);
 
-  /// Sends one request frame to `backend` and returns the call; its
-  /// get() yields the response (or the failure). Thread-safe; returns
-  /// once the frame is sent.
+  /// Sends one request frame to `backend` and returns the call, whose
+  /// get() yields the response or the failure. Thread-safe.
   PendingCall call(std::size_t backend, FrameType type,
                    std::string_view payload);
 
-  /// Current health bit: set by successful probes/calls, cleared by any
+  /// Current health bit: set by successful probes, cleared by any
   /// failure. A fresh pool reports healthy until proven otherwise.
   bool healthy(std::size_t backend) const;
 
   BackendCounters counters(std::size_t backend) const;
 
  private:
-  friend class PendingCall;  // a call reads its connection itself
+  friend class PendingCall;  // a call returns its connection to the pool
   struct Impl;
   std::unique_ptr<Impl> impl_;
 };

@@ -57,8 +57,8 @@ inline constexpr std::size_t kFrameTrailerSize = 4;
 inline constexpr std::size_t kMaxFramePayload = 1 << 20;
 
 /// Ceiling for decoding a server's *responses*: batch answers aggregate
-/// many rendered certificates, so clients (FrameClient, ClientPool)
-/// accept well above the single-frame request cap.
+/// many rendered certificates, so FrameClient (and ClientPool through
+/// it) accepts well above the single-frame request cap.
 inline constexpr std::size_t kMaxResponsePayload = 32u << 20;
 
 /// Frame kinds. Requests are < 0x80, responses >= 0x80.

@@ -6,12 +6,25 @@
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <utility>
 
+#include "util/crc32.h"
+
 namespace sm::netio {
+namespace {
+
+void put_u32le_bytes(unsigned char* p, std::uint32_t value) {
+  p[0] = static_cast<unsigned char>(value & 0xff);
+  p[1] = static_cast<unsigned char>((value >> 8) & 0xff);
+  p[2] = static_cast<unsigned char>((value >> 16) & 0xff);
+  p[3] = static_cast<unsigned char>((value >> 24) & 0xff);
+}
+
+}  // namespace
 
 bool parse_endpoint(std::string_view text, Endpoint& out) {
   const std::size_t colon = text.rfind(':');
@@ -139,7 +152,49 @@ bool FrameClient::send(std::string_view wire) {
 }
 
 bool FrameClient::send_frame(FrameType type, std::string_view payload) {
-  return send(encode_frame(type, payload));
+  // Scatter/gather: the header and CRC trailer live on the stack and the
+  // payload goes straight from the caller's view, so no frame string is
+  // built. Three iovecs, resumed mid-iovec after a partial send.
+  unsigned char header[kFrameHeaderSize];
+  unsigned char trailer[kFrameTrailerSize];
+  header[0] = static_cast<unsigned char>(type);
+  put_u32le_bytes(header + 1, static_cast<std::uint32_t>(payload.size()));
+  std::uint32_t crc = util::crc32(header, kFrameHeaderSize);
+  crc = util::crc32(payload.data(), payload.size(), crc);
+  put_u32le_bytes(trailer, crc);
+  iovec iov[3];
+  std::size_t iovcnt = 0;
+  iov[iovcnt++] = {header, kFrameHeaderSize};
+  if (!payload.empty()) {
+    iov[iovcnt++] = {const_cast<char*>(payload.data()), payload.size()};
+  }
+  iov[iovcnt++] = {trailer, kFrameTrailerSize};
+  std::size_t iov_idx = 0;
+  std::size_t left = kFrameHeaderSize + payload.size() + kFrameTrailerSize;
+  while (left > 0) {
+    msghdr msg{};
+    msg.msg_iov = iov + iov_idx;
+    msg.msg_iovlen = iovcnt - iov_idx;
+    const ssize_t n = ::sendmsg(fd_, &msg, MSG_NOSIGNAL);
+    if (n <= 0) {
+      if (n < 0 && errno == EINTR) continue;
+      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+        return fail(Failure::kTimeout, "send timed out");
+      }
+      return fail(Failure::kIo, "send failed");
+    }
+    left -= static_cast<std::size_t>(n);
+    std::size_t sent = static_cast<std::size_t>(n);
+    while (sent > 0 && sent >= iov[iov_idx].iov_len) {
+      sent -= iov[iov_idx].iov_len;
+      ++iov_idx;
+    }
+    if (sent > 0) {
+      iov[iov_idx].iov_base = static_cast<char*>(iov[iov_idx].iov_base) + sent;
+      iov[iov_idx].iov_len -= sent;
+    }
+  }
+  return true;
 }
 
 bool FrameClient::read_frame(Frame& out) {

@@ -1,8 +1,8 @@
 // FrameClient — the one blocking, strict request/response frame-protocol
 // client: connect, send a frame (or pre-encoded bytes), read one frame
 // back. The command-line tools, the reshard slice sender, the loopback
-// benchmarks and the tests all talk to servers through it; ClientPool
-// (pipelined, pooled) shares its connect routine.
+// benchmarks and the tests all talk to servers through it, and
+// ClientPool is a pool of FrameClient connections.
 //
 // Timeouts are opt-in per connection: a bounded handshake
 // (connect_timeout_ms) and bounded sends and receives (io_timeout_ms, as
@@ -79,6 +79,8 @@ class FrameClient {
   /// Sends every byte of `wire` (one or more encoded frames, or anything
   /// else).
   bool send(std::string_view wire);
+  /// Encodes and sends one frame without building a frame string: one
+  /// sendmsg of header, the caller's payload and the CRC trailer.
   bool send_frame(FrameType type, std::string_view payload);
   /// Blocks until one whole frame arrives.
   bool read_frame(Frame& out);

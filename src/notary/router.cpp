@@ -153,15 +153,15 @@ struct RouterService::Impl {
     return order;
   }
 
-  /// Forwards one frame to a map entry's replicas, retrying across them.
-  /// Returns false if every replica failed.
-  bool forward(const Entry& entry, netio::FrameType type,
-               std::string_view payload, netio::Frame& out) {
-    bool first = true;
-    for (const std::size_t backend : replica_order(entry)) {
-      if (!first) retries.fetch_add(1, std::memory_order_relaxed);
-      first = false;
-      netio::CallResult result = pool->call(backend, type, payload).get();
+  /// Walks a map entry's replica `order` from position `next` on until a
+  /// replica answers; every call after order[0]'s counts in `retries`.
+  /// Returns false if no replica answered.
+  bool forward_from(const Entry& entry, const std::vector<std::size_t>& order,
+                    std::size_t next, netio::FrameType type,
+                    std::string_view payload, netio::Frame& out) {
+    for (; next < order.size(); ++next) {
+      if (next > 0) retries.fetch_add(1, std::memory_order_relaxed);
+      netio::CallResult result = pool->call(order[next], type, payload).get();
       if (result.ok()) {
         out = std::move(result.response);
         return true;
@@ -169,6 +169,12 @@ struct RouterService::Impl {
     }
     entry.state->unavailable.fetch_add(1, std::memory_order_relaxed);
     return false;
+  }
+
+  /// Forwards one frame to a map entry's replicas, retrying across them.
+  bool forward(const Entry& entry, netio::FrameType type,
+               std::string_view payload, netio::Frame& out) {
+    return forward_from(entry, replica_order(entry), 0, type, payload, out);
   }
 
   /// Routes one single-fingerprint request (kQuery or kRevocationQuery —
@@ -223,11 +229,12 @@ struct RouterService::Impl {
       groups[s].push_back(fps[i]);
     }
 
-    // One concurrent first attempt per entry; failures retry serially in
-    // the gather loop below (forward() handles the replica walk).
+    // One concurrent first attempt per entry, on the first replica of its
+    // walk; a failure continues that walk serially in the gather loop.
     struct SubBatch {
       std::size_t shard = 0;
       std::string request;
+      std::vector<std::size_t> order;
       netio::PendingCall first_attempt;
     };
     std::vector<SubBatch> subs;
@@ -236,8 +243,8 @@ struct RouterService::Impl {
       SubBatch sub;
       sub.shard = s;
       sub.request = encode_batch_query(groups[s]);
-      const std::size_t backend = replica_order(t->entries[s]).front();
-      sub.first_attempt = pool->call(backend, type, sub.request);
+      sub.order = replica_order(t->entries[s]);
+      sub.first_attempt = pool->call(sub.order.front(), type, sub.request);
       subs.push_back(std::move(sub));
     }
 
@@ -256,7 +263,7 @@ struct RouterService::Impl {
       } else {
         // First replica failed (or answered garbage): walk the rest.
         netio::Frame response;
-        if (forward(shard, type, sub.request, response) &&
+        if (forward_from(shard, sub.order, 1, type, sub.request, response) &&
             response.type == netio::FrameType::kBatchInfo &&
             parse_batch_info(response.payload, shard_entries) &&
             shard_entries.size() == count) {

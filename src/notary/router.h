@@ -30,10 +30,11 @@
 //  * handle() is thread-safe (shared state is the atomic table + the
 //    pool) but blocks the calling server worker for up to the pool's
 //    request timeout while the backend answers. The pool has no reader
-//    threads: the blocked worker reads the backend connection itself
-//    (or sleeps while a worker waiting on the same connection reads it),
-//    so router workers are the threads that do the backend I/O — size
-//    the router's worker count to the concurrency you need.
+//    threads: each call checks out a backend connection of its own and
+//    the blocked worker reads its answer there, so router workers are
+//    the threads that do the backend I/O, and a backend gets at most one
+//    pooled connection per concurrent call — size the router's worker
+//    count to the concurrency you need.
 #pragma once
 
 #include <cstdint>

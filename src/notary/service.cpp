@@ -250,9 +250,11 @@ void NotaryService::append_knowledge(const scan::CertFingerprint& fp,
                                      std::uint64_t epoch, bool as_frame,
                                      std::string& out) {
   CacheShard& shard = cache_[NotaryIndex::shard_of(fp)];
-  if (shard.capacity != 0) {
+  {
+    // capacity is read under the lock too: publish() resizes shards.
     std::lock_guard lock(shard.mutex);
-    if (const CacheSlot* slot = cache_find(shard, id)) {
+    if (const CacheSlot* slot =
+            shard.capacity != 0 ? cache_find(shard, id) : nullptr) {
       cache_hits_.fetch_add(1, std::memory_order_relaxed);
       // The hit path: one memcpy, arena -> out, under the shard mutex
       // (the copy is what lets the ring overwrite the arena afterwards).
@@ -291,7 +293,7 @@ void NotaryService::append_knowledge(const scan::CertFingerprint& fp,
   const std::size_t body_end =
       as_frame ? out.size() - netio::kFrameTrailerSize : out.size();
   const std::size_t body_len = body_end - body_start;
-  if (shard.capacity == 0 || body_len > shard.capacity) return;
+  if (config_.cache_bytes == 0) return;
   if (!as_frame) {
     // The batch path never built the standalone frame, but the cached CRC
     // must be the standalone frame's (a later single-query hit appends
@@ -311,7 +313,8 @@ void NotaryService::append_knowledge(const scan::CertFingerprint& fp,
   // began, its invalidation pass may already have swept this shard —
   // inserting now could cache stale bytes for a changed cert. Skip; the
   // next query re-renders against the new epoch.
-  if (epoch_.load(std::memory_order_acquire) == epoch &&
+  if (shard.capacity != 0 && body_len <= shard.capacity &&
+      epoch_.load(std::memory_order_acquire) == epoch &&
       cache_find(shard, id) == nullptr) {
     cache_insert(shard, id, out.data() + body_start,
                  static_cast<std::uint32_t>(body_len), frame_crc);

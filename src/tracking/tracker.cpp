@@ -106,9 +106,9 @@ TrackableSummary DeviceTracker::summary() const {
 
 MovementStats DeviceTracker::movement() const {
   MovementStats out;
-  const auto& scans = index_->archive().scans();
   std::map<std::tuple<std::uint32_t, net::Asn, net::Asn>, std::uint32_t>
       transitions_by_edge;
+  std::uint64_t single_movers = 0;
   for (const TrackedEntity* entity : trackable()) {
     ++out.tracked_devices;
     std::uint64_t moves = 0;
@@ -119,12 +119,10 @@ MovementStats DeviceTracker::movement() const {
       if (prev.asn == cur.asn) continue;
       ++moves;
       ++transitions_by_edge[{cur.scan, prev.asn, cur.asn}];
-      const std::string from_country =
-          as_db_->country_at(prev.asn, scans[prev.scan].event.start);
-      const std::string to_country =
-          as_db_->country_at(cur.asn, scans[cur.scan].event.start);
-      if (!from_country.empty() && !to_country.empty() &&
-          from_country != to_country) {
+      const net::AsInfo* from = as_db_->find(prev.asn);
+      const net::AsInfo* to = as_db_->find(cur.asn);
+      if (from && to && !from->country.empty() && !to->country.empty() &&
+          from->country != to->country) {
         crossed_country = true;
       }
     }
@@ -132,20 +130,9 @@ MovementStats DeviceTracker::movement() const {
       ++out.devices_with_as_change;
       out.total_as_transitions += moves;
       out.max_moves = std::max(out.max_moves, moves);
-      if (moves == 1) {
-        // counted below for the single-move fraction
-      }
+      if (moves == 1) ++single_movers;
       if (crossed_country) ++out.devices_crossing_countries;
     }
-  }
-  std::uint64_t single_movers = 0;
-  // Second pass for single-move counting (kept simple and allocation-free).
-  for (const TrackedEntity* entity : trackable()) {
-    std::uint64_t moves = 0;
-    for (std::size_t i = 1; i < entity->timeline.size(); ++i) {
-      if (entity->timeline[i - 1].asn != entity->timeline[i].asn) ++moves;
-    }
-    if (moves == 1) ++single_movers;
   }
   if (out.devices_with_as_change > 0) {
     out.single_move_fraction =

@@ -198,16 +198,5 @@ TEST(AsDatabase, BasicLookup) {
   EXPECT_EQ(db.label(9999), "#9999 (unknown)");
 }
 
-TEST(AsDatabase, CountryChangesOverTime) {
-  AsDatabase db;
-  db.add(AsInfo{100, "Mover", "USA", AsType::kTransitAccess});
-  db.add_country_change(100, 5000, "DEU");
-  EXPECT_EQ(db.country_at(100, 0), "USA");
-  EXPECT_EQ(db.country_at(100, 4999), "USA");
-  EXPECT_EQ(db.country_at(100, 5000), "DEU");
-  EXPECT_EQ(db.country_at(100, 90000), "DEU");
-  EXPECT_EQ(db.country_at(42, 0), "");
-}
-
 }  // namespace
 }  // namespace sm::net

@@ -328,126 +328,6 @@ TEST_F(EchoServerTest, StreamHandlerAppendsFramesDirectlyToOutput) {
   EXPECT_LE(counters.send_syscalls, 16u);
 }
 
-TEST_F(EchoServerTest, CallManyPipelinesABatchOverOneConnection) {
-  TcpServer server(config_, echo);
-  ASSERT_TRUE(server.start());
-
-  ClientPoolConfig pool_config;
-  pool_config.connections_per_backend = 1;
-  pool_config.ping_interval_ms = 0;
-  ClientPool pool({{"127.0.0.1", server.port()}}, pool_config);
-
-  std::vector<std::string> payloads;
-  for (int i = 0; i < 32; ++i) {
-    payloads.push_back("batch-" + std::to_string(i));
-  }
-  // Every call is sent before any answer is read: one connection, so the
-  // 32 frames are in flight together and answer in FIFO order.
-  std::vector<PendingCall> futures;
-  for (const std::string& payload : payloads) {
-    futures.push_back(pool.call(0, FrameType::kPing, payload));
-  }
-  for (std::size_t i = 0; i < futures.size(); ++i) {
-    CallResult result = futures[i].get();
-    ASSERT_TRUE(result.ok()) << "call " << i;
-    EXPECT_EQ(result.response.type, FrameType::kPong);
-    EXPECT_EQ(result.response.payload, payloads[i]);
-  }
-  const BackendCounters counters = pool.counters(0);
-  EXPECT_EQ(counters.requests, payloads.size());
-  EXPECT_EQ(counters.ok, payloads.size());
-  server.shutdown();
-}
-
-// kRevocationQuery batches ride the same pipelining as every other frame
-// type: N calls in flight on one connection, as the router issues a
-// sub-batch. When the backend stalls mid-batch, correlation is
-// positional, so the whole in-flight pipeline fails with kTimeout, the
-// backend is marked down, and the connection resets — after which the
-// next batch reconnects and succeeds (the health bit is advisory routing
-// state, not a gate; with probing off nothing marks it back up).
-TEST_F(EchoServerTest, CallManyRevocationBatchAndMidBatchMarkDown) {
-  constexpr int kBatch = 12;
-  std::atomic<int> handled{0};
-  std::atomic<int> stall_at{-1};  // handler index that sleeps past timeout
-  TcpServer server(config_, [&](FrameType type, std::string_view payload,
-                                std::string& out) {
-    if (type != FrameType::kRevocationQuery) {
-      encode_frame_into(out, FrameType::kError, "revocation only");
-      return;
-    }
-    if (handled.fetch_add(1, std::memory_order_relaxed) ==
-        stall_at.load(std::memory_order_relaxed)) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(600));
-    }
-    encode_frame_into(out, FrameType::kRevocationInfo,
-                      "revocation: revoked " + std::string(payload));
-  });
-  ASSERT_TRUE(server.start());
-
-  ClientPoolConfig pool_config;
-  pool_config.connections_per_backend = 1;  // one pipeline, strict order
-  pool_config.request_timeout_ms = 150;
-  pool_config.ping_interval_ms = 0;  // nobody marks it back up
-  ClientPool pool({{"127.0.0.1", server.port()}}, pool_config);
-
-  std::vector<std::string> payloads;
-  for (int i = 0; i < kBatch; ++i) {
-    payloads.push_back("fp-" + std::to_string(i));
-  }
-  const auto send_batch = [&] {
-    std::vector<PendingCall> calls;
-    for (const std::string& payload : payloads) {
-      calls.push_back(pool.call(0, FrameType::kRevocationQuery, payload));
-    }
-    return calls;
-  };
-
-  // A healthy batch pipelines in order over the one connection.
-  auto futures = send_batch();
-  for (std::size_t i = 0; i < futures.size(); ++i) {
-    CallResult result = futures[i].get();
-    ASSERT_TRUE(result.ok()) << "call " << i;
-    EXPECT_EQ(result.response.type, FrameType::kRevocationInfo);
-    EXPECT_EQ(result.response.payload, "revocation: revoked " + payloads[i]);
-  }
-  EXPECT_TRUE(pool.healthy(0));
-  EXPECT_EQ(pool.counters(0).ok, static_cast<std::uint64_t>(kBatch));
-
-  // Now the backend stalls mid-batch: the oldest answer goes overdue,
-  // and everything behind it on the pipeline is unidentifiable — the
-  // whole flight fails and the backend is marked down.
-  stall_at.store(kBatch + 4, std::memory_order_relaxed);
-  auto stalled = send_batch();
-  int failed = 0;
-  for (auto& future : stalled) {
-    const CallResult result = future.get();
-    if (!result.ok()) {
-      EXPECT_EQ(result.status, CallStatus::kTimeout);
-      ++failed;
-    }
-  }
-  EXPECT_GE(failed, kBatch - 4);
-  EXPECT_FALSE(pool.healthy(0));
-  const BackendCounters counters = pool.counters(0);
-  EXPECT_GE(counters.timeouts, 1u);
-  EXPECT_GE(counters.mark_downs, 1u);
-
-  // Marked down is not gated off: the next batch reconnects the reset
-  // connection and pipelines normally.
-  stall_at.store(-1, std::memory_order_relaxed);
-  auto retry = send_batch();
-  for (std::size_t i = 0; i < retry.size(); ++i) {
-    CallResult result = retry[i].get();
-    ASSERT_TRUE(result.ok()) << "retry call " << i;
-    EXPECT_EQ(result.response.payload, "revocation: revoked " + payloads[i]);
-  }
-  EXPECT_GE(pool.counters(0).reconnects, 2u);
-  // Only a successful probe flips the health bit back, and probing is off.
-  EXPECT_FALSE(pool.healthy(0));
-  server.shutdown();
-}
-
 TEST_F(EchoServerTest, ServesPipelinedBurstInOrder) {
   TcpServer server(config_, echo);
   ASSERT_TRUE(server.start());
@@ -1030,7 +910,7 @@ TEST_F(EchoServerTest, DrainFlushesBackpressuredOutbufBeforeDeadline) {
 }
 
 
-// ---- ClientPool: callers read their own answers --------------------------
+// ---- ClientPool: one checked-out connection per call ---------------------
 
 namespace {
 
@@ -1043,22 +923,33 @@ std::size_t count_threads() {
   return n;
 }
 
-ClientPoolConfig one_connection_pool() {
+ClientPoolConfig unprobed_pool() {
   ClientPoolConfig config;
-  config.connections_per_backend = 1;
   config.ping_interval_ms = 0;
   return config;
 }
 
+/// Waits up to 5 s for the process's fd count to drop back to `baseline`
+/// (a server closes its end of a connection once it sees ours gone).
+void expect_fds_return_to(std::size_t baseline) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (count_open_fds() != baseline &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_EQ(count_open_fds(), baseline);
+}
+
 }  // namespace
 
-// Many callers share one pipelined connection. Whoever holds the reading
-// role completes the others' calls too, so every answer must still reach
-// the caller that asked for it.
-TEST_F(EchoServerTest, ClientPoolManyThreadsShareOneConnection) {
+// Many callers at once: each call owns its connection until get(), so
+// every answer reaches the caller that asked for it, and the pool opens
+// no more connections than there are concurrent callers.
+TEST_F(EchoServerTest, ClientPoolManyThreadsGetTheirOwnAnswers) {
   TcpServer server(config_, echo);
   ASSERT_TRUE(server.start());
-  ClientPool pool({{"127.0.0.1", server.port()}}, one_connection_pool());
+  ClientPool pool({{"127.0.0.1", server.port()}}, unprobed_pool());
 
   constexpr int kThreads = 8;
   constexpr int kCalls = 500;
@@ -1088,58 +979,186 @@ TEST_F(EchoServerTest, ClientPoolManyThreadsShareOneConnection) {
   EXPECT_EQ(counters.ok, counters.requests);
   EXPECT_EQ(counters.timeouts, 0u);
   EXPECT_EQ(counters.io_errors, 0u);
-  EXPECT_EQ(counters.reconnects, 1u);
+  EXPECT_GE(counters.reconnects, 1u);
+  EXPECT_LE(counters.reconnects, static_cast<std::uint64_t>(kThreads));
   server.shutdown();
 }
 
-// A slow first answer holds up the calls queued behind it on the same
-// connection; they wait for it rather than time out, then complete in
-// FIFO order, whichever waiter happens to read.
-TEST_F(EchoServerTest, ClientPoolSlowFirstAnswerKeepsFollowersInOrder) {
-  constexpr auto kSlow = std::chrono::milliseconds(300);
-  TcpServer server(config_, [&](FrameType type, std::string_view payload,
-                                std::string& out) {
-    if (payload == "slow") std::this_thread::sleep_for(kSlow);
-    echo(type, payload, out);
-  });
+// One thread with 32 calls in flight holds 32 connections; each call
+// reads its own answer in whatever order the thread asks, and a second
+// round reuses the idle connections instead of opening more.
+TEST_F(EchoServerTest, ClientPoolCallsInFlightFromOneThreadGetTheirOwnAnswers) {
+  TcpServer server(config_, echo);
   ASSERT_TRUE(server.start());
-  ClientPoolConfig pool_config = one_connection_pool();
-  pool_config.request_timeout_ms = 5'000;
-  ClientPool pool({{"127.0.0.1", server.port()}}, pool_config);
+  ClientPool pool({{"127.0.0.1", server.port()}}, unprobed_pool());
 
-  const auto sent = std::chrono::steady_clock::now();
-  std::vector<std::string> payloads = {"slow", "f1", "f2", "f3", "f4"};
-  std::vector<PendingCall> calls;
-  for (const std::string& payload : payloads) {
-    calls.push_back(pool.call(0, FrameType::kPing, payload));
+  std::vector<std::string> payloads;
+  for (int i = 0; i < 32; ++i) {
+    payloads.push_back("batch-" + std::to_string(i));
   }
-  // Followers wait first, newest first, so one of them takes the
-  // reading role while the slow answer is still out.
-  std::vector<CallResult> results(payloads.size());
-  std::vector<std::chrono::steady_clock::time_point> done(payloads.size());
-  std::vector<std::thread> threads;
-  for (std::size_t i = payloads.size(); i-- > 1;) {
-    threads.emplace_back([&, i] {
-      results[i] = calls[i].get();
-      done[i] = std::chrono::steady_clock::now();
-    });
-  }
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  results[0] = calls[0].get();
-  done[0] = std::chrono::steady_clock::now();
-  for (auto& thread : threads) thread.join();
-
-  for (std::size_t i = 0; i < payloads.size(); ++i) {
-    ASSERT_TRUE(results[i].ok()) << "call " << i;
-    EXPECT_EQ(results[i].response.payload, payloads[i]);
-    EXPECT_GE(done[i] - sent, kSlow - std::chrono::milliseconds(10))
-        << "call " << i << " finished before the answer ahead of it";
+  for (int round = 0; round < 2; ++round) {
+    std::vector<PendingCall> calls;
+    for (const std::string& payload : payloads) {
+      calls.push_back(pool.call(0, FrameType::kPing, payload));
+    }
+    for (std::size_t i = calls.size(); i-- > 0;) {  // newest first
+      CallResult result = calls[i].get();
+      ASSERT_TRUE(result.ok()) << "round " << round << " call " << i;
+      EXPECT_EQ(result.response.type, FrameType::kPong);
+      EXPECT_EQ(result.response.payload, payloads[i]);
+    }
   }
   const BackendCounters counters = pool.counters(0);
-  EXPECT_EQ(counters.timeouts, 0u);
-  EXPECT_EQ(counters.ok, payloads.size());
-  EXPECT_TRUE(pool.healthy(0));
+  EXPECT_EQ(counters.requests, 2 * payloads.size());
+  EXPECT_EQ(counters.ok, 2 * payloads.size());
+  EXPECT_EQ(counters.reconnects, payloads.size());
   server.shutdown();
+}
+
+// kRevocationQuery batches go out as N calls in flight, as the router
+// issues a sub-batch. When the backend stalls on one of them, only that
+// call times out; the other answers arrive on their own connections. The
+// backend is marked down, and the next batch reconnects and succeeds
+// (the health bit is advisory routing state, not a gate; with probing
+// off nothing marks it back up).
+TEST_F(EchoServerTest, CallManyRevocationBatchAndMidBatchMarkDown) {
+  constexpr int kBatch = 12;
+  // One server worker per connection: a stalled handler blocks its
+  // worker's event loop, and no other call may share it.
+  config_.workers = kBatch;
+  std::atomic<int> handled{0};
+  std::atomic<int> stall_at{-1};  // the handler call that waits for release
+  std::atomic<bool> release{false};
+  TcpServer server(config_, [&](FrameType type, std::string_view payload,
+                                std::string& out) {
+    if (type != FrameType::kRevocationQuery) {
+      encode_frame_into(out, FrameType::kError, "revocation only");
+      return;
+    }
+    if (handled.fetch_add(1, std::memory_order_relaxed) ==
+        stall_at.load(std::memory_order_relaxed)) {
+      const auto give_up =
+          std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (!release.load() && std::chrono::steady_clock::now() < give_up) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      }
+    }
+    encode_frame_into(out, FrameType::kRevocationInfo,
+                      "revocation: revoked " + std::string(payload));
+  });
+  ASSERT_TRUE(server.start());
+
+  ClientPoolConfig pool_config = unprobed_pool();
+  pool_config.request_timeout_ms = 150;
+  ClientPool pool({{"127.0.0.1", server.port()}}, pool_config);
+
+  std::vector<std::string> payloads;
+  for (int i = 0; i < kBatch; ++i) {
+    payloads.push_back("fp-" + std::to_string(i));
+  }
+  const auto send_batch = [&] {
+    std::vector<PendingCall> calls;
+    for (const std::string& payload : payloads) {
+      calls.push_back(pool.call(0, FrameType::kRevocationQuery, payload));
+    }
+    std::vector<CallResult> results;
+    for (PendingCall& call : calls) results.push_back(call.get());
+    return results;
+  };
+
+  std::vector<CallResult> results = send_batch();
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    ASSERT_TRUE(results[i].ok()) << "call " << i;
+    EXPECT_EQ(results[i].response.type, FrameType::kRevocationInfo);
+    EXPECT_EQ(results[i].response.payload,
+              "revocation: revoked " + payloads[i]);
+  }
+  EXPECT_TRUE(pool.healthy(0));
+  EXPECT_EQ(pool.counters(0).ok, static_cast<std::uint64_t>(kBatch));
+
+  // The backend stalls on one call of the next batch: that call alone
+  // times out.
+  stall_at.store(kBatch + 4, std::memory_order_relaxed);
+  results = send_batch();
+  release.store(true);
+  int timed_out = 0;
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    if (results[i].ok()) {
+      EXPECT_EQ(results[i].response.payload,
+                "revocation: revoked " + payloads[i]);
+    } else {
+      EXPECT_EQ(results[i].status, CallStatus::kTimeout) << "call " << i;
+      ++timed_out;
+    }
+  }
+  EXPECT_EQ(timed_out, 1);
+  EXPECT_FALSE(pool.healthy(0));
+  BackendCounters counters = pool.counters(0);
+  EXPECT_EQ(counters.ok, static_cast<std::uint64_t>(2 * kBatch - 1));
+  EXPECT_EQ(counters.timeouts, 1u);
+  EXPECT_EQ(counters.io_errors, 0u);
+  EXPECT_EQ(counters.mark_downs, 1u);
+
+  // Marked down is not gated off: the next batch reconnects what the
+  // failure closed and succeeds whole.
+  stall_at.store(-1, std::memory_order_relaxed);
+  results = send_batch();
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    ASSERT_TRUE(results[i].ok()) << "retry call " << i;
+    EXPECT_EQ(results[i].response.payload,
+              "revocation: revoked " + payloads[i]);
+  }
+  counters = pool.counters(0);
+  EXPECT_GT(counters.reconnects, static_cast<std::uint64_t>(kBatch));
+  EXPECT_EQ(counters.timeouts, 1u);
+  // Only a successful probe flips the health bit back, and probing is off.
+  EXPECT_FALSE(pool.healthy(0));
+  server.shutdown();
+}
+
+// A backend restarted on the same port leaves the pool's idle
+// connections dead. The first call that picks one up fails, and that
+// failure closes the other idle ones, so every later call connects
+// afresh: one failed call per restart, not one per stale socket.
+TEST_F(EchoServerTest, ClientPoolRestartedBackendCostsAtMostOneFailedCall) {
+  auto server = std::make_unique<TcpServer>(config_, echo);
+  ASSERT_TRUE(server->start());
+  const std::uint16_t port = server->port();
+  ClientPool pool({{"127.0.0.1", port}}, unprobed_pool());
+
+  // Warm four idle connections.
+  {
+    std::vector<PendingCall> calls;
+    for (int i = 0; i < 4; ++i) {
+      calls.push_back(pool.call(0, FrameType::kPing, "warm"));
+    }
+    for (PendingCall& call : calls) ASSERT_TRUE(call.get().ok());
+  }
+  ASSERT_EQ(pool.counters(0).reconnects, 4u);
+
+  server->shutdown();
+  server.reset();
+  ServerConfig restarted = config_;
+  restarted.port = port;
+  server = std::make_unique<TcpServer>(restarted, echo);
+  ASSERT_TRUE(server->start());
+
+  int failed = 0;
+  for (int i = 0; i < 8; ++i) {
+    const std::string payload = "after-" + std::to_string(i);
+    const CallResult result = pool.call(0, FrameType::kPing, payload).get();
+    if (!result.ok()) {
+      EXPECT_EQ(result.status, CallStatus::kIoError);
+      ++failed;
+      continue;
+    }
+    EXPECT_EQ(result.response.payload, payload);
+  }
+  EXPECT_LE(failed, 1);
+  const BackendCounters counters = pool.counters(0);
+  EXPECT_EQ(counters.ok, 4u + 8u - static_cast<std::uint64_t>(failed));
+  EXPECT_EQ(counters.reconnects, 4u + static_cast<std::uint64_t>(failed));
+  server->shutdown();
 }
 
 // Destroying the pool wakes a caller blocked in get() with kShutdown at
@@ -1151,7 +1170,7 @@ TEST_F(EchoServerTest, ClientPoolDestructionFailsABlockedGetPromptly) {
   ASSERT_TRUE(server.start());
   const std::size_t fds_before = count_open_fds();
 
-  ClientPoolConfig pool_config = one_connection_pool();
+  ClientPoolConfig pool_config = unprobed_pool();
   pool_config.request_timeout_ms = 8'000;
   auto pool = std::make_unique<ClientPool>(
       std::vector<Endpoint>{{"127.0.0.1", server.port()}}, pool_config);
@@ -1173,24 +1192,53 @@ TEST_F(EchoServerTest, ClientPoolDestructionFailsABlockedGetPromptly) {
   EXPECT_EQ(result.status, CallStatus::kShutdown);
   EXPECT_LT(returned - destroyed, std::chrono::milliseconds(1'000));
   release.store(true);
-  // The server closes its end once it sees ours gone.
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while (count_open_fds() != fds_before &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  EXPECT_EQ(count_open_fds(), fds_before);
+  expect_fds_return_to(fds_before);
   server.shutdown();
 }
 
-// A PendingCall dropped (or overwritten) before get() still owns the
-// next answer on its connection; it drains it, so the calls behind it
-// get their own answers, not its.
+// The same for the prober: destroying the pool while a probe waits on a
+// held backend ends that wait at once, joins the prober and closes its
+// connection.
+TEST_F(EchoServerTest, ClientPoolDestructionWakesABlockedProbe) {
+  std::atomic<bool> release{false};
+  std::atomic<int> pings{0};
+  const auto held = held_echo(release);
+  TcpServer server(config_, [&](FrameType type, std::string_view payload,
+                                std::string& out) {
+    pings.fetch_add(1);
+    held(type, payload, out);
+  });
+  ASSERT_TRUE(server.start());
+  const std::size_t fds_before = count_open_fds();
+
+  ClientPoolConfig pool_config;
+  pool_config.ping_interval_ms = 10;
+  pool_config.request_timeout_ms = 8'000;
+  auto pool = std::make_unique<ClientPool>(
+      std::vector<Endpoint>{{"127.0.0.1", server.port()}}, pool_config);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (pings.load() == 0 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  ASSERT_EQ(pings.load(), 1);  // the probe is held in the handler
+
+  const auto destroyed = std::chrono::steady_clock::now();
+  pool.reset();
+  EXPECT_LT(std::chrono::steady_clock::now() - destroyed,
+            std::chrono::milliseconds(1'000));
+  release.store(true);
+  expect_fds_return_to(fds_before);
+  server.shutdown();
+}
+
+// A PendingCall dropped (or overwritten) before get() still owns its
+// answer; it drains it, so its connection goes back to the pool clean and
+// later calls on it get their own answers, not its.
 TEST_F(EchoServerTest, ClientPoolDroppedCallDoesNotDesyncTheConnection) {
   TcpServer server(config_, echo);
   ASSERT_TRUE(server.start());
-  ClientPool pool({{"127.0.0.1", server.port()}}, one_connection_pool());
+  ClientPool pool({{"127.0.0.1", server.port()}}, unprobed_pool());
 
   { PendingCall dropped = pool.call(0, FrameType::kPing, "dropped"); }
   EXPECT_EQ(pool.counters(0).ok, 1u);  // the drop waited for its answer
@@ -1215,6 +1263,7 @@ TEST_F(EchoServerTest, ClientPoolDroppedCallDoesNotDesyncTheConnection) {
   const BackendCounters counters = pool.counters(0);
   EXPECT_EQ(counters.requests, 7u);
   EXPECT_EQ(counters.ok, 7u);
+  EXPECT_EQ(counters.reconnects, 3u);  // at most three calls at once
   server.shutdown();
 }
 

@@ -4,10 +4,15 @@
 // unsliced corpus. The suite shares one simulated world via
 // SetUpTestSuite and is registered as a single ctest entry (it also runs
 // under TSan/ASan in scripts/tier1.sh).
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
@@ -446,6 +451,139 @@ TEST_F(RouterWorldTest, BackendKillAndRestartMidLoad) {
     ASSERT_EQ(routed.type, direct.type);
     ASSERT_EQ(routed.payload, direct.payload);
   }
+}
+
+
+// ---- batch retries over a replica walk -------------------------------------
+
+/// A stand-in backend's answer to a batch: kNotFound for every entry.
+void answer_not_found(netio::FrameType type, std::string_view payload,
+                      std::string& out) {
+  std::vector<scan::CertFingerprint> fps;
+  if (type != netio::FrameType::kBatchQuery ||
+      !parse_batch_query(payload, fps)) {
+    netio::encode_frame_into(out, netio::FrameType::kError, "batch only");
+    return;
+  }
+  std::string body =
+      encode_batch_info_header(static_cast<std::uint32_t>(fps.size()));
+  for (std::size_t i = 0; i < fps.size(); ++i) {
+    append_batch_entry(body, netio::FrameType::kNotFound, "");
+  }
+  netio::encode_frame_into(out, netio::FrameType::kBatchInfo, body);
+}
+
+/// Routes one batch straight through `router` and decodes its entries.
+std::vector<BatchEntry> route_batch(RouterService& router,
+                                    std::string_view request) {
+  std::string out;
+  router.handle_into(netio::FrameType::kBatchQuery, request, out);
+  netio::FrameDecoder decoder(netio::kMaxResponsePayload);
+  decoder.feed(out);
+  netio::Frame frame;
+  std::vector<BatchEntry> entries;
+  EXPECT_EQ(decoder.next(frame), netio::DecodeStatus::kFrame);
+  EXPECT_EQ(frame.type, netio::FrameType::kBatchInfo);
+  EXPECT_TRUE(parse_batch_info(frame.payload, entries));
+  return entries;
+}
+
+std::string three_fingerprint_batch() {
+  std::vector<scan::CertFingerprint> fps(3);
+  for (std::size_t i = 0; i < fps.size(); ++i) {
+    fps[i][0] = static_cast<std::uint8_t>(i * 80);
+  }
+  return encode_batch_query(fps);
+}
+
+// A sole replica that stalls past the request timeout fails the batch's
+// entries after one call: the walk that the first attempt began has no
+// replica left, so the stalled one is not asked a second time.
+TEST(RouterBatchRetry, StalledSoleReplicaCostsOneCallPerBatch) {
+  constexpr int kTimeoutMs = 300;
+  std::atomic<bool> release{false};
+  netio::ServerConfig server_config;
+  server_config.workers = 4;
+  netio::TcpServer backend(
+      server_config, [&](netio::FrameType type, std::string_view payload,
+                         std::string& out) {
+        const auto give_up =
+            std::chrono::steady_clock::now() + std::chrono::seconds(10);
+        while (!release.load() &&
+               std::chrono::steady_clock::now() < give_up) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(2));
+        }
+        answer_not_found(type, payload, out);
+      });
+  ASSERT_TRUE(backend.start());
+
+  RouterConfig config;
+  config.shards.push_back({{{"127.0.0.1", backend.port()}}});
+  config.pool.request_timeout_ms = kTimeoutMs;
+  config.pool.ping_interval_ms = 0;
+  RouterService router(std::move(config));
+
+  const std::string request = three_fingerprint_batch();
+  for (int batch = 0; batch < 2; ++batch) {
+    const std::uint64_t before = router.pool().counters(0).requests;
+    const auto start = std::chrono::steady_clock::now();
+    const std::vector<BatchEntry> entries = route_batch(router, request);
+    const auto elapsed = std::chrono::steady_clock::now() - start;
+    ASSERT_EQ(entries.size(), 3u);
+    for (const BatchEntry& entry : entries) {
+      EXPECT_EQ(entry.status, netio::FrameType::kError);
+      EXPECT_NE(entry.body.find("unavailable"), std::string::npos);
+    }
+    EXPECT_EQ(router.pool().counters(0).requests, before + 1)
+        << "batch " << batch;
+    EXPECT_LT(elapsed, std::chrono::milliseconds(2 * kTimeoutMs))
+        << "batch " << batch;
+  }
+  EXPECT_NE(router.render_stats().find("retries: 0\n"), std::string::npos);
+  release.store(true);
+  backend.shutdown();
+}
+
+// A two-replica entry whose first replica refuses connections answers
+// from the second, and that second call counts as the one retry.
+TEST(RouterBatchRetry, DownFirstReplicaAnswersFromTheSecond) {
+  // A bound socket that never listens: connects to it are refused.
+  const int holder = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  ASSERT_GE(holder, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  socklen_t len = sizeof addr;
+  ASSERT_EQ(::bind(holder, reinterpret_cast<sockaddr*>(&addr), sizeof addr),
+            0);
+  ASSERT_EQ(::getsockname(holder, reinterpret_cast<sockaddr*>(&addr), &len),
+            0);
+
+  netio::ServerConfig server_config;
+  server_config.workers = 1;
+  netio::TcpServer backend(server_config, answer_not_found);
+  ASSERT_TRUE(backend.start());
+
+  // A fresh map entry's walk starts at its first replica: the dead one.
+  RouterConfig config;
+  config.shards.push_back({{{"127.0.0.1", ntohs(addr.sin_port)},
+                            {"127.0.0.1", backend.port()}}});
+  config.pool.ping_interval_ms = 0;
+  RouterService router(std::move(config));
+
+  const std::vector<BatchEntry> entries =
+      route_batch(router, three_fingerprint_batch());
+  ASSERT_EQ(entries.size(), 3u);
+  for (const BatchEntry& entry : entries) {
+    EXPECT_EQ(entry.status, netio::FrameType::kNotFound);
+  }
+  EXPECT_EQ(router.pool().counters(0).connect_errors, 1u);
+  EXPECT_EQ(router.pool().counters(1).requests, 1u);
+  EXPECT_EQ(router.pool().counters(1).ok, 1u);
+  EXPECT_NE(router.render_stats().find("retries: 1\n"), std::string::npos)
+      << router.render_stats();
+  backend.shutdown();
+  ::close(holder);
 }
 
 }  // namespace

@@ -56,10 +56,13 @@ void usage() {
       "  --bind ADDR      bind address (default 127.0.0.1)\n"
       "  --threads N      server workers (default: hardware concurrency)\n"
       "  --idle-ms N      close idle client connections after N ms\n"
-      "  --connections-per-backend N   pool size per backend (default 2)\n"
-      "  --request-timeout-ms N        per-call timeout (default 2000)\n"
+      "  --request-timeout-ms N        bound on each backend send and\n"
+      "                                answer wait (default 2000)\n"
       "  --ping-interval-ms N          health-probe period, 0 disables\n"
-      "                                (default 200)\n");
+      "                                (default 200)\n"
+      "\n"
+      "Backend connections open on demand, one per call in flight, and\n"
+      "stay pooled for reuse: about one per worker per backend.\n");
 }
 
 std::uint64_t parse_u64_or_die(const char* flag, const char* text,
@@ -100,9 +103,6 @@ std::optional<Options> parse(int argc, char** argv) {
       opts.threads = parse_u64_or_die("--threads", next(), 4096);
     } else if (arg == "--idle-ms") {
       opts.idle_ms = parse_u64_or_die("--idle-ms", next(), 86'400'000);
-    } else if (arg == "--connections-per-backend") {
-      opts.pool.connections_per_backend = static_cast<std::size_t>(
-          parse_u64_or_die("--connections-per-backend", next(), 64));
     } else if (arg == "--request-timeout-ms") {
       opts.pool.request_timeout_ms =
           parse_u64_or_die("--request-timeout-ms", next(), 600'000);
