@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <istream>
+#include <numeric>
 #include <utility>
 
 #include "scan/archive_io.h"
@@ -18,10 +19,8 @@ bool strictly_increasing(const std::vector<scan::ScanData>& scans) {
   return true;
 }
 
-/// Parses one SMAR stream into cert/scan vectors without touching any
-/// corpus state; the error string is set on failure. Shared by
-/// append_segment and merge_slice so both keep the parse-everything-
-/// before-mutating discipline.
+/// Parses one SMAR stream without touching corpus state, so every byte is
+/// validated before anything mutates; sets `error` on failure.
 bool parse_smar(std::istream& in, const char* what,
                 std::vector<scan::CertRecord>& certs,
                 std::vector<scan::ScanData>& scans, std::string& error) {
@@ -54,17 +53,54 @@ bool parse_smar(std::istream& in, const char* what,
   return true;
 }
 
+/// SPKI key -> ids of every certificate of `archive` holding it.
+std::unordered_map<scan::KeyFingerprint, std::vector<scan::CertId>>
+key_holders(const scan::ScanArchive& archive) {
+  std::unordered_map<scan::KeyFingerprint, std::vector<scan::CertId>> keys;
+  keys.reserve(archive.certs().size());
+  for (std::size_t i = 0; i < archive.certs().size(); ++i) {
+    keys[archive.certs()[i].key_fingerprint].push_back(
+        static_cast<scan::CertId>(i));
+  }
+  return keys;
+}
+
+bool in_prefix(const scan::CertFingerprint& fp, std::uint8_t lo,
+               std::uint8_t hi) {
+  return fp[0] >= lo && fp[0] <= hi;
+}
+
+/// Re-interns densely, in original id order, every certificate of `full`
+/// whose fingerprint is in_prefix(lo, hi) == `inside`, then copies scans
+/// from `first_scan` on with only the kept certificates' observations.
+scan::ScanArchive filter_prefix(const scan::ScanArchive& full,
+                                std::uint8_t lo, std::uint8_t hi,
+                                bool inside, std::size_t first_scan) {
+  scan::ScanArchive out;
+  std::vector<scan::CertId> local(full.certs().size(), kUnmapped);
+  for (std::size_t id = 0; id < full.certs().size(); ++id) {
+    const scan::CertRecord& cert = full.cert(static_cast<scan::CertId>(id));
+    if (in_prefix(cert.fingerprint, lo, hi) == inside) {
+      local[id] = out.intern(cert);
+    }
+  }
+  for (std::size_t s = first_scan; s < full.scans().size(); ++s) {
+    const scan::ScanData& scan = full.scans()[s];
+    scan::ScanData copy;
+    copy.event = scan.event;
+    for (const scan::Observation& obs : scan.observations) {
+      if (local[obs.cert] == kUnmapped) continue;
+      copy.observations.push_back({local[obs.cert], obs.ip, obs.device});
+    }
+    out.add_scan(std::move(copy));
+  }
+  return out;
+}
+
 }  // namespace
 
-struct LiveCorpus::PendingPublish {
-  std::shared_ptr<scan::ScanArchive> archive;
-  std::vector<scan::CertId> delta;
-  /// The archive appends to the current one: extend its spine rather
-  /// than build cold.
-  bool append = false;
-};
-
-void LiveCorpus::publish(PendingPublish&& pending) {
+void LiveCorpus::publish(std::shared_ptr<scan::ScanArchive> archive,
+                         std::vector<scan::CertId> delta, bool extend) {
   const std::shared_ptr<const LiveSnapshot> cur = snapshot();
   auto snap = std::make_shared<LiveSnapshot>();
   snap->epoch = cur ? cur->epoch + 1 : 0;
@@ -72,12 +108,11 @@ void LiveCorpus::publish(PendingPublish&& pending) {
   // and publish. The release store pairs with snapshot()'s acquire load.
   const CorpusOptions options{routing_, pool_};
   snap->spine =
-      pending.append
-          ? std::make_shared<const CorpusIndex>(*pending.archive, *cur->spine,
-                                                options)
-          : std::make_shared<const CorpusIndex>(*pending.archive, options);
-  snap->archive = std::move(pending.archive);
-  snap->delta = std::move(pending.delta);
+      extend ? std::make_shared<const CorpusIndex>(*archive, *cur->spine,
+                                                   options)
+             : std::make_shared<const CorpusIndex>(*archive, options);
+  snap->archive = std::move(archive);
+  snap->delta = std::move(delta);
   snap->statuses = statuses_;
   snap->key_counts = key_counts_;
   snapshot_.store(std::move(snap), std::memory_order_release);
@@ -96,124 +131,37 @@ LiveCorpus::LiveCorpus(scan::ScanArchive initial,
     key_counts_ = std::make_shared<const KeyCountMap>(std::move(key_counts));
   }
   auto archive = std::make_shared<scan::ScanArchive>(std::move(initial));
-  keys_.reserve(archive->certs().size());
-  for (std::size_t i = 0; i < archive->certs().size(); ++i) {
-    keys_[archive->certs()[i].key_fingerprint].push_back(
-        static_cast<scan::CertId>(i));
-  }
-  publish(PendingPublish{std::move(archive), {}});
+  keys_ = key_holders(*archive);
+  publish(std::move(archive), {}, /*extend=*/false);
 }
 
 AppendResult LiveCorpus::append_segment(std::istream& in,
                                         const RevocationStatusMap* statuses) {
   std::lock_guard lock(append_mutex_);
   AppendResult result;
-  const std::shared_ptr<const LiveSnapshot> cur = snapshot();
-
-  // Parse the whole segment up front: any framing/checksum/ordering
-  // failure must leave the published snapshot untouched, so nothing is
-  // interned until the reader has validated every byte.
-  std::vector<scan::CertRecord> segment_certs;
-  std::vector<scan::ScanData> segment_scans;
-  if (!parse_smar(in, "segment", segment_certs, segment_scans,
-                  result.error)) {
+  // A prefix slice answers with injected full-corpus degrees, which only
+  // a sender's sidecar can keep true; it grows by merge_slice alone.
+  if (key_counts_ != nullptr) {
+    result.error = "segment: a prefix-slice corpus cannot take segments";
     return result;
   }
-  if (segment_scans.empty()) {
+  std::vector<scan::CertRecord> certs;
+  std::vector<scan::ScanData> scans;
+  if (!parse_smar(in, "segment", certs, scans, result.error)) return result;
+  if (scans.empty()) {
     result.error = "segment: no scans";
     return result;
   }
-  // Chronology: the archive's own append path rejects out-of-order
-  // scans with an exception; pre-check so a stale segment is a clean
-  // error instead.
-  if (!cur->archive->scans().empty() &&
-      segment_scans.front().event.start <
-          cur->archive->scans().back().event.start) {
-    result.error = "segment: scans predate the current corpus";
+  // Chronology: a segment continues the timeline strictly, so a replayed
+  // or stale segment is refused instead of double-counting observations.
+  const std::shared_ptr<const LiveSnapshot> cur = snapshot();
+  const std::vector<scan::ScanData>& have = cur->archive->scans();
+  if (!strictly_increasing(scans) ||
+      (!have.empty() && scans.front().event.start <= have.back().event.start)) {
+    result.error = "segment: scans do not strictly follow the current corpus";
     return result;
   }
-
-  // Copy-on-append: the new epoch gets its own archive; every snapshot
-  // already handed out keeps the previous one. The copy shares the
-  // certificate records (scan::CertTable), so it costs the scan and
-  // intern tables, not the records.
-  auto next = std::make_shared<scan::ScanArchive>(*cur->archive);
-  const std::size_t old_cert_count = next->certs().size();
-
-  // Re-intern the segment's certificates. Intern order follows the
-  // segment's id order, so the resulting global ids are deterministic.
-  std::vector<scan::CertId> global_id(segment_certs.size());
-  std::vector<char> changed(old_cert_count, 0);
-  std::vector<std::pair<scan::KeyFingerprint, scan::CertId>> new_keys;
-  for (std::size_t i = 0; i < segment_certs.size(); ++i) {
-    const scan::KeyFingerprint key = segment_certs[i].key_fingerprint;
-    const scan::CertId id = next->intern(std::move(segment_certs[i]));
-    global_id[i] = id;
-    if (id >= old_cert_count) {
-      ++result.new_certs;
-      new_keys.emplace_back(key, id);
-      // A new holder of an existing SPKI raises the key-sharing degree
-      // of every certificate already holding it.
-      const auto it = keys_.find(key);
-      if (it != keys_.end()) {
-        for (const scan::CertId peer : it->second) changed[peer] = 1;
-      }
-    }
-  }
-
-  // Append the scans with observations remapped to global ids; every
-  // observed certificate's history (and stats row) changes.
-  for (scan::ScanData& scan : segment_scans) {
-    for (scan::Observation& obs : scan.observations) {
-      obs.cert = global_id[obs.cert];
-      if (obs.cert < old_cert_count) changed[obs.cert] = 1;
-    }
-    result.observations += scan.observations.size();
-    next->add_scan(std::move(scan));
-    ++result.scans_appended;
-  }
-
-  // Sidecar statuses: a changed status alters a certificate's rendered
-  // knowledge, so already-known certs whose status moved join the delta
-  // exactly like certs the scans re-observed.
-  if (statuses != nullptr && !statuses->empty()) {
-    auto next_statuses =
-        statuses_ ? std::make_shared<RevocationStatusMap>(*statuses_)
-                  : std::make_shared<RevocationStatusMap>();
-    bool dirty = false;
-    for (const auto& [fp, status] : *statuses) {
-      const auto it = next_statuses->find(fp);
-      if (it != next_statuses->end() && it->second == status) continue;
-      (*next_statuses)[fp] = status;
-      dirty = true;
-      scan::CertId id = 0;
-      if (next->find(fp, id) && id < old_cert_count) changed[id] = 1;
-    }
-    if (dirty) statuses_ = std::move(next_statuses);
-  }
-  // Injected full-corpus degrees: every newly interned certificate is a
-  // new holder of its key corpus-wide.
-  if (key_counts_ != nullptr && !new_keys.empty()) {
-    auto next_counts = std::make_shared<KeyCountMap>(*key_counts_);
-    for (const auto& [key, id] : new_keys) ++(*next_counts)[key];
-    key_counts_ = std::move(next_counts);
-  }
-
-  // The delta: every pre-existing cert marked above plus every new one.
-  std::vector<scan::CertId> delta;
-  for (std::size_t i = 0; i < old_cert_count; ++i) {
-    if (changed[i] != 0) delta.push_back(static_cast<scan::CertId>(i));
-  }
-  for (std::size_t i = old_cert_count; i < next->certs().size(); ++i) {
-    delta.push_back(static_cast<scan::CertId>(i));
-  }
-  result.delta_size = delta.size();
-
-  // Commit the append-side key map only now that nothing can fail.
-  for (const auto& [key, id] : new_keys) keys_[key].push_back(id);
-  publish(PendingPublish{std::move(next), std::move(delta), /*append=*/true});
-  result.ok = true;
-  return result;
+  return absorb(*cur, std::move(certs), std::move(scans), nullptr, statuses);
 }
 
 AppendResult LiveCorpus::merge_slice(std::istream& in,
@@ -221,97 +169,92 @@ AppendResult LiveCorpus::merge_slice(std::istream& in,
                                      const RevocationStatusMap* statuses) {
   std::lock_guard lock(append_mutex_);
   AppendResult result;
-  const std::shared_ptr<const LiveSnapshot> cur = snapshot();
-
-  std::vector<scan::CertRecord> slice_certs;
-  std::vector<scan::ScanData> slice_scans;
-  if (!parse_smar(in, "slice", slice_certs, slice_scans, result.error)) {
-    return result;
-  }
+  std::vector<scan::CertRecord> certs;
+  std::vector<scan::ScanData> scans;
+  if (!parse_smar(in, "slice", certs, scans, result.error)) return result;
   // Scans merge by start time, so starts must identify scans uniquely on
   // both sides of the merge.
-  if (!strictly_increasing(slice_scans)) {
+  if (!strictly_increasing(scans)) {
     result.error = "slice: scan start times are not strictly increasing";
     return result;
   }
+  const std::shared_ptr<const LiveSnapshot> cur = snapshot();
   if (!strictly_increasing(cur->archive->scans())) {
-    result.error =
-        "corpus: scan start times are not strictly increasing; cannot "
-        "merge by timeline";
+    result.error = "corpus: scan starts not strictly increasing; cannot merge";
     return result;
   }
+  return absorb(*cur, std::move(certs), std::move(scans), key_counts,
+                statuses);
+}
 
-  // Rebuild rather than copy: merging appends observations into existing
-  // scans, which the archive's append-only API cannot express in place.
-  // Interning the current certs first, in id order, keeps every existing
-  // id stable; slice certs follow (duplicates dedup, new ones append).
-  auto next = std::make_shared<scan::ScanArchive>();
-  next->reserve_certs(cur->archive->certs().size() + slice_certs.size());
-  for (const scan::CertRecord& cert : cur->archive->certs()) {
-    next->intern(cert);
-  }
+AppendResult LiveCorpus::absorb(const LiveSnapshot& cur,
+                                std::vector<scan::CertRecord> certs,
+                                std::vector<scan::ScanData> scans,
+                                const KeyCountMap* key_counts,
+                                const RevocationStatusMap* statuses) {
+  AppendResult result;
+  // Copy-on-write: the new epoch gets its own archive and every snapshot
+  // handed out keeps its own. The copy shares the certificate records
+  // (scan::CertTable), so it costs the scan and intern tables only.
+  auto next = std::make_shared<scan::ScanArchive>(*cur.archive);
   const std::size_t old_cert_count = next->certs().size();
+  next->reserve_certs(old_cert_count + certs.size());
   std::vector<char> changed(old_cert_count, 0);
-  std::vector<scan::CertId> global_id(slice_certs.size());
+  const auto mark_holders = [&](const scan::KeyFingerprint& key) {
+    const auto it = keys_.find(key);
+    if (it == keys_.end()) return;
+    for (const scan::CertId peer : it->second) changed[peer] = 1;
+  };
+
+  // Intern in the incoming id order, so the resulting ids are
+  // deterministic. A new holder of an existing SPKI raises the
+  // key-sharing degree of every certificate already holding it.
+  std::vector<scan::CertId> global_id(certs.size());
   std::vector<std::pair<scan::KeyFingerprint, scan::CertId>> new_keys;
-  for (std::size_t i = 0; i < slice_certs.size(); ++i) {
-    const scan::KeyFingerprint key = slice_certs[i].key_fingerprint;
-    const scan::CertId id = next->intern(std::move(slice_certs[i]));
-    global_id[i] = id;
-    if (id >= old_cert_count) {
-      ++result.new_certs;
-      new_keys.emplace_back(key, id);
-      const auto it = keys_.find(key);
-      if (it != keys_.end()) {
-        for (const scan::CertId peer : it->second) changed[peer] = 1;
-      }
+  for (std::size_t i = 0; i < certs.size(); ++i) {
+    const scan::KeyFingerprint key = certs[i].key_fingerprint;
+    global_id[i] = next->intern(std::move(certs[i]));
+    if (global_id[i] >= old_cert_count) {
+      new_keys.emplace_back(key, global_id[i]);
+      mark_holders(key);
     }
   }
+  result.new_certs = new_keys.size();
 
-  // Two-pointer walk over both timelines in start order. A start present
-  // on both sides is the same scan: local observations first, then the
-  // slice's (remapped) — every per-cert aggregate downstream is
-  // order-independent, so concatenation preserves byte-identical
-  // renders. A start only the slice knows becomes a new scan.
-  const std::vector<scan::ScanData>& cur_scans = cur->archive->scans();
-  std::size_t ci = 0;
-  std::size_t si = 0;
-  while (ci < cur_scans.size() || si < slice_scans.size()) {
-    const bool have_cur = ci < cur_scans.size();
-    const bool have_slice = si < slice_scans.size();
-    const bool take_cur =
-        have_cur && (!have_slice || cur_scans[ci].event.start <=
-                                        slice_scans[si].event.start);
-    const bool take_slice =
-        have_slice && (!have_cur || slice_scans[si].event.start <=
-                                        cur_scans[ci].event.start);
-    scan::ScanData merged;
-    if (take_cur) {
-      merged.event = cur_scans[ci].event;
-      merged.observations = cur_scans[ci].observations;
-      ++ci;
+  // Place the scans by start time, observations remapped to global ids.
+  // A start the corpus has is the same scan: local observations first,
+  // then the incoming ones (per-cert aggregates are order-independent).
+  // The spine extends only if every scan lands after the old last one.
+  bool extend = true;
+  for (scan::ScanData& scan : scans) {
+    for (scan::Observation& obs : scan.observations) {
+      obs.cert = global_id[obs.cert];
+      if (obs.cert < old_cert_count) changed[obs.cert] = 1;
+    }
+    result.observations += scan.observations.size();
+    const std::vector<scan::ScanData>& have = next->scans();
+    const auto at = std::partition_point(
+        have.begin(), have.end(), [&](const scan::ScanData& s) {
+          return s.event.start < scan.event.start;
+        });
+    if (at != have.end() && at->event.start == scan.event.start) {
+      const auto index = static_cast<std::size_t>(at - have.begin());
+      for (const scan::Observation& obs : scan.observations) {
+        next->add_observation(index, obs.cert, obs.ip, obs.device);
+      }
+      extend = false;
     } else {
-      merged.event = slice_scans[si].event;
+      extend = extend && at == have.end();
+      next->insert_scan(std::move(scan));
       ++result.scans_appended;
     }
-    if (take_slice) {
-      merged.observations.reserve(merged.observations.size() +
-                                  slice_scans[si].observations.size());
-      for (const scan::Observation& obs : slice_scans[si].observations) {
-        const scan::CertId id = global_id[obs.cert];
-        merged.observations.push_back({id, obs.ip, obs.device});
-        if (id < old_cert_count) changed[id] = 1;
-        ++result.observations;
-      }
-      ++si;
-    }
-    next->add_scan(std::move(merged));
   }
 
   // Sidecars: statuses overwrite (the sender's are authoritative for its
-  // certs), degrees take the larger value — both sides derive from the
-  // same full corpus, so the larger one is the fresher count. A degree
-  // change re-renders every local holder of that key.
+  // certs) and a moved status re-renders its certificate, so a cert
+  // revoked mid-ingestion joins the delta. Degrees take the larger value:
+  // both sides derive from the same full corpus, so the larger one is the
+  // fresher count, and a raised degree re-renders every local holder.
   if (statuses != nullptr && !statuses->empty()) {
     auto next_statuses =
         statuses_ ? std::make_shared<RevocationStatusMap>(*statuses_)
@@ -335,26 +278,23 @@ AppendResult LiveCorpus::merge_slice(std::istream& in,
       std::uint32_t& slot = (*next_counts)[key];
       if (count > slot) {
         slot = count;
-        const auto it = keys_.find(key);
-        if (it != keys_.end()) {
-          for (const scan::CertId peer : it->second) changed[peer] = 1;
-        }
+        mark_holders(key);
       }
     }
     key_counts_ = std::move(next_counts);
   }
 
+  // The delta: every pre-existing cert marked above plus every new one.
+  changed.resize(next->certs().size(), 1);
   std::vector<scan::CertId> delta;
-  for (std::size_t i = 0; i < old_cert_count; ++i) {
+  for (std::size_t i = 0; i < changed.size(); ++i) {
     if (changed[i] != 0) delta.push_back(static_cast<scan::CertId>(i));
-  }
-  for (std::size_t i = old_cert_count; i < next->certs().size(); ++i) {
-    delta.push_back(static_cast<scan::CertId>(i));
   }
   result.delta_size = delta.size();
 
+  // Commit the append-side key map only now that nothing can fail.
   for (const auto& [key, id] : new_keys) keys_[key].push_back(id);
-  publish(PendingPublish{std::move(next), std::move(delta)});
+  publish(std::move(next), std::move(delta), extend);
   result.ok = true;
   return result;
 }
@@ -363,55 +303,28 @@ AppendResult LiveCorpus::retire_prefix(std::uint8_t lo, std::uint8_t hi) {
   std::lock_guard lock(append_mutex_);
   AppendResult result;
   const std::shared_ptr<const LiveSnapshot> cur = snapshot();
-  const scan::ScanArchive& full = *cur->archive;
-
-  auto next = std::make_shared<scan::ScanArchive>();
-  std::vector<scan::CertId> local(full.certs().size(), kUnmapped);
-  for (std::size_t id = 0; id < full.certs().size(); ++id) {
-    const scan::CertRecord& cert = full.cert(static_cast<scan::CertId>(id));
-    if (cert.fingerprint[0] >= lo && cert.fingerprint[0] <= hi) continue;
-    local[id] = next->intern(cert);
-  }
-  for (const scan::ScanData& scan : full.scans()) {
-    scan::ScanData copy;
-    copy.event = scan.event;
-    for (const scan::Observation& obs : scan.observations) {
-      if (local[obs.cert] == kUnmapped) continue;
-      copy.observations.push_back({local[obs.cert], obs.ip, obs.device});
-    }
-    next->add_scan(std::move(copy));
-  }
+  auto next = std::make_shared<scan::ScanArchive>(
+      filter_prefix(*cur->archive, lo, hi, /*inside=*/false, 0));
 
   // Ids were remapped: rebuild the key map and invalidate everything —
   // the delta spans every id either epoch ever used, so no stale render
   // survives under a reused id.
-  keys_.clear();
-  keys_.reserve(next->certs().size());
-  for (std::size_t i = 0; i < next->certs().size(); ++i) {
-    keys_[next->certs()[i].key_fingerprint].push_back(
-        static_cast<scan::CertId>(i));
-  }
+  keys_ = key_holders(*next);
   if (statuses_) {
-    auto next_statuses = std::make_shared<RevocationStatusMap>();
-    next_statuses->reserve(statuses_->size());
-    for (const auto& [fp, status] : *statuses_) {
-      if (fp[0] >= lo && fp[0] <= hi) continue;
-      next_statuses->emplace(fp, status);
-    }
-    statuses_ = next_statuses->empty() ? nullptr : std::move(next_statuses);
+    auto kept = std::make_shared<RevocationStatusMap>(*statuses_);
+    std::erase_if(*kept, [&](const auto& entry) {
+      return in_prefix(entry.first, lo, hi);
+    });
+    statuses_ = kept->empty() ? nullptr : std::move(kept);
   }
   // key_counts_ stays: full-corpus degrees are true regardless of which
   // slice this daemon serves.
 
-  const std::size_t span =
-      std::max(full.certs().size(), next->certs().size());
-  std::vector<scan::CertId> delta(span);
-  for (std::size_t i = 0; i < span; ++i) {
-    delta[i] = static_cast<scan::CertId>(i);
-  }
+  std::vector<scan::CertId> delta(
+      std::max(cur->archive->certs().size(), next->certs().size()));
+  std::iota(delta.begin(), delta.end(), scan::CertId{0});
   result.delta_size = delta.size();
-
-  publish(PendingPublish{std::move(next), std::move(delta)});
+  publish(std::move(next), std::move(delta), /*extend=*/false);
   result.ok = true;
   return result;
 }
@@ -420,8 +333,7 @@ scan::ScanArchive extract_segment(const scan::ScanArchive& full,
                                   std::size_t first, std::size_t last) {
   scan::ScanArchive segment;
   last = std::min(last, full.scans().size());
-  // Dense re-intern: only the certificates these scans observe, in
-  // first-observation order.
+  // Dense re-intern of the observed certificates, first observation first.
   std::vector<scan::CertId> local(full.certs().size(), kUnmapped);
   for (std::size_t s = first; s < last; ++s) {
     const scan::ScanData& scan = full.scans()[s];
@@ -442,26 +354,7 @@ scan::ScanArchive extract_segment(const scan::ScanArchive& full,
 scan::ScanArchive extract_prefix_slice(const scan::ScanArchive& full,
                                        std::uint8_t lo, std::uint8_t hi,
                                        std::size_t first_scan) {
-  scan::ScanArchive slice;
-  // Intern pass first, in original id order: a shard must know every
-  // in-range certificate the full corpus interned, observed or not.
-  std::vector<scan::CertId> local(full.certs().size(), kUnmapped);
-  for (std::size_t id = 0; id < full.certs().size(); ++id) {
-    const scan::CertRecord& cert = full.cert(static_cast<scan::CertId>(id));
-    if (cert.fingerprint[0] < lo || cert.fingerprint[0] > hi) continue;
-    local[id] = slice.intern(cert);
-  }
-  for (std::size_t s = first_scan; s < full.scans().size(); ++s) {
-    const scan::ScanData& scan = full.scans()[s];
-    scan::ScanData copy;
-    copy.event = scan.event;
-    for (const scan::Observation& obs : scan.observations) {
-      if (local[obs.cert] == kUnmapped) continue;
-      copy.observations.push_back({local[obs.cert], obs.ip, obs.device});
-    }
-    slice.add_scan(std::move(copy));
-  }
-  return slice;
+  return filter_prefix(full, lo, hi, /*inside=*/true, first_scan);
 }
 
 }  // namespace sm::corpus

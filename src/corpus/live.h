@@ -7,15 +7,18 @@
 // LiveCorpus is the bridge between those immutable builds and a stream
 // of new scan segments:
 //
-//   * ingest: append_segment() streams one SMAR segment (certificates +
-//     scans) through scan::ArchiveReader, re-interns its certificates
-//     into a *copy* of the current archive, appends its scans, and
-//     extends the previous epoch's immutable corpus::CorpusIndex spine
-//     on the shared util::ThreadPool. The cost follows the segment, not
-//     the corpus: the copy shares every certificate record with the
-//     previous epoch (scan::CertTable), and the extension resolves ASNs
-//     and stats only for what the segment touched. merge_slice and
-//     retire_prefix rebuild the archive and build their spine cold;
+//   * absorb: append_segment() (one SMAR segment) and merge_slice()
+//     (another shard's prefix slice plus its sidecars) validate their
+//     input and hand it to one copy-on-write step. It copies the current
+//     archive (the copy shares every certificate record with the
+//     previous epoch, scan::CertTable), re-interns the incoming
+//     certificates (new ones append, so existing ids stay), places each
+//     scan by start time — a start the corpus has gains the remapped
+//     observations, any other is inserted — and merges the sidecars.
+//     When every incoming scan lands after the corpus's last, the
+//     previous epoch's immutable corpus::CorpusIndex spine is extended
+//     on the shared util::ThreadPool, so the cost follows the input, not
+//     the corpus; otherwise the spine is built cold;
 //   * publish: the new (archive, spine, delta) triple becomes a
 //     LiveSnapshot published through one epoch/RCU-style shared_ptr
 //     swap (std::atomic<std::shared_ptr>, release store). Readers take
@@ -24,33 +27,33 @@
 //     old epochs retire automatically when the last reader drops them;
 //   * delta: each snapshot carries the exact set of certificate ids
 //     whose knowledge changed in that epoch — certificates observed by
-//     the new scans, newly interned certificates, and every existing
+//     the new scans, newly interned certificates, every existing
 //     certificate sharing an SPKI key with a new one (its key-sharing
-//     degree grew). Downstream caches (NotaryService's per-shard
-//     ring-arena slot cache) invalidate precisely this set and keep
-//     everything else.
+//     degree grew), and those whose sidecar status or degree moved.
+//     Downstream caches (NotaryService's per-shard ring-arena slot
+//     cache) invalidate precisely this set and keep everything else.
 //
 // Certificate ids are stable across epochs: interning is append-only
 // and deduplicates by fingerprint, so id N means the same certificate
-// in every snapshot that contains it. Appends are serialized by a
-// writer mutex; failed appends (corrupt segment, non-chronological
-// scans) leave the published snapshot and all ingest state untouched.
+// in every snapshot that contains it. Writers are serialized by a mutex;
+// a refused input (corrupt bytes, scans out of order) leaves the
+// published snapshot and all ingest state untouched.
 //
 // Two additions serve the sharded deployment:
 //
 //   * sidecar maps: each snapshot can carry fingerprint-keyed revocation
 //     statuses and full-corpus key-sharing degrees, versioned with the
-//     same copy-on-write discipline as the archive. append_segment and
-//     merge_slice update them (a cert revoked mid-ingestion invalidates
-//     its cache entry through the delta like any other change), and
-//     NotaryIndex builds inject them so a slice answers byte-identically
-//     to the unsharded oracle;
-//   * resharding: merge_slice() absorbs another shard's prefix slice
-//     (matching scans by start time and concatenating observations), and
-//     retire_prefix() drops a handed-off range. retire rebuilds the
-//     intern table, so it is the one operation that breaks cert-id
-//     stability — its delta deliberately spans every id of both the old
-//     and new epoch, forcing a full downstream cache flush.
+//     same copy-on-write discipline as the archive. A cert revoked
+//     mid-ingestion invalidates its cache entry through the delta like
+//     any other change, and NotaryIndex builds inject the maps so a
+//     slice answers byte-identically to the unsharded oracle. A corpus
+//     carrying injected degrees is a prefix slice and refuses segments:
+//     only a sender's sidecar can keep those degrees true;
+//   * resharding: merge_slice() absorbs a slice, and retire_prefix()
+//     drops a handed-off range. Retire rebuilds the intern table, so it
+//     is the one operation that breaks cert-id stability — its delta
+//     deliberately spans every id of both the old and new epoch, forcing
+//     a full downstream cache flush.
 #pragma once
 
 #include <atomic>
@@ -137,9 +140,11 @@ class LiveCorpus {
   }
 
   /// Streams one SMAR segment from `in` and publishes a new epoch.
-  /// Serializes with other appends; never blocks readers. On any
-  /// failure (corrupt segment, scans not after the current last scan)
-  /// nothing is published and the result carries the reason.
+  /// Serializes with other appends; never blocks readers. The segment's
+  /// scans must strictly increase and start strictly after the current
+  /// last scan, so a replayed segment is refused. On any failure (that,
+  /// a corrupt or scan-less segment, or a prefix-slice corpus) nothing is
+  /// published and the result carries the reason.
   /// `statuses` (optional) carries revocation statuses learned with the
   /// segment — typically for its newly interned certificates, but a
   /// changed status for an already-known certificate is applied too and
@@ -176,8 +181,18 @@ class LiveCorpus {
   }
 
  private:
-  struct PendingPublish;
-  void publish(PendingPublish&& pending);
+  /// The copy-on-write absorb step described above, shared by
+  /// append_segment and merge_slice once they have validated `certs` and
+  /// `scans` under append_mutex_. Publishes the next epoch.
+  AppendResult absorb(const LiveSnapshot& cur,
+                      std::vector<scan::CertRecord> certs,
+                      std::vector<scan::ScanData> scans,
+                      const KeyCountMap* key_counts,
+                      const RevocationStatusMap* statuses);
+  /// Publishes `archive` as the next epoch; `extend` builds its spine
+  /// from the current one (the archive must only append to it).
+  void publish(std::shared_ptr<scan::ScanArchive> archive,
+               std::vector<scan::CertId> delta, bool extend);
 
   const net::RoutingHistory* routing_;
   util::ThreadPool* pool_;

@@ -165,6 +165,17 @@ std::size_t ScanArchive::add_scan(ScanData&& scan) {
   return scans_.size() - 1;
 }
 
+std::size_t ScanArchive::insert_scan(ScanData&& scan) {
+  const auto at = std::upper_bound(
+      scans_.begin(), scans_.end(), scan.event.start,
+      [](util::UnixTime start, const ScanData& s) {
+        return start < s.event.start;
+      });
+  observation_count_ += scan.observations.size();
+  const auto placed = scans_.insert(at, std::move(scan));
+  return static_cast<std::size_t>(placed - scans_.begin());
+}
+
 void ScanArchive::reserve_certs(std::size_t n) {
   certs_.reserve(n);
   std::size_t slots = 16;

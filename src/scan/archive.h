@@ -83,6 +83,11 @@ class ScanArchive {
   /// requirement as begin_scan. Returns the new scan's index.
   std::size_t add_scan(ScanData&& scan);
 
+  /// Places a fully-built scan in start order, after every scan that
+  /// starts no later; later scans move up one index. Returns the new
+  /// scan's index. add_scan is the append-only form of the same step.
+  std::size_t insert_scan(ScanData&& scan);
+
   /// Pre-sizes the certificate table and its fingerprint index (a
   /// load-time optimization).
   void reserve_certs(std::size_t n);

@@ -179,6 +179,60 @@ TEST_F(LiveIngestTest, FailedAppendPublishesNothing) {
   EXPECT_EQ(live->snapshot()->epoch, 1u);
 }
 
+// Chronology is strict: a segment's first scan must start after the
+// corpus's last. Replaying the segment just appended would otherwise
+// append its scans a second time and double-count every observation.
+TEST_F(LiveIngestTest, ReplayedSegmentIsRefused) {
+  const auto live = make_live();
+  const std::size_t last = base_count_ + kScansPerSegment - 1;
+  std::ostringstream out;
+  ASSERT_TRUE(scan::save_archive(
+      extract_segment(world_->archive, last, last + 1), out));
+  const std::string last_scan = std::move(out).str();  // ends segment 0
+  ASSERT_TRUE(append(*live, 0).ok);
+  const auto before = live->snapshot();
+
+  EXPECT_FALSE(append(*live, 0).ok);
+  EXPECT_EQ(live->snapshot().get(), before.get());
+  // Its last scan alone starts exactly where the corpus ends.
+  std::istringstream in(last_scan);
+  const AppendResult replay = live->append_segment(in);
+  EXPECT_FALSE(replay.ok);
+  EXPECT_FALSE(replay.error.empty());
+  EXPECT_EQ(live->snapshot().get(), before.get());
+  // The refusal leaves the ingest state healthy: the next segment appends.
+  ASSERT_TRUE(append(*live, 1).ok);
+  EXPECT_EQ(live->snapshot()->archive->scans().size(),
+            base_count_ + 2 * kScansPerSegment);
+}
+
+TEST_F(LiveIngestTest, SegmentPredatingTheCorpusIsRefused) {
+  const auto live = make_live();
+  const auto before = live->snapshot();
+  std::ostringstream out;
+  ASSERT_TRUE(
+      scan::save_archive(extract_segment(world_->archive, 0, 2), out));
+  std::istringstream in(std::move(out).str());
+  const AppendResult stale = live->append_segment(in);
+  EXPECT_FALSE(stale.ok);
+  EXPECT_FALSE(stale.error.empty());
+  EXPECT_EQ(live->snapshot().get(), before.get());
+}
+
+TEST_F(LiveIngestTest, SegmentWithoutScansIsRefused) {
+  const auto live = make_live();
+  const auto before = live->snapshot();
+  scan::ScanArchive certs_only;
+  certs_only.intern(world_->archive.cert(0));
+  std::ostringstream out;
+  ASSERT_TRUE(scan::save_archive(certs_only, out));
+  std::istringstream in(std::move(out).str());
+  const AppendResult empty = live->append_segment(in);
+  EXPECT_FALSE(empty.ok);
+  EXPECT_EQ(empty.error, "segment: no scans");
+  EXPECT_EQ(live->snapshot().get(), before.get());
+}
+
 // The delta must be sound for cache invalidation: any certificate *not*
 // in it renders byte-identically in the previous and the new epoch, and
 // every certificate new to the epoch is in it.

@@ -1,6 +1,7 @@
 // Tests for sm::notary: NotaryIndex field correctness against brute-force
 // recomputation, thread-count determinism of the rendered responses, the
-// service's LRU cache (byte-identical on/off, eviction), and the metrics.
+// service's FIFO ring cache (byte-identical on/off, eviction), and the
+// metrics.
 #include <gtest/gtest.h>
 
 #include <algorithm>

@@ -7,6 +7,7 @@
 // binary also runs under TSan and ASan in scripts/tier1.sh.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -197,6 +198,19 @@ TEST(SliceSidecar, CodecRoundTripsAndRejectsGarbage) {
 }
 
 // ---- the shared world fixture -------------------------------------------
+
+/// Every certificate of `full` (same ids) and its scans first, first + 2,
+/// first + 4, ...: one of two interleaved halves of the timeline.
+scan::ScanArchive every_other_scan(const scan::ScanArchive& full,
+                                   std::size_t first) {
+  scan::ScanArchive half;
+  for (const scan::CertRecord& cert : full.certs()) half.intern(cert);
+  for (std::size_t s = first; s < full.scans().size(); s += 2) {
+    scan::ScanData copy = full.scans()[s];
+    half.add_scan(std::move(copy));
+  }
+  return half;
+}
 
 std::shared_ptr<const NotaryIndex> build_live_index(
     const corpus::LiveSnapshot& snap) {
@@ -427,6 +441,151 @@ TEST_F(ReshardWorldTest, CatchUpRoundsConvergeOnTheOneShotSlice) {
     ASSERT_EQ(x.type, y.type);
     ASSERT_EQ(x.payload, y.payload);
   }
+
+  // Round 2's scans all postdate the corpus, so its spine extends round
+  // 1's; it must equal a cold build over the same archive.
+  const corpus::CorpusIndex cold_spine(
+      *a->archive, corpus::CorpusOptions{&world_->routing, nullptr});
+  NotaryIndexOptions cold_options;
+  cold_options.key_counts = a->key_counts.get();
+  const NotaryIndex cold(cold_spine, cold_options);
+  const auto hot = build_live_index(*a);
+  ASSERT_EQ(hot->size(), cold.size());
+  for (scan::CertId id = 0; id < hot->size(); ++id) {
+    ASSERT_EQ(render_knowledge(hot->knowledge(id)),
+              render_knowledge(cold.knowledge(id)))
+        << "cert " << id;
+  }
+}
+
+// A merge copies the current archive, sharing its records
+// (scan::CertTable): a merge that brings no new certificate moves no
+// record, and one that does keeps every existing id on its certificate.
+TEST_F(ReshardWorldTest, MergeSharesEveryRecordAndKeepsEveryId) {
+  const scan::ScanArchive& full = world_->archive;
+  corpus::LiveCorpus live(
+      corpus::extract_prefix_slice(every_other_scan(full, 0), 0, 127),
+      &world_->routing, nullptr, world_->revocation.statuses, *key_counts_);
+  const auto before = live.snapshot();
+  const scan::ScanArchive& old_archive = *before->archive;
+  ASSERT_GT(old_archive.certs().size(), 0u);
+  {
+    // The same range over the other scans: every certificate is known.
+    std::ostringstream smar;
+    ASSERT_TRUE(scan::save_archive(
+        corpus::extract_prefix_slice(every_other_scan(full, 1), 0, 127),
+        smar));
+    std::istringstream in(smar.str());
+    const corpus::AppendResult result =
+        live.merge_slice(in, key_counts_, nullptr);
+    ASSERT_TRUE(result.ok) << result.error;
+    EXPECT_EQ(result.new_certs, 0u);
+    EXPECT_EQ(result.scans_appended, full.scans().size() / 2);
+  }
+  const auto mid = live.snapshot();
+  ASSERT_EQ(mid->archive->certs().size(), old_archive.certs().size());
+  for (scan::CertId id = 0; id < old_archive.certs().size(); ++id) {
+    ASSERT_EQ(&mid->archive->cert(id), &old_archive.cert(id)) << "cert " << id;
+  }
+  {
+    std::ostringstream smar;
+    ASSERT_TRUE(scan::save_archive(
+        corpus::extract_prefix_slice(full, 128, 255), smar));
+    std::istringstream in(smar.str());
+    const corpus::AppendResult result =
+        live.merge_slice(in, key_counts_, &world_->revocation.statuses);
+    ASSERT_TRUE(result.ok) << result.error;
+    EXPECT_GT(result.new_certs, 0u);
+    EXPECT_EQ(result.scans_appended, 0u);  // every start is already local
+  }
+  const auto after = live.snapshot();
+  for (scan::CertId id = 0; id < old_archive.certs().size(); ++id) {
+    ASSERT_EQ(after->archive->cert(id).fingerprint,
+              old_archive.cert(id).fingerprint)
+        << "cert " << id;
+  }
+}
+
+// A slice scan that starts between two local scans lands in start order.
+// The merged corpus renders exactly like a cold build of its own archive,
+// the incoming range (which saw every scan) exactly like the oracle, and
+// every local certificate outside the delta exactly as before the merge.
+TEST_F(ReshardWorldTest, SliceScanBetweenLocalScansLandsInStartOrder) {
+  const scan::ScanArchive& full = world_->archive;
+  corpus::LiveCorpus live(
+      corpus::extract_prefix_slice(every_other_scan(full, 0), 0, 127),
+      &world_->routing, nullptr, world_->revocation.statuses, *key_counts_);
+  const auto before = live.snapshot();
+  const auto before_index = build_live_index(*before);
+
+  std::ostringstream smar;
+  ASSERT_TRUE(scan::save_archive(
+      corpus::extract_prefix_slice(full, 128, 255), smar));
+  std::istringstream in(smar.str());
+  const corpus::AppendResult result =
+      live.merge_slice(in, key_counts_, &world_->revocation.statuses);
+  ASSERT_TRUE(result.ok) << result.error;
+  EXPECT_EQ(result.scans_appended, full.scans().size() / 2);
+
+  const auto snap = live.snapshot();
+  ASSERT_EQ(snap->archive->scans().size(), full.scans().size());
+  for (std::size_t s = 0; s < full.scans().size(); ++s) {
+    ASSERT_EQ(snap->archive->scans()[s].event.start,
+              full.scans()[s].event.start)
+        << "scan " << s;
+  }
+
+  const corpus::CorpusIndex cold_spine(
+      *snap->archive, corpus::CorpusOptions{&world_->routing, nullptr});
+  NotaryIndexOptions cold_options;
+  cold_options.key_counts = snap->key_counts.get();
+  cold_options.revocation_statuses = snap->statuses.get();
+  const NotaryIndex cold(cold_spine, cold_options);
+  const auto hot = build_live_index(*snap);
+  ASSERT_EQ(hot->size(), cold.size());
+  for (scan::CertId id = 0; id < hot->size(); ++id) {
+    ASSERT_EQ(render_knowledge(hot->knowledge(id)),
+              render_knowledge(cold.knowledge(id)))
+        << "cert " << id;
+    if (id < before_index->size() &&
+        !std::binary_search(snap->delta.begin(), snap->delta.end(), id)) {
+      ASSERT_EQ(render_knowledge(hot->knowledge(id)),
+                render_knowledge(before_index->knowledge(id)))
+          << "cert " << id << " changed but is not in the delta";
+    }
+  }
+
+  NotaryService service(hot);
+  for (const scan::CertRecord& cert : full.certs()) {
+    if (cert.fingerprint[0] < 128) continue;
+    const std::string payload = fp_payload(cert.fingerprint);
+    const netio::Frame got = service.handle(netio::FrameType::kQuery, payload);
+    const netio::Frame want =
+        oracle_->handle(netio::FrameType::kQuery, payload);
+    ASSERT_EQ(got.type, want.type);
+    ASSERT_EQ(got.payload, want.payload);
+  }
+}
+
+// A prefix slice answers with injected full-corpus degrees that a
+// segment's new certificates would skew; it refuses segments outright.
+TEST_F(ReshardWorldTest, AppendSegmentIsRefusedOnAPrefixSlice) {
+  const scan::ScanArchive& full = world_->archive;
+  const std::size_t last = full.scans().size() - 1;
+  corpus::LiveCorpus live(
+      corpus::extract_prefix_slice(corpus::extract_segment(full, 0, last), 0,
+                                   127),
+      &world_->routing, nullptr, {}, *key_counts_);
+  const auto before = live.snapshot();
+
+  std::ostringstream smar;
+  ASSERT_TRUE(
+      scan::save_archive(corpus::extract_segment(full, last, last + 1), smar));
+  std::istringstream in(smar.str());
+  const corpus::AppendResult result = live.append_segment(in);
+  EXPECT_FALSE(result.ok);
+  EXPECT_FALSE(result.error.empty());
+  EXPECT_EQ(live.snapshot().get(), before.get());
 }
 
 // retire_prefix drops the range, remaps ids, and its delta forces a full

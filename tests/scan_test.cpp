@@ -459,6 +459,32 @@ TEST(Archive, ObservationBookkeeping) {
   EXPECT_EQ(archive.scans()[s1].observations[0].device, 7u);
 }
 
+TEST(Archive, InsertScanPlacesByStart) {
+  ScanArchive archive;
+  const CertId cert = archive.intern(make_cert_record(make_test_cert(31), {}));
+  archive.begin_scan(ScanEvent{Campaign::kUMich, 100});
+  archive.begin_scan(ScanEvent{Campaign::kUMich, 300});
+  const auto scan_at = [](util::UnixTime start) {
+    return ScanData{ScanEvent{Campaign::kRapid7, start}, {}};
+  };
+  ScanData between = scan_at(200);
+  between.observations = {{cert, 1, 1}, {cert, 2, 1}};
+  EXPECT_EQ(archive.insert_scan(std::move(between)), 1u);
+  EXPECT_EQ(archive.insert_scan(scan_at(50)), 0u);
+  // A tie lands after the scan it ties with; a late start appends.
+  EXPECT_EQ(archive.insert_scan(scan_at(300)), 4u);
+  EXPECT_EQ(archive.insert_scan(scan_at(400)), 5u);
+  ASSERT_EQ(archive.scans().size(), 6u);
+  EXPECT_EQ(archive.scans()[0].event.start, 50);
+  EXPECT_EQ(archive.scans()[1].event.start, 100);
+  EXPECT_EQ(archive.scans()[2].event.start, 200);
+  EXPECT_EQ(archive.scans()[2].observations.size(), 2u);
+  EXPECT_EQ(archive.scans()[3].event.campaign, Campaign::kUMich);
+  EXPECT_EQ(archive.scans()[4].event.campaign, Campaign::kRapid7);
+  EXPECT_EQ(archive.scans()[5].event.start, 400);
+  EXPECT_EQ(archive.observation_count(), 2u);
+}
+
 // --- lifetimes --------------------------------------------------------------------
 
 TEST(Lifetimes, PaperSemantics) {

@@ -143,8 +143,8 @@ void usage() {
       "  --port N       TCP port (default 7433; 0 = kernel-assigned)\n"
       "  --bind ADDR    bind address (default 127.0.0.1)\n"
       "  --threads N    worker event loops / index build threads (0 = hw)\n"
-      "  --cache-mb N   rendered-response LRU cache size (default 64; 0 "
-      "= off)\n"
+      "  --cache-mb N   rendered-response FIFO ring cache size (default 64; "
+      "0 = off)\n"
       "  --idle-ms N    idle connection timeout in ms (default 60000)\n"
       "  --link         attach linked-device ids (runs the linker; needs "
       "routing,\n"
