@@ -213,9 +213,9 @@ class LiveCorpus {
 
 /// Builds a standalone archive containing scans [first, last) of `full`
 /// and exactly the certificates they observe, re-interned densely. The
-/// segment-producer helper: sm_notaryd's ingest bench and the tests use
-/// it to split a simulated archive into an initial corpus plus a stream
-/// of appendable SMAR segments.
+/// segment-producer helper: `sm_notaryd --split-segments`, perfbench's
+/// ingest workload and the tests use it to split a simulated archive
+/// into an initial corpus plus a stream of appendable SMAR segments.
 scan::ScanArchive extract_segment(const scan::ScanArchive& full,
                                   std::size_t first, std::size_t last);
 

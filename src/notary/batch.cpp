@@ -1,11 +1,10 @@
 #include "notary/batch.h"
 
-#include <cstring>
-
 namespace sm::notary {
 namespace {
 
 constexpr std::size_t kFpSize = sizeof(scan::CertFingerprint);
+constexpr std::size_t kEntryHeaderSize = 5;  // status byte + u32le length
 
 bool is_response_status(std::uint8_t value) {
   switch (static_cast<netio::FrameType>(value)) {
@@ -25,30 +24,16 @@ std::string encode_batch_query(
     const std::vector<scan::CertFingerprint>& fingerprints) {
   std::string out;
   out.reserve(4 + fingerprints.size() * kFpSize);
-  netio::put_u32le(out, static_cast<std::uint32_t>(fingerprints.size()));
-  for (const auto& fp : fingerprints) {
-    out.append(reinterpret_cast<const char*>(fp.data()), kFpSize);
-  }
+  netio::put_u32le(out, 0);
+  for (const auto& fp : fingerprints) append_batch_query_entry(out, fp);
   return out;
 }
 
-bool parse_batch_query(std::string_view payload,
-                       std::vector<scan::CertFingerprint>& out) {
-  if (payload.size() < 4) return false;
-  const std::uint32_t count = netio::get_u32le(payload.data());
-  if (count > kMaxBatchEntries) return false;
-  if (payload.size() != 4 + static_cast<std::size_t>(count) * kFpSize) {
-    return false;
-  }
-  out.clear();
-  out.reserve(count);
-  const char* p = payload.data() + 4;
-  for (std::uint32_t i = 0; i < count; ++i, p += kFpSize) {
-    scan::CertFingerprint fp;
-    std::memcpy(fp.data(), p, kFpSize);
-    out.push_back(fp);
-  }
-  return true;
+void append_batch_query_entry(std::string& payload,
+                              const scan::CertFingerprint& fp) {
+  if (payload.empty()) netio::put_u32le(payload, 0);
+  netio::patch_u32le(payload, 0, netio::get_u32le(payload.data()) + 1);
+  payload.append(reinterpret_cast<const char*>(fp.data()), kFpSize);
 }
 
 bool BatchQueryView::parse(std::string_view payload) {
@@ -65,19 +50,6 @@ bool BatchQueryView::parse(std::string_view payload) {
   return true;
 }
 
-std::string encode_batch_info_header(std::uint32_t count) {
-  std::string out;
-  netio::put_u32le(out, count);
-  return out;
-}
-
-void append_batch_entry(std::string& payload, netio::FrameType status,
-                        std::string_view body) {
-  payload.push_back(static_cast<char>(status));
-  netio::put_u32le(payload, static_cast<std::uint32_t>(body.size()));
-  payload.append(body);
-}
-
 std::size_t begin_batch_entry(std::string& payload, netio::FrameType status) {
   payload.push_back(static_cast<char>(status));
   payload.append(4, '\0');  // length, patched by end_batch_entry
@@ -89,27 +61,49 @@ void end_batch_entry(std::string& payload, std::size_t body_start) {
                      static_cast<std::uint32_t>(payload.size() - body_start));
 }
 
-bool parse_batch_info(std::string_view payload, std::vector<BatchEntry>& out) {
+bool BatchInfoView::parse(std::string_view payload) {
+  rest_ = {};
+  count_ = 0;
   if (payload.size() < 4) return false;
   const std::uint32_t count = netio::get_u32le(payload.data());
   if (count > kMaxBatchEntries) return false;
-  out.clear();
-  out.reserve(count);
   std::size_t off = 4;
   for (std::uint32_t i = 0; i < count; ++i) {
-    if (payload.size() - off < 5) return false;
-    const std::uint8_t status = static_cast<std::uint8_t>(payload[off]);
-    if (!is_response_status(status)) return false;
+    if (payload.size() - off < kEntryHeaderSize) return false;
+    if (!is_response_status(static_cast<std::uint8_t>(payload[off]))) {
+      return false;
+    }
     const std::uint32_t len = netio::get_u32le(payload.data() + off + 1);
-    off += 5;
+    off += kEntryHeaderSize;
     if (payload.size() - off < len) return false;
-    BatchEntry entry;
-    entry.status = static_cast<netio::FrameType>(status);
-    entry.body.assign(payload.data() + off, len);
-    out.push_back(std::move(entry));
     off += len;
   }
-  return off == payload.size();
+  if (off != payload.size()) return false;
+  rest_ = payload.substr(4);
+  count_ = count;
+  return true;
+}
+
+std::string_view BatchInfoView::next_entry() {
+  const std::size_t len =
+      kEntryHeaderSize + netio::get_u32le(rest_.data() + 1);
+  const std::string_view entry = rest_.substr(0, len);
+  rest_.remove_prefix(len);
+  return entry;
+}
+
+bool parse_batch_info(std::string_view payload, std::vector<BatchEntry>& out) {
+  BatchInfoView view;
+  if (!view.parse(payload)) return false;
+  out.clear();
+  out.reserve(view.size());
+  for (std::uint32_t i = 0; i < view.size(); ++i) {
+    const std::string_view entry = view.next_entry();
+    out.push_back({static_cast<netio::FrameType>(
+                       static_cast<std::uint8_t>(entry[0])),
+                   std::string(entry.substr(kEntryHeaderSize))});
+  }
+  return true;
 }
 
 }  // namespace sm::notary

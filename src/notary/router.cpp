@@ -12,12 +12,14 @@
 namespace sm::notary {
 namespace {
 
-std::string unavailable_reason(std::size_t shard,
-                               std::pair<std::uint8_t, std::uint8_t> range) {
+/// Appends the kError body for a map entry no replica answered for.
+void append_unavailable(std::string& out, std::size_t shard, std::uint8_t lo,
+                        std::uint8_t hi) {
   char buf[96];
-  std::snprintf(buf, sizeof buf, "shard %zu (prefix %u-%u) unavailable",
-                shard, range.first, range.second);
-  return buf;
+  const int n = std::snprintf(buf, sizeof buf,
+                              "shard %zu (prefix %u-%u) unavailable", shard,
+                              lo, hi);
+  out.append(buf, static_cast<std::size_t>(n));
 }
 
 }  // namespace
@@ -129,10 +131,6 @@ struct RouterService::Impl {
     return true;
   }
 
-  static std::pair<std::uint8_t, std::uint8_t> entry_range(const Entry& e) {
-    return {e.lo, e.hi};
-  }
-
   /// Replica order for one call: round-robin start, healthy replicas
   /// first, unhealthy ones kept as last-resort tail (a marked-down
   /// backend may have recovered between probes).
@@ -180,13 +178,16 @@ struct RouterService::Impl {
   /// Routes one single-fingerprint request (kQuery or kRevocationQuery —
   /// the forwarded frame carries `type` through verbatim) to the entry
   /// owning the fingerprint's first byte.
-  netio::Frame handle_query(netio::FrameType type, std::string_view payload) {
+  void handle_query(netio::FrameType type, std::string_view payload,
+                    std::string& out) {
     queries.fetch_add(1, std::memory_order_relaxed);
     if (payload.empty()) {
       bad_requests.fetch_add(1, std::memory_order_relaxed);
-      return {netio::FrameType::kError,
-              "query payload must carry at least the fingerprint's first "
-              "byte to route on"};
+      netio::encode_frame_into(
+          out, netio::FrameType::kError,
+          "query payload must carry at least the fingerprint's first "
+          "byte to route on");
+      return;
     }
     const std::shared_ptr<const RoutingTable> t = snapshot();
     const std::size_t s =
@@ -195,143 +196,145 @@ struct RouterService::Impl {
     netio::Frame response;
     if (!forward(entry, type, payload, response)) {
       query_errors.fetch_add(1, std::memory_order_relaxed);
-      return {netio::FrameType::kError,
-              unavailable_reason(s, entry_range(entry))};
+      netio::FrameWriter frame(out, netio::FrameType::kError);
+      append_unavailable(out, s, entry.lo, entry.hi);
+      frame.finish();
+      return;
     }
-    return response;  // backend bytes pass through verbatim
+    // Backend bytes pass through verbatim.
+    netio::encode_frame_into(out, response.type, response.payload);
   }
 
   /// Scatter/gathers one batch request. `type` is the sub-frame request
   /// type sent to each entry (kBatchQuery or kRevocationQuery); both
-  /// answer kBatchInfo, so the gather path is shared.
-  netio::Frame handle_batch(netio::FrameType type, std::string_view payload) {
+  /// answer kBatchInfo, so the gather path is shared. The gather copies
+  /// each validated sub-batch entry's wire bytes through unchanged, in
+  /// request order, straight into `out`.
+  void handle_batch(netio::FrameType type, std::string_view payload,
+                    std::string& out) {
     batch_queries.fetch_add(1, std::memory_order_relaxed);
-    std::vector<scan::CertFingerprint> fps;
-    if (!parse_batch_query(payload, fps)) {
+    BatchQueryView request;
+    if (!request.parse(payload)) {
       bad_requests.fetch_add(1, std::memory_order_relaxed);
-      return {netio::FrameType::kError,
-              "batch query payload must be a u32le count followed by "
-              "that many 16-byte fingerprints"};
+      netio::encode_frame_into(
+          out, netio::FrameType::kError,
+          "batch query payload must be a u32le count followed by "
+          "that many 16-byte fingerprints");
+      return;
     }
-    batch_entries.fetch_add(fps.size(), std::memory_order_relaxed);
+    batch_entries.fetch_add(request.size(), std::memory_order_relaxed);
 
     // One table snapshot for the whole scatter/gather: every entry of
     // this batch routes under the same epoch even if a swap lands midway.
     const std::shared_ptr<const RoutingTable> t = snapshot();
 
-    // Scatter: group entries by map entry, remembering each one's
-    // original position so the gathered response preserves request order.
-    std::vector<std::vector<std::size_t>> positions(t->entries.size());
-    std::vector<std::vector<scan::CertFingerprint>> groups(t->entries.size());
-    for (std::size_t i = 0; i < fps.size(); ++i) {
-      const std::size_t s = t->entry_of[fps[i][0]];
-      positions[s].push_back(i);
-      groups[s].push_back(fps[i]);
+    // One sub-batch per map entry. Its request lists the entry's
+    // fingerprints in request order; the gather reads its answers back in
+    // that same order.
+    struct SubBatch {
+      std::string request;
+      std::uint32_t count = 0;
+      std::vector<std::size_t> order;
+      netio::PendingCall first_attempt;
+      netio::Frame response;  // owns the bytes `entries` walks
+      BatchInfoView entries;
+      bool ok = false;
+    };
+    std::vector<SubBatch> subs(t->entries.size());
+    for (std::uint32_t i = 0; i < request.size(); ++i) {
+      const scan::CertFingerprint fp = request.fingerprint(i);
+      SubBatch& sub = subs[t->entry_of[fp[0]]];
+      append_batch_query_entry(sub.request, fp);
+      ++sub.count;
     }
 
     // One concurrent first attempt per entry, on the first replica of its
     // walk; a failure continues that walk serially in the gather loop.
-    struct SubBatch {
-      std::size_t shard = 0;
-      std::string request;
-      std::vector<std::size_t> order;
-      netio::PendingCall first_attempt;
-    };
-    std::vector<SubBatch> subs;
-    for (std::size_t s = 0; s < t->entries.size(); ++s) {
-      if (groups[s].empty()) continue;
-      SubBatch sub;
-      sub.shard = s;
-      sub.request = encode_batch_query(groups[s]);
+    for (std::size_t s = 0; s < subs.size(); ++s) {
+      SubBatch& sub = subs[s];
+      if (sub.count == 0) continue;
       sub.order = replica_order(t->entries[s]);
       sub.first_attempt = pool->call(sub.order.front(), type, sub.request);
-      subs.push_back(std::move(sub));
     }
 
-    std::vector<BatchEntry> entries(fps.size());
-    for (SubBatch& sub : subs) {
-      const Entry& shard = t->entries[sub.shard];
-      const std::size_t count = positions[sub.shard].size();
-      std::vector<BatchEntry> shard_entries;
-      bool ok = false;
+    // A sub-batch answer is accepted only whole: a kBatchInfo whose
+    // entries all validate and number exactly the sub-batch's.
+    const auto accept = [](SubBatch& sub) {
+      return sub.response.type == netio::FrameType::kBatchInfo &&
+             sub.entries.parse(sub.response.payload) &&
+             sub.entries.size() == sub.count;
+    };
+    for (std::size_t s = 0; s < subs.size(); ++s) {
+      SubBatch& sub = subs[s];
+      if (sub.count == 0) continue;
       netio::CallResult first = sub.first_attempt.get();
-      if (first.ok() &&
-          first.response.type == netio::FrameType::kBatchInfo &&
-          parse_batch_info(first.response.payload, shard_entries) &&
-          shard_entries.size() == count) {
-        ok = true;
-      } else {
-        // First replica failed (or answered garbage): walk the rest.
-        netio::Frame response;
-        if (forward_from(shard, sub.order, 1, type, sub.request, response) &&
-            response.type == netio::FrameType::kBatchInfo &&
-            parse_batch_info(response.payload, shard_entries) &&
-            shard_entries.size() == count) {
-          ok = true;
-        }
-      }
-      if (ok) {
-        for (std::size_t i = 0; i < count; ++i) {
-          entries[positions[sub.shard][i]] = std::move(shard_entries[i]);
-        }
-      } else {
-        batch_entry_errors.fetch_add(count, std::memory_order_relaxed);
-        const std::string reason =
-            unavailable_reason(sub.shard, entry_range(shard));
-        for (const std::size_t pos : positions[sub.shard]) {
-          entries[pos] = {netio::FrameType::kError, reason};
-        }
+      if (first.ok()) sub.response = std::move(first.response);
+      // First replica failed (or answered garbage): walk the rest.
+      sub.ok = (first.ok() && accept(sub)) ||
+               (forward_from(t->entries[s], sub.order, 1, type, sub.request,
+                             sub.response) &&
+                accept(sub));
+      if (!sub.ok) {
+        batch_entry_errors.fetch_add(sub.count, std::memory_order_relaxed);
       }
     }
 
-    std::string body =
-        encode_batch_info_header(static_cast<std::uint32_t>(entries.size()));
-    for (const BatchEntry& entry : entries) {
-      append_batch_entry(body, entry.status, entry.body);
+    netio::FrameWriter frame(out, netio::FrameType::kBatchInfo);
+    netio::put_u32le(out, request.size());
+    for (std::uint32_t i = 0; i < request.size(); ++i) {
+      const std::size_t s = t->entry_of[request.fingerprint(i)[0]];
+      SubBatch& sub = subs[s];
+      if (sub.ok) {
+        out.append(sub.entries.next_entry());
+      } else {
+        const std::size_t body =
+            begin_batch_entry(out, netio::FrameType::kError);
+        append_unavailable(out, s, t->entries[s].lo, t->entries[s].hi);
+        end_batch_entry(out, body);
+      }
     }
-    return {netio::FrameType::kBatchInfo, std::move(body)};
+    frame.finish();
   }
 
-  netio::Frame handle_snapshot() {
+  void handle_snapshot(std::string& out) {
     snapshot_requests.fetch_add(1, std::memory_order_relaxed);
     // Scatter to every entry; a shard's staleness bound is its own, so
     // the aggregate view labels each section with the prefix range.
     const std::shared_ptr<const RoutingTable> t = snapshot();
-    std::string body;
+    netio::FrameWriter frame(out, netio::FrameType::kSnapshotInfo);
     for (std::size_t s = 0; s < t->entries.size(); ++s) {
       const Entry& entry = t->entries[s];
       char header[64];
       std::snprintf(header, sizeof header, "shard %zu (prefix %u-%u):\n", s,
                     entry.lo, entry.hi);
-      body += header;
+      out += header;
       netio::Frame response;
       if (forward(entry, netio::FrameType::kSnapshot, {}, response) &&
           response.type == netio::FrameType::kSnapshotInfo) {
-        body += response.payload;
+        out += response.payload;
       } else {
-        body += "unavailable\n";
+        out += "unavailable\n";
       }
     }
-    return {netio::FrameType::kSnapshotInfo, std::move(body)};
+    frame.finish();
   }
 
-  netio::Frame handle_map_update(std::string_view payload) {
+  void handle_map_update(std::string_view payload, std::string& out) {
     map_requests.fetch_add(1, std::memory_order_relaxed);
-    if (payload.empty()) {
-      return {netio::FrameType::kMapInfo,
-              serialize_prefix_map(snapshot()->source)};
+    // An empty payload fetches the map in effect; any other applies one.
+    if (!payload.empty()) {
+      PrefixMap map;
+      std::string error;
+      const bool parsed = parse_prefix_map(payload, map, error);
+      if (!parsed) bad_requests.fetch_add(1, std::memory_order_relaxed);
+      if (!parsed || !apply_map(map, /*require_advance=*/true, error)) {
+        netio::encode_frame_into(out, netio::FrameType::kError,
+                                 "map update rejected: " + error);
+        return;
+      }
     }
-    PrefixMap map;
-    std::string error;
-    if (!parse_prefix_map(payload, map, error)) {
-      bad_requests.fetch_add(1, std::memory_order_relaxed);
-      return {netio::FrameType::kError, "map update rejected: " + error};
-    }
-    if (!apply_map(map, /*require_advance=*/true, error)) {
-      return {netio::FrameType::kError, "map update rejected: " + error};
-    }
-    return {netio::FrameType::kMapInfo,
-            serialize_prefix_map(snapshot()->source)};
+    netio::encode_frame_into(out, netio::FrameType::kMapInfo,
+                             serialize_prefix_map(snapshot()->source));
   }
 
   std::string render_stats() const {
@@ -440,36 +443,26 @@ void RouterService::handle_into(netio::FrameType type,
     }
   }
   switch (type) {
-    case netio::FrameType::kQuery: {
-      const netio::Frame r =
-          impl_->handle_query(netio::FrameType::kQuery, payload);
-      netio::encode_frame_into(out, r.type, r.payload);
+    case netio::FrameType::kQuery:
+      impl_->handle_query(type, payload, out);
       return;
-    }
-    case netio::FrameType::kBatchQuery: {
-      const netio::Frame r =
-          impl_->handle_batch(netio::FrameType::kBatchQuery, payload);
-      netio::encode_frame_into(out, r.type, r.payload);
+    case netio::FrameType::kBatchQuery:
+      impl_->handle_batch(type, payload, out);
       return;
-    }
-    case netio::FrameType::kRevocationQuery: {
+    case netio::FrameType::kRevocationQuery:
       impl_->revocation_queries.fetch_add(1, std::memory_order_relaxed);
-      // Same length dispatch as the backend: 16/32 bytes is the single
-      // form (routed like kQuery on the fingerprint's first byte), any
-      // other length is the batch form (scattered with kRevocationQuery
-      // sub-frames; each shard answers kBatchInfo). The forwarded request
-      // type stays kRevocationQuery either way, so backend bytes — and
-      // therefore the gathered response — match an unsharded notary's.
-      const netio::Frame r =
-          payload.size() == std::tuple_size_v<scan::CertFingerprint> ||
-                  payload.size() == 32
-              ? impl_->handle_query(netio::FrameType::kRevocationQuery,
-                                    payload)
-              : impl_->handle_batch(netio::FrameType::kRevocationQuery,
-                                    payload);
-      netio::encode_frame_into(out, r.type, r.payload);
+      // Same length dispatch as the backend: the single form is routed
+      // like kQuery on the fingerprint's first byte, the batch form is
+      // scattered with kRevocationQuery sub-frames (each shard answers
+      // kBatchInfo). The forwarded request type stays kRevocationQuery
+      // either way, so backend bytes — and therefore the gathered
+      // response — match an unsharded notary's.
+      if (is_single_fingerprint(payload.size())) {
+        impl_->handle_query(type, payload, out);
+      } else {
+        impl_->handle_batch(type, payload, out);
+      }
       return;
-    }
     case netio::FrameType::kPing:
       impl_->pings.fetch_add(1, std::memory_order_relaxed);
       // Zero-copy echo: the request payload is framed straight into the
@@ -483,16 +476,12 @@ void RouterService::handle_into(netio::FrameType type,
       frame.finish();
       return;
     }
-    case netio::FrameType::kSnapshot: {
-      const netio::Frame r = impl_->handle_snapshot();
-      netio::encode_frame_into(out, r.type, r.payload);
+    case netio::FrameType::kSnapshot:
+      impl_->handle_snapshot(out);
       return;
-    }
-    case netio::FrameType::kMapUpdate: {
-      const netio::Frame r = impl_->handle_map_update(payload);
-      netio::encode_frame_into(out, r.type, r.payload);
+    case netio::FrameType::kMapUpdate:
+      impl_->handle_map_update(payload, out);
       return;
-    }
     default:
       impl_->bad_requests.fetch_add(1, std::memory_order_relaxed);
       netio::encode_frame_into(out, netio::FrameType::kError,

@@ -17,9 +17,10 @@
 //  * Routing a kQuery reads payload byte 0 — a truncated 32-byte
 //    SHA-256 keeps its first byte, so both query forms route
 //    identically. A kBatchQuery is scattered: entries grouped by map
-//    entry, one sub-batch per entry issued concurrently, responses
-//    gathered in the original order. An entry that cannot answer turns
-//    into per-entry kError statuses; the rest of the batch succeeds.
+//    entry, one sub-batch per entry issued concurrently, and each
+//    validated sub-batch answer's entries copied through byte for byte,
+//    in the original order. An entry that cannot answer turns into
+//    per-entry kError statuses; the rest of the batch succeeds.
 //  * Each map entry may have replicas. Calls prefer healthy replicas
 //    (the pool's kPing prober maintains the health bit) and retry a
 //    failed call once per remaining replica before giving up with
@@ -27,8 +28,8 @@
 //  * kStats renders ROUTER-STATS: router-level counters (including
 //    map-epoch and map-swaps), plus per shard and per backend the
 //    pool's per-error-class counters since start.
-//  * handle() is thread-safe (shared state is the atomic table + the
-//    pool) but blocks the calling server worker for up to the pool's
+//  * handle_into() is thread-safe (shared state is the atomic table +
+//    the pool) but blocks the calling server worker for up to the pool's
 //    request timeout while the backend answers. The pool has no reader
 //    threads: each call checks out a backend connection of its own and
 //    the blocked worker reads its answer there, so router workers are
@@ -70,11 +71,10 @@ class RouterService {
   RouterService& operator=(const RouterService&) = delete;
 
   /// The netio::TcpServer handler: routes/scatters request frames to the
-  /// backends and appends the complete encoded (re)assembled response
-  /// frame to `out` (the connection's output buffer). kPing echoes the
-  /// request payload straight into `out` — no intermediate response
-  /// string at all; other frame types encode their assembled response in
-  /// place.
+  /// backends and appends the complete response frame to `out` (the
+  /// connection's output buffer). Every answer is written there directly:
+  /// kPing echoes the request payload, a batch gathers its sub-batch
+  /// entries straight into the kBatchInfo frame.
   void handle_into(netio::FrameType type, std::string_view payload,
                    std::string& out);
 

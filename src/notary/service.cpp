@@ -269,7 +269,10 @@ void NotaryService::append_knowledge(const scan::CertFingerprint& fp,
         out.append(body, slot->len);
         netio::put_u32le(out, slot->crc);
       } else {
+        const std::size_t entry =
+            begin_batch_entry(out, netio::FrameType::kCertInfo);
         out.append(body, slot->len);
+        end_batch_entry(out, entry);
       }
       return;
     }
@@ -287,8 +290,9 @@ void NotaryService::append_knowledge(const scan::CertFingerprint& fp,
     render_knowledge_into(k, out);
     frame_crc = frame.finish();
   } else {
-    body_start = out.size();
+    body_start = begin_batch_entry(out, netio::FrameType::kCertInfo);
     render_knowledge_into(k, out);
+    end_batch_entry(out, body_start);
   }
   const std::size_t body_end =
       as_frame ? out.size() - netio::kFrameTrailerSize : out.size();
@@ -321,145 +325,111 @@ void NotaryService::append_knowledge(const scan::CertFingerprint& fp,
   }
 }
 
+void NotaryService::answer_fingerprint(const Snapshot& snap,
+                                       const scan::CertFingerprint& fp,
+                                       bool revocation, bool as_frame,
+                                       std::string& out) {
+  // Writes one answer whose body `render` appends: a whole frame, or one
+  // kBatchInfo entry.
+  const auto write = [&](netio::FrameType type, auto render) {
+    if (as_frame) {
+      netio::FrameWriter frame(out, type);
+      render();
+      frame.finish();
+    } else {
+      const std::size_t body = begin_batch_entry(out, type);
+      render();
+      end_batch_entry(out, body);
+    }
+  };
+  const CertKnowledge* k = snap.index->lookup(fp);
+  if (k == nullptr) {
+    not_found_.fetch_add(1, std::memory_order_relaxed);
+    write(netio::FrameType::kNotFound,
+          [&] { append_hex_fingerprint(out, fp); });
+    return;
+  }
+  found_.fetch_add(1, std::memory_order_relaxed);
+  if (revocation) {
+    // The two-line revocation body is rendered directly — no trip through
+    // the kCertInfo response cache (whose slots are keyed by cert id
+    // alone and hold the full knowledge render).
+    write(netio::FrameType::kRevocationInfo,
+          [&] { render_revocation_into(*k, out); });
+    return;
+  }
+  const auto id = static_cast<scan::CertId>(k - &snap.index->knowledge(0));
+  append_knowledge(fp, id, *k, snap.epoch, as_frame, out);
+}
+
+void NotaryService::answer_lookup(netio::FrameType type,
+                                  std::string_view payload,
+                                  std::string& out) {
+  const bool revocation = type == netio::FrameType::kRevocationQuery;
+  // kRevocationQuery takes either form; its payload length tells them
+  // apart.
+  if (type == netio::FrameType::kQuery ||
+      (revocation && is_single_fingerprint(payload.size()))) {
+    if (!is_single_fingerprint(payload.size())) {
+      bad_requests_.fetch_add(1, std::memory_order_relaxed);
+      netio::encode_frame_into(
+          out, netio::FrameType::kError,
+          "query payload must be a 16-byte fingerprint or a "
+          "32-byte SHA-256");
+      return;
+    }
+    scan::CertFingerprint fp{};
+    std::memcpy(fp.data(), payload.data(), fp.size());
+    // The query hot path: one acquire load pins this request's epoch;
+    // lookup and render run lock-free against the immutable index (the
+    // shared_ptr keeps it alive across a concurrent publish).
+    answer_fingerprint(*snapshot(), fp, revocation, /*as_frame=*/true, out);
+    return;
+  }
+  BatchQueryView view;
+  if (!view.parse(payload)) {
+    bad_requests_.fetch_add(1, std::memory_order_relaxed);
+    netio::encode_frame_into(
+        out, netio::FrameType::kError,
+        revocation
+            ? "revocation query payload must be a 16-byte fingerprint, a "
+              "32-byte SHA-256, or a u32le count followed by that many "
+              "16-byte fingerprints"
+            : "batch query payload must be a u32le count followed by "
+              "that many 16-byte fingerprints");
+    return;
+  }
+  batch_entries_.fetch_add(view.size(), std::memory_order_relaxed);
+  // One acquire pins a single epoch for the whole batch, so every entry
+  // is answered from the same index — and byte-identical to what the
+  // same fingerprint would get as a standalone query against that epoch.
+  const std::shared_ptr<const Snapshot> snap = snapshot();
+  netio::FrameWriter frame(out, netio::FrameType::kBatchInfo);
+  netio::put_u32le(out, view.size());
+  for (std::uint32_t i = 0; i < view.size(); ++i) {
+    answer_fingerprint(*snap, view.fingerprint(i), revocation,
+                       /*as_frame=*/false, out);
+  }
+  frame.finish();
+}
+
 void NotaryService::handle_into(netio::FrameType type,
                                 std::string_view payload, std::string& out) {
   const auto start = std::chrono::steady_clock::now();
   requests_.fetch_add(1, std::memory_order_relaxed);
   switch (type) {
-    case netio::FrameType::kQuery: {
+    case netio::FrameType::kQuery:
       queries_.fetch_add(1, std::memory_order_relaxed);
-      if (payload.size() != std::tuple_size_v<scan::CertFingerprint> &&
-          payload.size() != 32) {
-        bad_requests_.fetch_add(1, std::memory_order_relaxed);
-        netio::encode_frame_into(
-            out, netio::FrameType::kError,
-            "query payload must be a 16-byte fingerprint or a "
-            "32-byte SHA-256");
-        break;
-      }
-      scan::CertFingerprint fp{};
-      std::memcpy(fp.data(), payload.data(), fp.size());
-      // The query hot path: one acquire load pins this request's epoch;
-      // lookup and render run lock-free against the immutable index
-      // (the shared_ptr keeps it alive across a concurrent publish).
-      const std::shared_ptr<const Snapshot> snap = snapshot();
-      const CertKnowledge* k = snap->index->lookup(fp);
-      if (k == nullptr) {
-        not_found_.fetch_add(1, std::memory_order_relaxed);
-        netio::FrameWriter frame(out, netio::FrameType::kNotFound);
-        append_hex_fingerprint(out, fp);
-        frame.finish();
-      } else {
-        found_.fetch_add(1, std::memory_order_relaxed);
-        const auto id =
-            static_cast<scan::CertId>(k - &snap->index->knowledge(0));
-        append_knowledge(fp, id, *k, snap->epoch, /*as_frame=*/true, out);
-      }
+      answer_lookup(type, payload, out);
       break;
-    }
-    case netio::FrameType::kBatchQuery: {
+    case netio::FrameType::kBatchQuery:
       batch_queries_.fetch_add(1, std::memory_order_relaxed);
-      BatchQueryView view;
-      if (!view.parse(payload)) {
-        bad_requests_.fetch_add(1, std::memory_order_relaxed);
-        netio::encode_frame_into(
-            out, netio::FrameType::kError,
-            "batch query payload must be a u32le count followed "
-            "by that many 16-byte fingerprints");
-        break;
-      }
-      batch_entries_.fetch_add(view.size(), std::memory_order_relaxed);
-      // One acquire pins a single epoch for the whole batch, so every
-      // entry is answered from the same index — and byte-identical to
-      // what the same fingerprint would get as a standalone kQuery
-      // against that epoch.
-      const std::shared_ptr<const Snapshot> snap = snapshot();
-      netio::FrameWriter frame(out, netio::FrameType::kBatchInfo);
-      netio::put_u32le(out, view.size());
-      for (std::uint32_t i = 0; i < view.size(); ++i) {
-        const scan::CertFingerprint fp = view.fingerprint(i);
-        const CertKnowledge* k = snap->index->lookup(fp);
-        if (k == nullptr) {
-          not_found_.fetch_add(1, std::memory_order_relaxed);
-          const std::size_t body =
-              begin_batch_entry(out, netio::FrameType::kNotFound);
-          append_hex_fingerprint(out, fp);
-          end_batch_entry(out, body);
-        } else {
-          found_.fetch_add(1, std::memory_order_relaxed);
-          const auto id =
-              static_cast<scan::CertId>(k - &snap->index->knowledge(0));
-          const std::size_t body =
-              begin_batch_entry(out, netio::FrameType::kCertInfo);
-          append_knowledge(fp, id, *k, snap->epoch, /*as_frame=*/false, out);
-          end_batch_entry(out, body);
-        }
-      }
-      frame.finish();
+      answer_lookup(type, payload, out);
       break;
-    }
-    case netio::FrameType::kRevocationQuery: {
+    case netio::FrameType::kRevocationQuery:
       revocation_queries_.fetch_add(1, std::memory_order_relaxed);
-      constexpr std::size_t kFpSize = std::tuple_size_v<scan::CertFingerprint>;
-      // The payload length disambiguates the two forms: singles are 16 or
-      // 32 bytes (0 mod 16), batches are 4 + 16n (4 mod 16) — the shapes
-      // never collide.
-      if (payload.size() == kFpSize || payload.size() == 32) {
-        scan::CertFingerprint fp{};
-        std::memcpy(fp.data(), payload.data(), fp.size());
-        const std::shared_ptr<const Snapshot> snap = snapshot();
-        const CertKnowledge* k = snap->index->lookup(fp);
-        if (k == nullptr) {
-          not_found_.fetch_add(1, std::memory_order_relaxed);
-          netio::FrameWriter frame(out, netio::FrameType::kNotFound);
-          append_hex_fingerprint(out, fp);
-          frame.finish();
-        } else {
-          found_.fetch_add(1, std::memory_order_relaxed);
-          // The two-line revocation body is rendered directly — no trip
-          // through the kCertInfo response cache (whose slots are keyed by
-          // cert id alone and hold the full knowledge render). Still
-          // allocation-free on a capacity-retaining outbuf.
-          netio::FrameWriter frame(out, netio::FrameType::kRevocationInfo);
-          render_revocation_into(*k, out);
-          frame.finish();
-        }
-        break;
-      }
-      BatchQueryView view;
-      if (!view.parse(payload)) {
-        bad_requests_.fetch_add(1, std::memory_order_relaxed);
-        netio::encode_frame_into(
-            out, netio::FrameType::kError,
-            "revocation query payload must be a 16-byte fingerprint, a "
-            "32-byte SHA-256, or a u32le count followed by that many "
-            "16-byte fingerprints");
-        break;
-      }
-      batch_entries_.fetch_add(view.size(), std::memory_order_relaxed);
-      const std::shared_ptr<const Snapshot> snap = snapshot();
-      netio::FrameWriter frame(out, netio::FrameType::kBatchInfo);
-      netio::put_u32le(out, view.size());
-      for (std::uint32_t i = 0; i < view.size(); ++i) {
-        const scan::CertFingerprint fp = view.fingerprint(i);
-        const CertKnowledge* k = snap->index->lookup(fp);
-        if (k == nullptr) {
-          not_found_.fetch_add(1, std::memory_order_relaxed);
-          const std::size_t body =
-              begin_batch_entry(out, netio::FrameType::kNotFound);
-          append_hex_fingerprint(out, fp);
-          end_batch_entry(out, body);
-        } else {
-          found_.fetch_add(1, std::memory_order_relaxed);
-          const std::size_t body =
-              begin_batch_entry(out, netio::FrameType::kRevocationInfo);
-          render_revocation_into(*k, out);
-          end_batch_entry(out, body);
-        }
-      }
-      frame.finish();
+      answer_lookup(type, payload, out);
       break;
-    }
     case netio::FrameType::kStats: {
       stats_requests_.fetch_add(1, std::memory_order_relaxed);
       netio::FrameWriter frame(out, netio::FrameType::kStatsText);

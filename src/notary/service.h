@@ -238,12 +238,26 @@ class NotaryService {
                            const char* body, std::uint32_t len,
                            std::uint32_t crc);
 
-  /// Appends the kCertInfo response for one certificate: the full frame
-  /// when `as_frame` (single-query path), body bytes only otherwise (the
-  /// batch-entry path, which wraps them in a batch entry header).
+  /// Appends the kCertInfo answer for one certificate through the
+  /// response cache: a whole frame when `as_frame` (single query), else
+  /// one kBatchInfo entry.
   void append_knowledge(const scan::CertFingerprint& fp, scan::CertId id,
                         const CertKnowledge& k, std::uint64_t epoch,
                         bool as_frame, std::string& out);
+
+  /// The one per-fingerprint answer of every lookup shape: kNotFound
+  /// with the hex fingerprint, the cached kCertInfo render, or (with
+  /// `revocation`) the kRevocationInfo render — a whole frame when
+  /// `as_frame`, else one kBatchInfo entry.
+  void answer_fingerprint(const Snapshot& snap,
+                          const scan::CertFingerprint& fp, bool revocation,
+                          bool as_frame, std::string& out);
+
+  /// Answers kQuery, kBatchQuery and kRevocationQuery (single or batch
+  /// form) into `out`: a malformed payload answers kError, a single one
+  /// frame, a batch one kBatchInfo frame of per-entry answers.
+  void answer_lookup(netio::FrameType type, std::string_view payload,
+                     std::string& out);
 
   NotaryServiceConfig config_;
   std::array<CacheShard, NotaryIndex::kShards> cache_;

@@ -372,6 +372,65 @@ TEST(NotaryService, MetricsAndStatsTextTrackTraffic) {
   EXPECT_NE(stats.payload.find("queries: 3 (found 2, unknown 1)"),
             std::string::npos);
   EXPECT_NE(stats.payload.find("latency-p50-us"), std::string::npos);
+
+  // Every other lookup shape, and one malformed payload of each, moves
+  // exactly the counters it should.
+  const scan::CertFingerprint& known_fp = world.archive.cert(0).fingerprint;
+  const scan::CertFingerprint& other_fp = world.archive.cert(1).fingerprint;
+  const NotaryMetricsSnapshot before = service.metrics();
+  // known is cached by now (a hit); other is rendered for the first time.
+  EXPECT_EQ(service
+                .handle(netio::FrameType::kBatchQuery,
+                        encode_batch_query({known_fp, missing, other_fp}))
+                .type,
+            netio::FrameType::kBatchInfo);
+  EXPECT_EQ(service.handle(netio::FrameType::kRevocationQuery, known).type,
+            netio::FrameType::kRevocationInfo);
+  EXPECT_EQ(service
+                .handle(netio::FrameType::kRevocationQuery,
+                        fp_payload(missing))
+                .type,
+            netio::FrameType::kNotFound);
+  EXPECT_EQ(service
+                .handle(netio::FrameType::kRevocationQuery,
+                        encode_batch_query({known_fp, missing}))
+                .type,
+            netio::FrameType::kBatchInfo);
+  // Malformed: a short kQuery, a batch-shaped kQuery, a garbage batch and
+  // a revocation payload of neither form.
+  for (const auto& [type, payload] :
+       std::vector<std::pair<netio::FrameType, std::string>>{
+           {netio::FrameType::kQuery, "abc"},
+           {netio::FrameType::kQuery, encode_batch_query({known_fp})},
+           {netio::FrameType::kBatchQuery, "garbage"},
+           {netio::FrameType::kRevocationQuery, "garbage"}}) {
+    EXPECT_EQ(service.handle(type, payload).type, netio::FrameType::kError);
+  }
+  EXPECT_EQ(service.handle(netio::FrameType::kSnapshot, "").type,
+            netio::FrameType::kSnapshotInfo);
+  // A publish that changes the cached cert drops its render.
+  service.publish(std::shared_ptr<const NotaryIndex>(
+                      std::shared_ptr<const void>(), &index),
+                  std::vector<scan::CertId>{0});
+
+  const NotaryMetricsSnapshot after = service.metrics();
+  EXPECT_EQ(after.requests - before.requests, 9u);
+  EXPECT_EQ(after.queries - before.queries, 2u);
+  EXPECT_EQ(after.batch_queries - before.batch_queries, 2u);
+  EXPECT_EQ(after.batch_entries - before.batch_entries, 5u);
+  EXPECT_EQ(after.revocation_queries - before.revocation_queries, 4u);
+  EXPECT_EQ(after.found - before.found, 4u);
+  EXPECT_EQ(after.not_found - before.not_found, 3u);
+  EXPECT_EQ(after.stats_requests - before.stats_requests, 0u);
+  EXPECT_EQ(after.pings - before.pings, 0u);
+  EXPECT_EQ(after.snapshot_requests - before.snapshot_requests, 1u);
+  EXPECT_EQ(after.bad_requests - before.bad_requests, 4u);
+  EXPECT_EQ(after.cache_hits - before.cache_hits, 1u);
+  EXPECT_EQ(after.cache_misses - before.cache_misses, 1u);
+  EXPECT_EQ(after.epoch - before.epoch, 1u);
+  EXPECT_EQ(after.snapshot_swaps - before.snapshot_swaps, 1u);
+  EXPECT_EQ(after.cache_invalidations - before.cache_invalidations, 1u);
+  EXPECT_EQ(after.latency.count - before.latency.count, 9u);
 }
 
 TEST(LatencyHistogram, PercentilesAreMonotoneAndBounded) {
@@ -420,50 +479,165 @@ TEST(LatencyHistogram, OverflowSamplesAreCountedNotClamped) {
 
 // ---- batch queries -------------------------------------------------------
 
+/// Encodes a kBatchInfo payload through the one entry writer.
+std::string encode_batch_info(const std::vector<BatchEntry>& entries) {
+  std::string out;
+  netio::put_u32le(out, static_cast<std::uint32_t>(entries.size()));
+  for (const BatchEntry& entry : entries) {
+    const std::size_t body = begin_batch_entry(out, entry.status);
+    out += entry.body;
+    end_batch_entry(out, body);
+  }
+  return out;
+}
+
+/// Decodes a kBatchQuery payload through BatchQueryView; false if it is
+/// rejected.
+bool decode_batch_query(std::string_view payload,
+                        std::vector<scan::CertFingerprint>& out) {
+  BatchQueryView view;
+  if (!view.parse(payload)) return false;
+  out.clear();
+  for (std::uint32_t i = 0; i < view.size(); ++i) {
+    out.push_back(view.fingerprint(i));
+  }
+  return true;
+}
+
 TEST(BatchCodec, QueryAndInfoRoundTrip) {
   std::vector<scan::CertFingerprint> fps(5);
   for (std::size_t i = 0; i < fps.size(); ++i) fps[i].fill(i * 17);
   std::vector<scan::CertFingerprint> parsed;
-  ASSERT_TRUE(parse_batch_query(encode_batch_query(fps), parsed));
+  ASSERT_TRUE(decode_batch_query(encode_batch_query(fps), parsed));
   EXPECT_EQ(parsed, fps);
 
-  std::string body = encode_batch_info_header(3);
-  append_batch_entry(body, netio::FrameType::kCertInfo, "status: valid\n");
-  append_batch_entry(body, netio::FrameType::kNotFound, "deadbeef");
-  append_batch_entry(body, netio::FrameType::kError, "shard down");
+  const std::vector<BatchEntry> sent = {
+      {netio::FrameType::kCertInfo, "status: valid\n"},
+      {netio::FrameType::kNotFound, "deadbeef"},
+      {netio::FrameType::kError, "shard down"}};
+  const std::string body = encode_batch_info(sent);
   std::vector<BatchEntry> entries;
   ASSERT_TRUE(parse_batch_info(body, entries));
-  ASSERT_EQ(entries.size(), 3u);
-  EXPECT_EQ(entries[0].status, netio::FrameType::kCertInfo);
-  EXPECT_EQ(entries[0].body, "status: valid\n");
-  EXPECT_EQ(entries[1].status, netio::FrameType::kNotFound);
-  EXPECT_EQ(entries[2].status, netio::FrameType::kError);
-  EXPECT_EQ(entries[2].body, "shard down");
+  EXPECT_EQ(entries, sent);
+
+  // The zero-copy reader walks the same entries as raw wire bytes, which
+  // concatenate back to the payload after its count.
+  BatchInfoView view;
+  ASSERT_TRUE(view.parse(body));
+  ASSERT_EQ(view.size(), sent.size());
+  std::string walked;
+  for (std::uint32_t i = 0; i < view.size(); ++i) walked += view.next_entry();
+  EXPECT_EQ(walked, body.substr(4));
 }
 
 TEST(BatchCodec, RejectsMalformedPayloads) {
   std::vector<scan::CertFingerprint> fps(2);
   const std::string good = encode_batch_query(fps);
-  std::vector<scan::CertFingerprint> out;
-  EXPECT_TRUE(parse_batch_query(good, out));
+  BatchQueryView query;
+  EXPECT_TRUE(query.parse(good));
   // Truncated, padded, count/size disagreement, count over the cap.
-  EXPECT_FALSE(parse_batch_query(good.substr(0, good.size() - 1), out));
-  EXPECT_FALSE(parse_batch_query(good + "x", out));
-  EXPECT_FALSE(parse_batch_query(good.substr(0, 3), out));
+  EXPECT_FALSE(query.parse(good.substr(0, good.size() - 1)));
+  EXPECT_FALSE(query.parse(good + "x"));
+  EXPECT_FALSE(query.parse(good.substr(0, 3)));
+  EXPECT_EQ(query.size(), 0u);
   std::string oversized(4 + (kMaxBatchEntries + 1) * 16, '\0');
   const std::uint32_t n = kMaxBatchEntries + 1;
   std::memcpy(oversized.data(), &n, 4);
-  EXPECT_FALSE(parse_batch_query(oversized, out));
+  EXPECT_FALSE(query.parse(oversized));
 
-  std::string info = encode_batch_info_header(1);
-  append_batch_entry(info, netio::FrameType::kCertInfo, "x");
+  const std::string info =
+      encode_batch_info({{netio::FrameType::kCertInfo, "x"}});
   std::vector<BatchEntry> entries;
+  BatchInfoView view;
   EXPECT_TRUE(parse_batch_info(info, entries));
+  EXPECT_TRUE(view.parse(info));
   EXPECT_FALSE(parse_batch_info(info.substr(0, info.size() - 1), entries));
+  EXPECT_FALSE(view.parse(info.substr(0, info.size() - 1)));
   EXPECT_FALSE(parse_batch_info(info + "y", entries));
+  EXPECT_FALSE(view.parse(info + "y"));
+  EXPECT_EQ(view.size(), 0u);
   std::string bad_status = info;
   bad_status[4] = 0x03;  // kPing is not a valid per-entry status
   EXPECT_FALSE(parse_batch_info(bad_status, entries));
+  EXPECT_FALSE(view.parse(bad_status));
+}
+
+// Golden payloads for the mutation sweep, spelled out byte by byte.
+std::string golden_batch_query() {
+  std::string out("\x02\x00\x00\x00", 4);  // u32le count
+  for (int i = 0; i < 16; ++i) out.push_back(static_cast<char>(i));
+  for (int i = 0; i < 16; ++i) out.push_back(static_cast<char>(0xff - i));
+  return out;
+}
+
+std::string golden_batch_info() {
+  // u32le count, then {status, u32le body length, body} per entry: one
+  // entry of each response status.
+  return std::string("\x04\x00\x00\x00", 4) +
+         std::string("\x81\x0e\x00\x00\x00", 5) + "status: valid\n" +
+         std::string("\x82\x04\x00\x00\x00", 5) + "beef" +
+         std::string("\x87\x0b\x00\x00\x00", 5) + "revoked: no" +
+         std::string("\xee\x0a\x00\x00\x00", 5) + "shard down";
+}
+
+/// Every truncation and every single-bit flip of `golden`.
+std::vector<std::string> mutations_of(const std::string& golden) {
+  std::vector<std::string> out;
+  for (std::size_t len = 0; len < golden.size(); ++len) {
+    out.push_back(golden.substr(0, len));
+  }
+  for (std::size_t i = 0; i < golden.size(); ++i) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::string flipped = golden;
+      flipped[i] = static_cast<char>(flipped[i] ^ (1 << bit));
+      out.push_back(std::move(flipped));
+    }
+  }
+  return out;
+}
+
+// Every truncation and bit flip of a golden payload is either rejected
+// or decodes to entries that re-encode to exactly the mutated bytes: the
+// codec never accepts bytes it would not itself have written.
+TEST(BatchCodec, MutationSweepRejectsOrRoundTrips) {
+  const std::string query = golden_batch_query();
+  std::vector<scan::CertFingerprint> fps(2);
+  for (int i = 0; i < 16; ++i) {
+    fps[0][i] = static_cast<std::uint8_t>(i);
+    fps[1][i] = static_cast<std::uint8_t>(0xff - i);
+  }
+  ASSERT_EQ(encode_batch_query(fps), query);
+  std::size_t query_rejected = 0;
+  for (const std::string& m : mutations_of(query)) {
+    std::vector<scan::CertFingerprint> decoded;
+    if (!decode_batch_query(m, decoded)) {
+      ++query_rejected;
+      continue;
+    }
+    EXPECT_EQ(encode_batch_query(decoded), m);
+  }
+  // Exactly the truncations and the count-byte flips are rejected.
+  EXPECT_EQ(query_rejected, query.size() + 4 * 8);
+
+  const std::string info = golden_batch_info();
+  std::vector<BatchEntry> golden_entries;
+  ASSERT_TRUE(parse_batch_info(info, golden_entries));
+  ASSERT_EQ(golden_entries.size(), 4u);
+  EXPECT_EQ(golden_entries[2].status, netio::FrameType::kRevocationInfo);
+  ASSERT_EQ(encode_batch_info(golden_entries), info);
+  std::size_t info_rejected = 0;
+  for (const std::string& m : mutations_of(info)) {
+    std::vector<BatchEntry> decoded;
+    BatchInfoView view;
+    const bool accepted = parse_batch_info(m, decoded);
+    EXPECT_EQ(view.parse(m), accepted);
+    if (!accepted) {
+      ++info_rejected;
+      continue;
+    }
+    EXPECT_EQ(encode_batch_info(decoded), m);
+  }
+  EXPECT_GE(info_rejected, info.size());
 }
 
 // The protocol promise: a kBatchQuery answers exactly what the same

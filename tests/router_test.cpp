@@ -19,6 +19,7 @@
 #include <memory>
 #include <optional>
 #include <random>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -279,7 +280,27 @@ TEST_F(RouterWorldTest, RevocationRoutingMatchesSingleProcessOracle) {
     probes.push_back(fp);
   }
 
+  // The counters a load generator reconciles against what it sent.
+  struct Counts {
+    std::uint64_t pool_requests = 0, queries = 0, revocations = 0,
+                  entries = 0, not_found = 0;
+  };
+  const auto counts = [] {
+    Counts c;
+    for (std::size_t b = 0; b < kShardCount; ++b) {
+      c.pool_requests += router_->pool().counters(b).requests;
+      const NotaryMetricsSnapshot m = (*backends_)[b].service->metrics();
+      c.queries += m.queries;
+      c.revocations += m.revocation_queries;
+      c.entries += m.batch_entries;
+      c.not_found += m.not_found;
+    }
+    return c;
+  };
+  const Counts before = counts();
+
   bool saw_revoked = false;
+  std::uint64_t misses = 0;
   netio::Frame routed;
   for (const scan::CertFingerprint& fp : probes) {
     const std::string payload = fp_payload(fp);
@@ -292,6 +313,7 @@ TEST_F(RouterWorldTest, RevocationRoutingMatchesSingleProcessOracle) {
     ASSERT_EQ(routed.payload, direct.payload);
     saw_revoked |= routed.payload.find("revocation: revoked") !=
                    std::string::npos;
+    if (routed.type == netio::FrameType::kNotFound) ++misses;
   }
   // The injected world statuses actually flow through the shards — the
   // suite must not pass vacuously on all-unknown.
@@ -304,6 +326,23 @@ TEST_F(RouterWorldTest, RevocationRoutingMatchesSingleProcessOracle) {
   const netio::Frame direct =
       oracle_->handle(netio::FrameType::kRevocationQuery, request);
   EXPECT_EQ(batched.payload, direct.payload);
+
+  // One pooled call per single and per sub-batch; the backends see each
+  // as one kRevocationQuery, and every probe once more as a batch entry.
+  std::set<std::size_t> shards;
+  for (const scan::CertFingerprint& fp : probes) {
+    shards.insert(router_->shard_of(fp[0]));
+  }
+  ASSERT_EQ(shards.size(), kShardCount);
+  ASSERT_GT(misses, 0u);
+  const Counts after = counts();
+  EXPECT_EQ(after.pool_requests - before.pool_requests,
+            probes.size() + shards.size());
+  EXPECT_EQ(after.revocations - before.revocations,
+            probes.size() + shards.size());
+  EXPECT_EQ(after.queries - before.queries, 0u);
+  EXPECT_EQ(after.entries - before.entries, probes.size());
+  EXPECT_EQ(after.not_found - before.not_found, 2 * misses);
 }
 
 // Protocol forward compatibility, end to end over real sockets: a
@@ -456,21 +495,29 @@ TEST_F(RouterWorldTest, BackendKillAndRestartMidLoad) {
 
 // ---- batch retries over a replica walk -------------------------------------
 
-/// A stand-in backend's answer to a batch: kNotFound for every entry.
-void answer_not_found(netio::FrameType type, std::string_view payload,
-                      std::string& out) {
-  std::vector<scan::CertFingerprint> fps;
-  if (type != netio::FrameType::kBatchQuery ||
-      !parse_batch_query(payload, fps)) {
+/// A stand-in backend's answer to a batch: kNotFound with `body` for
+/// every entry.
+void answer_batch(netio::FrameType type, std::string_view payload,
+                  std::string_view body, std::string& out) {
+  BatchQueryView request;
+  if (type != netio::FrameType::kBatchQuery || !request.parse(payload)) {
     netio::encode_frame_into(out, netio::FrameType::kError, "batch only");
     return;
   }
-  std::string body =
-      encode_batch_info_header(static_cast<std::uint32_t>(fps.size()));
-  for (std::size_t i = 0; i < fps.size(); ++i) {
-    append_batch_entry(body, netio::FrameType::kNotFound, "");
+  netio::FrameWriter frame(out, netio::FrameType::kBatchInfo);
+  netio::put_u32le(out, request.size());
+  for (std::uint32_t i = 0; i < request.size(); ++i) {
+    const std::size_t entry =
+        begin_batch_entry(out, netio::FrameType::kNotFound);
+    out += body;
+    end_batch_entry(out, entry);
   }
-  netio::encode_frame_into(out, netio::FrameType::kBatchInfo, body);
+  frame.finish();
+}
+
+void answer_not_found(netio::FrameType type, std::string_view payload,
+                      std::string& out) {
+  answer_batch(type, payload, "", out);
 }
 
 /// Routes one batch straight through `router` and decodes its entries.
@@ -584,6 +631,106 @@ TEST(RouterBatchRetry, DownFirstReplicaAnswersFromTheSecond) {
       << router.render_stats();
   backend.shutdown();
   ::close(holder);
+}
+
+// The ways a replica can answer a batch with a well-framed kBatchInfo
+// that the gather must refuse whole.
+enum class Garbage { kExtraEntry, kBadStatus, kTrailingByte };
+
+/// A backend that answers every batch with kNotFound "partial" entries
+/// spoilt by `garbage`, so a copied-in partial entry would show.
+netio::TcpServer::StreamHandler garbage_backend(Garbage garbage) {
+  return [garbage](netio::FrameType type, std::string_view payload,
+                   std::string& out) {
+    constexpr std::string_view kPartial = "partial";
+    BatchQueryView request;
+    if (type != netio::FrameType::kBatchQuery || !request.parse(payload)) {
+      netio::encode_frame_into(out, netio::FrameType::kError, "batch only");
+      return;
+    }
+    const std::uint32_t count =
+        request.size() + (garbage == Garbage::kExtraEntry ? 1 : 0);
+    std::string body;
+    netio::put_u32le(body, count);
+    for (std::uint32_t i = 0; i < count; ++i) {
+      const std::size_t entry =
+          begin_batch_entry(body, netio::FrameType::kNotFound);
+      body += kPartial;
+      end_batch_entry(body, entry);
+    }
+    if (garbage == Garbage::kBadStatus) {
+      // The last entry's status becomes kPing, a request type.
+      body[body.size() - kPartial.size() - 5] =
+          static_cast<char>(netio::FrameType::kPing);
+    }
+    if (garbage == Garbage::kTrailingByte) body.push_back('x');
+    netio::encode_frame_into(out, netio::FrameType::kBatchInfo, body);
+  };
+}
+
+// A replica that answers a batch with garbage — an entry count other
+// than the sub-batch's, a non-response status byte, or a trailing byte —
+// is treated like one that did not answer: the walk moves on to the next
+// replica, and with none left only that shard's entries turn into kError.
+// No entry of a refused answer is ever copied in.
+TEST(RouterBatchRetry, GarbageAnswerIsRefusedWhole) {
+  for (const Garbage garbage :
+       {Garbage::kExtraEntry, Garbage::kBadStatus, Garbage::kTrailingByte}) {
+    SCOPED_TRACE(static_cast<int>(garbage));
+    netio::ServerConfig server_config;
+    server_config.workers = 1;
+    netio::TcpServer bad(server_config, garbage_backend(garbage));
+    netio::TcpServer good(server_config, answer_not_found);
+    ASSERT_TRUE(bad.start());
+    ASSERT_TRUE(good.start());
+
+    {
+      // Two replicas, the garbage one first: the batch is answered from
+      // the second, and that call is the one retry.
+      RouterConfig config;
+      config.shards.push_back({{{"127.0.0.1", bad.port()},
+                                {"127.0.0.1", good.port()}}});
+      config.pool.ping_interval_ms = 0;
+      RouterService router(std::move(config));
+      const std::vector<BatchEntry> entries =
+          route_batch(router, three_fingerprint_batch());
+      ASSERT_EQ(entries.size(), 3u);
+      for (const BatchEntry& entry : entries) {
+        EXPECT_EQ(entry.status, netio::FrameType::kNotFound);
+        EXPECT_EQ(entry.body, "");
+      }
+      EXPECT_EQ(router.pool().counters(0).requests, 1u);
+      EXPECT_EQ(router.pool().counters(1).requests, 1u);
+      const std::string stats = router.render_stats();
+      EXPECT_NE(stats.find("retries: 1\n"), std::string::npos) << stats;
+      EXPECT_NE(stats.find("entry-errors 0)"), std::string::npos) << stats;
+    }
+    {
+      // The garbage one as the sole replica of the upper half: only the
+      // entry routed there (first byte 160) becomes kError.
+      RouterConfig config;
+      config.shards.push_back({{{"127.0.0.1", good.port()}}});
+      config.shards.push_back({{{"127.0.0.1", bad.port()}}});
+      config.pool.ping_interval_ms = 0;
+      RouterService router(std::move(config));
+      const std::vector<BatchEntry> entries =
+          route_batch(router, three_fingerprint_batch());
+      ASSERT_EQ(entries.size(), 3u);
+      EXPECT_EQ(entries[0], (BatchEntry{netio::FrameType::kNotFound, ""}));
+      EXPECT_EQ(entries[1], (BatchEntry{netio::FrameType::kNotFound, ""}));
+      EXPECT_EQ(entries[2],
+                (BatchEntry{netio::FrameType::kError,
+                            "shard 1 (prefix 128-255) unavailable"}));
+      const std::string stats = router.render_stats();
+      EXPECT_NE(stats.find("retries: 0\n"), std::string::npos) << stats;
+      EXPECT_NE(stats.find("entry-errors 1)"), std::string::npos) << stats;
+      EXPECT_NE(stats.find("shard 1 (prefix 128-255): unavailable 1\n"),
+                std::string::npos)
+          << stats;
+    }
+    bad.shutdown();
+    good.shutdown();
+  }
 }
 
 }  // namespace

@@ -93,6 +93,7 @@
 #include "netio/frame.h"
 #include "netio/frame_client.h"
 #include "netio/server.h"
+#include "notary/batch.h"
 #include "notary/index.h"
 #include "notary/reshard.h"
 #include "notary/service.h"
@@ -289,8 +290,7 @@ std::optional<Options> parse(int argc, char** argv) {
 
 int run_query_client(const Options& opts) {
   const auto bytes = util::hex_decode(opts.query_hex);
-  if (!bytes.has_value() ||
-      (bytes->size() != 16 && bytes->size() != 32)) {
+  if (!bytes.has_value() || !notary::is_single_fingerprint(bytes->size())) {
     std::fprintf(stderr,
                  "--query wants 32 or 64 hex digits (16- or 32-byte "
                  "fingerprint)\n");
