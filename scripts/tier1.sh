@@ -13,9 +13,10 @@
 # split/merge handoffs under load),
 # then an AddressSanitizer build running the archive I/O and notary-frame
 # corruption harnesses (exhaustive truncation + bit-flip sweeps over
-# hostile input), the shared cert-table chunks, plus the world-determinism
-# test, then an UndefinedBehaviorSanitizer build over the socket, archive,
-# DER/X.509/CRL parsing and robustness tests.
+# hostile input), the shared cert-table chunks, the linker's feature
+# interning (keys are views into records and into a reused buffer), plus
+# the world-determinism test, then an UndefinedBehaviorSanitizer build
+# over the socket, archive, DER/X.509/CRL parsing and robustness tests.
 #
 # The simworld_parallel_test golden-hash determinism check runs under BOTH
 # sanitizer configs: any thread-count divergence in the simulated archive
@@ -168,16 +169,18 @@ if [[ "$run_tsan" == 1 ]]; then
   # ClientPool callers check connections in and out of a shared idle
   # list while shutdown wakes the blocked ones; those races show only
   # under real parallelism, so the pool and the router over it get
-  # repeated runs.
-  for t in netio_test router_test; do
+  # repeated runs. So does the linker's one parallel region over every
+  # (field, candidate group) and its per-feature interning.
+  for t in netio_test router_test linking_parallel_test; do
     echo "-- $t (tsan, repeat 20)"
     ./build-tsan/tests/"$t" --gtest_brief=1 --gtest_repeat=20
   done
 fi
 
 asan_tests=(archive_corruption_test archive_io_test simworld_parallel_test
-            cert_table_test corpus_test netio_test notary_loopback_test
-            live_ingest_test router_test revocation_test reshard_test)
+            cert_table_test corpus_test linking_test linking_parallel_test
+            netio_test notary_loopback_test live_ingest_test router_test
+            revocation_test reshard_test)
 if [[ "$run_asan" == 1 ]]; then
   echo "== tier 1: ASan build (archive I/O + notary-frame corruption harnesses + world determinism) =="
   cmake -B build-asan -S . -DSM_SANITIZE=address >/dev/null

@@ -141,7 +141,7 @@ std::string tag_name(std::uint8_t tag) {
       break;
   }
   if ((tag & 0xc0) == 0x80) {  // context class
-    char buf[16];
+    char buf[24];  // "[31] (primitive)" and its NUL need 17
     std::snprintf(buf, sizeof(buf), "[%u]%s", tag & 0x1f,
                   (tag & 0x20) ? "" : " (primitive)");
     return buf;

@@ -1,12 +1,16 @@
 // FeatureIndex — interned feature values for the linking pipeline.
 //
 // The §6 linker touches every (certificate, feature) value many times:
-// Table 5 uniqueness, per-field grouping, and iterative linking each used
-// to call `feature_value()` (a string materialization + hash) per visit.
-// This index materializes each feature ONCE into
+// Table 5 uniqueness, per-field grouping, and iterative linking. This
+// index interns each feature ONCE into
 //   * a column: CertId -> uint32 value id (kNoValue when absent), and
 //   * a CSR map: value id -> the certificates carrying it, ascending id,
 // so every downstream pass is integer-only and allocation-free.
+//
+// Interning builds no string per certificate: a certificate's key comes
+// from `feature_key` (feature.h), an integer for Public Key / Not Before /
+// Not After and otherwise a view into the record or into one reused
+// buffer; only each distinct string key is copied, once, into an arena.
 //
 // Value ids are assigned in first-appearance order over ascending CertId,
 // which makes group enumeration deterministic and independent of hash

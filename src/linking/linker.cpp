@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <map>
 #include <span>
-#include <unordered_map>
 
 namespace sm::linking {
 
@@ -16,6 +15,151 @@ bool version_legal(const scan::CertRecord& cert) {
 /// Chunk size for parallel loops over groups: groups are cheap
 /// individually, so batch enough of them to amortize scheduling.
 constexpr std::size_t kGroupChunk = 32;
+
+using CertSpan = std::span<const scan::CertId>;
+
+/// Per-chunk buffers the group evaluation reuses from group to group.
+struct GroupScratch {
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> lifetimes;
+  std::vector<std::uint64_t> ips, slash24s, ases;  // location << 32 | scan
+  std::vector<std::uint32_t> scans;
+};
+
+/// One group's modal-location counts: scans where the group sat at its
+/// modal IP / /24 / AS, and the scans it was observed in at all. Summed
+/// over a field's groups, the same four numbers give the field's
+/// consistency.
+struct GroupCounts {
+  std::uint64_t ip_modal = 0;
+  std::uint64_t slash24_modal = 0;
+  std::uint64_t as_modal = 0;
+  std::uint64_t scans = 0;
+
+  GroupCounts& operator+=(const GroupCounts& other) {
+    ip_modal += other.ip_modal;
+    slash24_modal += other.slash24_modal;
+    as_modal += other.as_modal;
+    scans += other.scans;
+    return *this;
+  }
+
+  Consistency consistency() const {
+    Consistency out;
+    if (scans > 0) {
+      const double denom = static_cast<double>(scans);
+      out.ip = static_cast<double>(ip_modal) / denom;
+      out.slash24 = static_cast<double>(slash24_modal) / denom;
+      out.as_level = static_cast<double>(as_modal) / denom;
+    }
+    return out;
+  }
+};
+
+/// §6.3.2: no two member lifetimes overlap by more than `max_overlap`
+/// scans.
+bool passes_overlap_rule(const analysis::DatasetIndex& index, CertSpan certs,
+                         std::uint32_t max_overlap, GroupScratch& scratch) {
+  // Sorted by first_scan; a pair (i earlier, j later) overlaps by more than
+  // `max_overlap` iff min(last_i, last_j) >= first_j + max_overlap, which
+  // given running maxL reduces to one comparison per element.
+  auto& spans = scratch.lifetimes;
+  spans.clear();
+  for (const scan::CertId id : certs) {
+    const analysis::CertStats& stats = index.stats(id);
+    spans.emplace_back(stats.first_scan, stats.last_scan);
+  }
+  std::sort(spans.begin(), spans.end());
+  std::uint32_t max_last = 0;
+  bool first = true;
+  for (const auto& [first_scan, last_scan] : spans) {
+    if (!first) {
+      const std::uint32_t limit = first_scan + max_overlap;
+      if (max_last >= limit && last_scan >= limit) return false;
+    }
+    max_last = first ? last_scan : std::max(max_last, last_scan);
+    first = false;
+  }
+  return true;
+}
+
+/// Sorts and dedupes (location << 32 | scan) keys and returns the most
+/// distinct scans any one location was seen in.
+std::uint64_t modal_scans(std::vector<std::uint64_t>& keys) {
+  std::sort(keys.begin(), keys.end());
+  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+  std::uint64_t best = 0, run = 0;
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    run = i > 0 && keys[i] >> 32 == keys[i - 1] >> 32 ? run + 1 : 1;
+    best = std::max(best, run);
+  }
+  return best;
+}
+
+/// §6.4.1: per location kind, the number of scans containing the group's
+/// modal location.
+GroupCounts count_locations(const corpus::CorpusIndex& spine, CertSpan certs,
+                            GroupScratch& scratch) {
+  scratch.ips.clear();
+  scratch.slash24s.clear();
+  scratch.ases.clear();
+  scratch.scans.clear();
+  for (const scan::CertId id : certs) {
+    const std::span<const corpus::Obs> obs = spine.observations(id);
+    const std::span<const net::Asn> asns = spine.asns(id);
+    for (std::size_t i = 0; i < obs.size(); ++i) {
+      const std::uint64_t scan = obs[i].scan;
+      scratch.ips.push_back(std::uint64_t{obs[i].ip} << 32 | scan);
+      scratch.slash24s.push_back(std::uint64_t{obs[i].ip & 0xffffff00} << 32 |
+                                 scan);
+      scratch.ases.push_back(std::uint64_t{asns[i]} << 32 | scan);
+      scratch.scans.push_back(obs[i].scan);
+    }
+  }
+  GroupCounts out;
+  std::sort(scratch.scans.begin(), scratch.scans.end());
+  out.scans = static_cast<std::uint64_t>(
+      std::unique(scratch.scans.begin(), scratch.scans.end()) -
+      scratch.scans.begin());
+  out.ip_modal = modal_scans(scratch.ips);
+  out.slash24_modal = modal_scans(scratch.slash24s);
+  out.as_modal = modal_scans(scratch.ases);
+  return out;
+}
+
+/// A candidate group's verdict, written to its own slot by the parallel
+/// pass.
+struct Evaluated {
+  bool accepted = false;
+  GroupCounts counts;
+};
+
+/// The overlap rule for groups `certs_of(0)` .. `certs_of(count - 1)` and,
+/// for the accepted ones when `with_consistency` is set, the modal-location
+/// counts: one parallel region into index-addressed slots.
+template <class CertsOf>
+std::vector<Evaluated> evaluate_groups(util::ThreadPool& pool,
+                                       const analysis::DatasetIndex& index,
+                                       std::uint32_t max_overlap,
+                                       bool with_consistency, std::size_t count,
+                                       const CertsOf& certs_of) {
+  std::vector<Evaluated> evaluated(count);
+  pool.parallel_for(
+      count, kGroupChunk, [&](std::size_t begin, std::size_t end) {
+        GroupScratch scratch;
+        for (std::size_t g = begin; g < end; ++g) {
+          const CertSpan certs = certs_of(g);
+          if (!passes_overlap_rule(index, certs, max_overlap, scratch)) {
+            continue;
+          }
+          evaluated[g].accepted = true;
+          if (with_consistency) {
+            evaluated[g].counts =
+                count_locations(index.corpus(), certs, scratch);
+          }
+        }
+      });
+  return evaluated;
+}
 
 }  // namespace
 
@@ -49,6 +193,72 @@ Linker::Linker(const analysis::DatasetIndex& index, LinkerConfig config,
   // all come from the shared corpus spine now — no per-layer CSR rebuild,
   // no per-observation as_of calls.
   features_.emplace(certs, eligible_, config_.exclude_ip_common_names, pool_);
+  evaluate();
+}
+
+void Linker::evaluate() {
+  // The index holds eligible certificates only, so every value carried by
+  // two or more certificates is a candidate group over the eligible set.
+  struct Candidate {
+    std::uint32_t field;
+    std::uint32_t value;
+  };
+  std::vector<Candidate> candidates;
+  for (std::size_t fi = 0; fi < kAllFeatures.size(); ++fi) {
+    const Feature feature = kAllFeatures[fi];
+    const std::uint32_t values = features_->value_count(feature);
+    for (std::uint32_t v = 0; v < values; ++v) {
+      if (features_->multiplicity(feature, v) >= 2) {
+        candidates.push_back({static_cast<std::uint32_t>(fi), v});
+      }
+    }
+  }
+  const auto certs_of = [&](std::size_t g) {
+    const FeatureIndex::CertSpan span = features_->certs_with_value(
+        kAllFeatures[candidates[g].field], candidates[g].value);
+    return CertSpan(span.begin(), span.size());
+  };
+
+  // One parallel region over every (field, candidate group).
+  const std::vector<Evaluated> evaluated =
+      evaluate_groups(*pool_, *index_, config_.max_overlap_scans,
+                      /*with_consistency=*/true, candidates.size(), certs_of);
+
+  // Reduce in candidate order: field by field, value id by value id.
+  fields_.resize(kAllFeatures.size());
+  std::vector<GroupCounts> totals(kAllFeatures.size());
+  for (std::size_t fi = 0; fi < kAllFeatures.size(); ++fi) {
+    fields_[fi].feature = kAllFeatures[fi];
+  }
+  for (std::size_t g = 0; g < candidates.size(); ++g) {
+    if (!evaluated[g].accepted) continue;
+    const CertSpan certs = certs_of(g);
+    FieldResult& field = fields_[candidates[g].field];
+    field.total_linked += certs.size();
+    totals[candidates[g].field] += evaluated[g].counts;
+    field.groups.push_back(LinkedGroup{
+        field.feature, std::vector<scan::CertId>(certs.begin(), certs.end())});
+  }
+  for (std::size_t fi = 0; fi < kAllFeatures.size(); ++fi) {
+    fields_[fi].consistency = totals[fi].consistency();
+  }
+
+  // Uniquely-linked: certificates appearing in exactly one field's groups.
+  std::vector<std::uint8_t> link_count(eligible_.size(), 0);
+  for (const FieldResult& result : fields_) {
+    for (const LinkedGroup& group : result.groups) {
+      for (const scan::CertId id : group.certs) {
+        if (link_count[id] < 255) ++link_count[id];
+      }
+    }
+  }
+  for (FieldResult& result : fields_) {
+    for (const LinkedGroup& group : result.groups) {
+      for (const scan::CertId id : group.certs) {
+        if (link_count[id] == 1) ++result.uniquely_linked;
+      }
+    }
+  }
 }
 
 std::vector<FeatureUniqueness> Linker::feature_uniqueness() const {
@@ -69,31 +279,6 @@ std::vector<FeatureUniqueness> Linker::feature_uniqueness() const {
     out[fi] = FeatureUniqueness{feature, applicable, non_unique};
   }
   return out;
-}
-
-bool Linker::group_passes_overlap_rule(
-    const std::vector<scan::CertId>& certs) const {
-  // Sorted by first_scan; a pair (i earlier, j later) overlaps by more than
-  // `max_overlap_scans` iff min(last_i, last_j) >= first_j + max_overlap,
-  // which given running maxL reduces to one comparison per element.
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> spans;
-  spans.reserve(certs.size());
-  for (const scan::CertId id : certs) {
-    const analysis::CertStats& stats = index_->stats(id);
-    spans.emplace_back(stats.first_scan, stats.last_scan);
-  }
-  std::sort(spans.begin(), spans.end());
-  std::uint32_t max_last = 0;
-  bool first = true;
-  for (const auto& [first_scan, last_scan] : spans) {
-    if (!first) {
-      const std::uint32_t limit = first_scan + config_.max_overlap_scans;
-      if (max_last >= limit && last_scan >= limit) return false;
-    }
-    max_last = first ? last_scan : std::max(max_last, last_scan);
-    first = false;
-  }
-  return true;
 }
 
 FieldResult Linker::link_field(Feature feature,
@@ -120,153 +305,35 @@ FieldResult Linker::group_field(Feature feature, const std::vector<bool>& mask,
   }
 
   // Phase 2 (parallel): the per-group work — overlap rule + modal-location
-  // counting, when asked for — into index-addressed slots.
-  struct Evaluated {
-    bool accepted = false;
-    GroupCounts counts;
-  };
-  std::vector<Evaluated> evaluated(candidates.size());
-  pool_->parallel_for(
-      candidates.size(), kGroupChunk, [&](std::size_t begin, std::size_t end) {
-        for (std::size_t g = begin; g < end; ++g) {
-          if (!group_passes_overlap_rule(candidates[g])) continue;
-          evaluated[g].accepted = true;
-          if (with_consistency) evaluated[g].counts = group_counts(candidates[g]);
-        }
-      });
+  // counting, when asked for.
+  const std::vector<Evaluated> evaluated = evaluate_groups(
+      *pool_, *index_, config_.max_overlap_scans, with_consistency,
+      candidates.size(), [&](std::size_t g) { return CertSpan(candidates[g]); });
 
   // Phase 3 (serial): reduce in candidate order.
   FieldResult out;
   out.feature = feature;
-  std::uint64_t ip_max = 0, slash24_max = 0, as_max = 0, total_scans = 0;
+  GroupCounts total;
   for (std::size_t g = 0; g < candidates.size(); ++g) {
     if (!evaluated[g].accepted) continue;
     out.total_linked += candidates[g].size();
-    ip_max += evaluated[g].counts.ip_modal;
-    slash24_max += evaluated[g].counts.slash24_modal;
-    as_max += evaluated[g].counts.as_modal;
-    total_scans += evaluated[g].counts.scans;
+    total += evaluated[g].counts;
     out.groups.push_back(LinkedGroup{feature, std::move(candidates[g])});
   }
-  if (total_scans > 0) {
-    const double denom = static_cast<double>(total_scans);
-    out.consistency.ip = static_cast<double>(ip_max) / denom;
-    out.consistency.slash24 = static_cast<double>(slash24_max) / denom;
-    out.consistency.as_level = static_cast<double>(as_max) / denom;
-  }
-  return out;
-}
-
-Linker::GroupCounts Linker::group_counts(
-    const std::vector<scan::CertId>& certs) const {
-  // Per scan, the set of locations where the group was seen; consistency
-  // counts the scans containing the modal location.
-  std::unordered_map<std::uint32_t, std::uint32_t> ip_scans, s24_scans,
-      as_scans;
-  // Gather (scan, location) tuples from the spine's observation and ASN
-  // columns, segment per scan via sort.
-  std::vector<ObsRef> all;
-  for (const scan::CertId id : certs) {
-    const std::span<const corpus::Obs> obs = spine_->observations(id);
-    const std::span<const net::Asn> asns = spine_->asns(id);
-    for (std::size_t i = 0; i < obs.size(); ++i) {
-      all.push_back(ObsRef{obs[i].scan, obs[i].ip, asns[i]});
-    }
-  }
-  std::sort(all.begin(), all.end(), [](const ObsRef& a, const ObsRef& b) {
-    return a.scan < b.scan;
-  });
-  // For each scan, count each distinct location once.
-  GroupCounts out;
-  std::vector<std::uint32_t> ips, s24s, ases;
-  const auto count_unique = [](std::vector<std::uint32_t>& keys,
-                               std::unordered_map<std::uint32_t, std::uint32_t>&
-                                   counter) {
-    std::sort(keys.begin(), keys.end());
-    keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
-    for (const std::uint32_t key : keys) ++counter[key];
-    keys.clear();
-  };
-  std::size_t i = 0;
-  while (i < all.size()) {
-    const std::uint32_t scan = all[i].scan;
-    std::size_t j = i;
-    while (j < all.size() && all[j].scan == scan) {
-      ips.push_back(all[j].ip);
-      s24s.push_back(all[j].ip & 0xffffff00);
-      ases.push_back(all[j].asn);
-      ++j;
-    }
-    count_unique(ips, ip_scans);
-    count_unique(s24s, s24_scans);
-    count_unique(ases, as_scans);
-    ++out.scans;
-    i = j;
-  }
-  const auto modal = [](const auto& counter) {
-    std::uint32_t best = 0;
-    for (const auto& [key, count] : counter) best = std::max(best, count);
-    return best;
-  };
-  out.ip_modal = modal(ip_scans);
-  out.slash24_modal = modal(s24_scans);
-  out.as_modal = modal(as_scans);
+  out.consistency = total.consistency();
   return out;
 }
 
 Consistency Linker::group_consistency(const LinkedGroup& group) const {
-  const GroupCounts counts = group_counts(group.certs);
-  Consistency out;
-  if (counts.scans > 0) {
-    const double denom = static_cast<double>(counts.scans);
-    out.ip = static_cast<double>(counts.ip_modal) / denom;
-    out.slash24 = static_cast<double>(counts.slash24_modal) / denom;
-    out.as_level = static_cast<double>(counts.as_modal) / denom;
-  }
-  return out;
-}
-
-std::vector<FieldResult> Linker::evaluate_fields() const {
-  // One field per chunk; each field's own group loop parallelizes too when
-  // called standalone (nested regions run inline on the worker).
-  std::vector<FieldResult> results(kAllFeatures.size());
-  pool_->parallel_for(kAllFeatures.size(), 1,
-                      [&](std::size_t begin, std::size_t end) {
-                        for (std::size_t fi = begin; fi < end; ++fi) {
-                          results[fi] = link_field(kAllFeatures[fi], eligible_);
-                        }
-                      });
-  return results;
-}
-
-std::vector<FieldResult> Linker::evaluate_all_fields() const {
-  std::vector<FieldResult> results = evaluate_fields();
-  // Uniquely-linked: certificates appearing in exactly one field's groups.
-  const std::size_t n = index_->archive().certs().size();
-  std::vector<std::uint8_t> link_count(n, 0);
-  for (const FieldResult& result : results) {
-    for (const LinkedGroup& group : result.groups) {
-      for (const scan::CertId id : group.certs) {
-        if (link_count[id] < 255) ++link_count[id];
-      }
-    }
-  }
-  for (FieldResult& result : results) {
-    for (const LinkedGroup& group : result.groups) {
-      for (const scan::CertId id : group.certs) {
-        if (link_count[id] == 1) ++result.uniquely_linked;
-      }
-    }
-  }
-  return results;
+  GroupScratch scratch;
+  return count_locations(*spine_, group.certs, scratch).consistency();
 }
 
 IterativeResult Linker::link_iteratively() const {
-  std::vector<FieldResult> all = evaluate_fields();
   // §6.4.3: exclude Not Before, Not After, and IN+SN (insufficient
   // consistency); order the rest by AS-level consistency, descending.
-  std::vector<FieldResult*> usable;
-  for (FieldResult& result : all) {
+  std::vector<const FieldResult*> usable;
+  for (const FieldResult& result : fields_) {
     if (result.feature == Feature::kNotBefore ||
         result.feature == Feature::kNotAfter ||
         result.feature == Feature::kIssuerSerial) {
@@ -281,26 +348,20 @@ IterativeResult Linker::link_iteratively() const {
   std::vector<Feature> order;
   order.reserve(usable.size());
   for (const FieldResult* result : usable) order.push_back(result->feature);
-  // The first field links over the whole eligible set, exactly as its
-  // evaluation above did, so its groups are reused.
-  return iterate(order, usable.empty() ? nullptr : usable.front());
+  return link_iteratively(order);
 }
 
 IterativeResult Linker::link_iteratively(
     const std::vector<Feature>& order) const {
-  return iterate(order, nullptr);
-}
-
-IterativeResult Linker::iterate(const std::vector<Feature>& order,
-                                FieldResult* first) const {
   IterativeResult out;
   out.order = order;
   std::vector<bool> mask = eligible_;
   for (std::size_t i = 0; i < order.size(); ++i) {
+    // The first field links over the whole eligible set, exactly as its
+    // evaluation did, so its groups are copied from there.
     FieldResult result =
-        i == 0 && first != nullptr
-            ? std::move(*first)
-            : group_field(order[i], mask, /*with_consistency=*/false);
+        i == 0 ? fields_[static_cast<std::size_t>(order[0])]
+               : group_field(order[i], mask, /*with_consistency=*/false);
     for (LinkedGroup& group : result.groups) {
       for (const scan::CertId id : group.certs) mask[id] = false;
       out.linked_certs += group.certs.size();

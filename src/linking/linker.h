@@ -16,6 +16,11 @@
 //      consistency (Not Before / Not After / IN+SN excluded as too weak),
 //      each field links what it can, linked certificates leave the pool.
 //
+// Steps 2 and 3 run once per Linker, at construction, for all ten fields
+// over the eligible set; Table 6 and step 4 read that one evaluation.
+// Feature values are interned without building a string per certificate
+// (see FeatureIndex).
+//
 // Because the simulator knows the true device behind every observation,
 // this module also scores linking precision/recall against ground truth —
 // the validation the paper lists as future work.
@@ -117,9 +122,11 @@ struct TruthScore {
 
 /// The linking engine. Construct once per dataset; all methods are const.
 ///
-/// Construction interns every feature value into a FeatureIndex, and the
-/// hot paths (per-field grouping, consistency evaluation) run on a
-/// ThreadPool. Results are bit-identical for every thread count: parallel
+/// Construction interns every feature value into a FeatureIndex and then
+/// evaluates all ten fields over the eligible set (Table 6) in one
+/// parallel region over every (field, candidate group) on a ThreadPool;
+/// `evaluate_all_fields` and `link_iteratively` both read that one
+/// evaluation. Results are bit-identical for every thread count: parallel
 /// regions write index-addressed slots and are reduced in deterministic
 /// order.
 class Linker {
@@ -141,8 +148,11 @@ class Linker {
   FieldResult link_field(Feature feature, const std::vector<bool>& mask) const;
 
   /// Table 6: every field independently over the full eligible set, with
-  /// uniquely-linked counts filled in.
-  std::vector<FieldResult> evaluate_all_fields() const;
+  /// uniquely-linked counts filled in, in kAllFeatures order (evaluated
+  /// at construction).
+  const std::vector<FieldResult>& evaluate_all_fields() const {
+    return fields_;
+  }
 
   /// §6.4.3: iterative linking with the field order derived from
   /// `evaluate_all_fields` (AS-consistency descending; Not Before /
@@ -167,38 +177,13 @@ class Linker {
   }
 
  private:
-  struct ObsRef {
-    std::uint32_t scan = 0;
-    std::uint32_t ip = 0;
-    net::Asn asn = 0;
-  };
-
-  /// One group's modal-location counts: scans where the group sat at its
-  /// modal IP / /24 / AS, and the scans it was observed in at all.
-  struct GroupCounts {
-    std::uint64_t ip_modal = 0;
-    std::uint64_t slash24_modal = 0;
-    std::uint64_t as_modal = 0;
-    std::uint64_t scans = 0;
-  };
-
-  bool group_passes_overlap_rule(const std::vector<scan::CertId>& certs) const;
-
   /// link_field; the consistency (modal-location counting) is computed
   /// only when `with_consistency` is set, and is zero otherwise.
   FieldResult group_field(Feature feature, const std::vector<bool>& mask,
                           bool with_consistency) const;
 
-  /// evaluate_all_fields without the uniquely-linked counts.
-  std::vector<FieldResult> evaluate_fields() const;
-
-  /// Iterative linking in `order`. When `first` is non-null it holds
-  /// order[0]'s result over the whole eligible set, and its groups are
-  /// taken instead of recomputed.
-  IterativeResult iterate(const std::vector<Feature>& order,
-                          FieldResult* first) const;
-
-  GroupCounts group_counts(const std::vector<scan::CertId>& certs) const;
+  /// Fills fields_: Table 6 over the eligible set.
+  void evaluate();
 
   const analysis::DatasetIndex* index_;
   const corpus::CorpusIndex* spine_;  // == &index_->corpus()
@@ -206,8 +191,10 @@ class Linker {
   util::ThreadPool* pool_;
   std::vector<bool> eligible_;
   std::uint64_t eligible_count_ = 0;
-  // Interned feature values over the eligible set (set last in the ctor).
+  // Interned feature values over the eligible set.
   std::optional<FeatureIndex> features_;
+  // evaluate_all_fields(), computed once at construction.
+  std::vector<FieldResult> fields_;
 };
 
 }  // namespace sm::linking

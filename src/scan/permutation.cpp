@@ -17,6 +17,10 @@ std::uint16_t feistel_f(std::uint16_t half, std::uint32_t round_key) {
   return static_cast<std::uint16_t>(x);
 }
 
+// GCC/Clang's 128-bit integer; __extension__ marks its use as intended
+// under -Wpedantic.
+__extension__ typedef unsigned __int128 Uint128;
+
 }  // namespace
 
 AddressPermutation::AddressPermutation(std::uint64_t key) {
@@ -52,8 +56,7 @@ util::UnixTime probe_time(const AddressPermutation& perm, net::Ipv4Address ip,
   const std::uint32_t index = perm.inverse(ip.value());
   // Probe instant = start + duration * index / 2^32, in integer arithmetic.
   const auto offset = static_cast<std::int64_t>(
-      (static_cast<unsigned __int128>(index) *
-       static_cast<unsigned __int128>(duration_seconds)) >>
+      (static_cast<Uint128>(index) * static_cast<Uint128>(duration_seconds)) >>
       32);
   return start + offset;
 }

@@ -389,6 +389,8 @@ TEST(Print, TagNames) {
   EXPECT_EQ(tag_name(0x02), "INTEGER");
   EXPECT_EQ(tag_name(0xa0), "[0]");
   EXPECT_EQ(tag_name(0x82), "[2] (primitive)");
+  EXPECT_EQ(tag_name(0x9e), "[30] (primitive)");  // two-digit numbers too
+  EXPECT_EQ(tag_name(0xbf), "[31]");
   EXPECT_EQ(tag_name(0x7f), "tag 0x7f");
 }
 

@@ -1,11 +1,17 @@
-// Tests for sm::linking — feature extraction, the §6.2 duplicate filter,
+// Tests for sm::linking — feature extraction and interning, the §6.2
+// duplicate filter,
 // the lifetime-overlap rule (including the paper's Figure 9 scenario),
 // consistency evaluation, iterative linking, and ground-truth scoring.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <unordered_map>
+
 #include "analysis/dataset.h"
 #include "linking/feature.h"
+#include "linking/feature_index.h"
 #include "linking/linker.h"
+#include "simworld/world.h"
 
 namespace sm::linking {
 namespace {
@@ -106,6 +112,139 @@ TEST(Feature, Names) {
   EXPECT_EQ(to_string(Feature::kPublicKey), "Public Key");
   EXPECT_EQ(to_string(Feature::kIssuerSerial), "IN + SN");
   EXPECT_EQ(kAllFeatures.size(), 10u);
+}
+
+// --- feature interning ----------------------------------------------------------
+
+// The key rules as plain strings: IN + SN is issuer_dn + "#" + serial_hex,
+// SAN the record's sorted '|'-joined list.
+TEST(Feature, ComposedKeysMatchTheirStringRules) {
+  for (const auto& [issuer, serial] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"a#b", "c"}, {"a", "b#c"}, {"", "x"}, {"x", ""}, {"", ""}}) {
+    CertRecord rec = make_record(4);
+    rec.issuer_dn = issuer;
+    rec.serial_hex = serial;
+    EXPECT_EQ(feature_value(rec, Feature::kIssuerSerial),
+              issuer.empty() && serial.empty() ? "" : issuer + "#" + serial);
+  }
+  for (const std::vector<std::string>& san : std::vector<std::vector<std::string>>{
+           {}, {""}, {"", ""}, {"|"}, {"a|b"}, {"b", "a"}, {"z", "a", "m", "a"}}) {
+    CertRecord rec = make_record(5);
+    rec.san = san;
+    EXPECT_EQ(feature_value(rec, Feature::kSan), rec.san_joined());
+  }
+  CertRecord rec = make_record(6);
+  rec.not_before = -kDay;
+  EXPECT_EQ(feature_value(rec, Feature::kNotBefore), std::to_string(-kDay));
+}
+
+/// Interns `feature` over `certs` with feature_value strings as the keys,
+/// ids in first-appearance order: the reference FeatureIndex must match.
+std::vector<std::uint32_t> reference_column(const scan::CertTable& certs,
+                                            const std::vector<bool>& include,
+                                            Feature feature,
+                                            bool exclude_ip_common_names) {
+  std::vector<std::uint32_t> column(certs.size(), FeatureIndex::kNoValue);
+  std::unordered_map<std::string, std::uint32_t> ids;
+  for (CertId id = 0; id < certs.size(); ++id) {
+    if (!include[id]) continue;
+    const std::string value =
+        feature_value(certs[id], feature, exclude_ip_common_names);
+    if (value.empty()) continue;
+    column[id] = ids.emplace(value, static_cast<std::uint32_t>(ids.size()))
+                     .first->second;
+  }
+  return column;
+}
+
+void expect_index_matches_strings(const scan::CertTable& certs,
+                                  const std::vector<bool>& include) {
+  for (const bool exclude_ip : {true, false}) {
+    const FeatureIndex index(certs, include, exclude_ip);
+    for (const Feature feature : kAllFeatures) {
+      EXPECT_EQ(index.column(feature),
+                reference_column(certs, include, feature, exclude_ip))
+          << to_string(feature) << " exclude_ip_common_names=" << exclude_ip;
+      // The CSR lists hold exactly the column's members, ascending.
+      std::vector<std::vector<CertId>> members(index.value_count(feature));
+      for (CertId id = 0; id < certs.size(); ++id) {
+        const std::uint32_t v = index.value_id(feature, id);
+        if (v != FeatureIndex::kNoValue) members[v].push_back(id);
+      }
+      for (std::uint32_t v = 0; v < members.size(); ++v) {
+        const FeatureIndex::CertSpan span = index.certs_with_value(feature, v);
+        EXPECT_EQ(std::vector<CertId>(span.begin(), span.end()), members[v]);
+      }
+    }
+  }
+}
+
+TEST(FeatureIndex, KeysEqualTheirStrings) {
+  scan::CertTable certs;
+  const auto add = [&](const auto& edit) {
+    CertRecord rec = make_record(certs.size());
+    edit(rec);
+    certs.push_back(rec);
+  };
+  // IN + SN: the '#' inside a name or serial makes these two one value.
+  add([](CertRecord& r) { r.issuer_dn = "a#b"; r.serial_hex = "c"; });
+  add([](CertRecord& r) { r.issuer_dn = "a"; r.serial_hex = "b#c"; });
+  add([](CertRecord& r) { r.issuer_dn = ""; r.serial_hex = "x"; });
+  add([](CertRecord& r) { r.issuer_dn = "x"; r.serial_hex = ""; });
+  // SAN: a '|' inside an entry, unsorted lists, empty entries.
+  add([](CertRecord& r) { r.san = {"a|b"}; });
+  add([](CertRecord& r) { r.san = {"a", "b"}; });
+  add([](CertRecord& r) { r.san = {"b", "a"}; });
+  add([](CertRecord& r) { r.san = {"dns:z", "dns:a", "dns:m"}; });
+  add([](CertRecord& r) { r.san = {"dns:m", "dns:z", "dns:a"}; });
+  add([](CertRecord& r) { r.san = {""}; });
+  add([](CertRecord& r) { r.san = {"", ""}; });
+  add([](CertRecord& r) { r.san = {"|"}; });
+  // IPv4-looking Common Names, excluded or not.
+  add([](CertRecord& r) { r.subject_cn = "10.0.0.1"; });
+  add([](CertRecord& r) { r.subject_cn = "10.0.0.1"; });
+  add([](CertRecord& r) { r.subject_cn = "10.0.0.256"; });
+  // Empty fields everywhere.
+  add([](CertRecord& r) {
+    r.subject_cn.clear();
+    r.issuer_dn.clear();
+    r.serial_hex.clear();
+    r.san.clear();
+  });
+  // Negative and shared validity bounds, a shared key, shared URLs.
+  add([](CertRecord& r) { r.not_before = -kDay; r.not_after = -1; });
+  add([](CertRecord& r) { r.not_before = -kDay; r.key_fingerprint = 0x1000; });
+  add([](CertRecord& r) { r.not_before = 1; });
+  add([](CertRecord& r) { r.not_before = 1 + (std::int64_t{1} << 32); });
+  add([](CertRecord& r) { r.crl_url = r.aia_url = r.ocsp_url = "u"; });
+  add([](CertRecord& r) { r.crl_url = r.ocsp_url = r.policy_oid = "u"; });
+  std::vector<bool> include(certs.size(), true);
+  expect_index_matches_strings(certs, include);
+  // Excluded certificates get no value and do not shift first appearance.
+  include[0] = include[5] = include[12] = false;
+  expect_index_matches_strings(certs, include);
+
+  const FeatureIndex index(certs, std::vector<bool>(certs.size(), true),
+                           true);
+  EXPECT_EQ(index.value_id(Feature::kIssuerSerial, 0),
+            index.value_id(Feature::kIssuerSerial, 1));
+  EXPECT_EQ(index.value_id(Feature::kSan, 4), index.value_id(Feature::kSan, 5));
+  EXPECT_EQ(index.value_id(Feature::kSan, 5), index.value_id(Feature::kSan, 6));
+  EXPECT_EQ(index.value_id(Feature::kSan, 10),
+            index.value_id(Feature::kSan, 11));
+  EXPECT_EQ(index.value_id(Feature::kSan, 9), FeatureIndex::kNoValue);
+  EXPECT_EQ(index.value_id(Feature::kCommonName, 12), FeatureIndex::kNoValue);
+}
+
+TEST(FeatureIndex, KeysEqualTheirStringsOnTheTinyWorld) {
+  const simworld::WorldResult world =
+      simworld::World(simworld::WorldConfig::tiny()).run();
+  const scan::CertTable& certs = world.archive.certs();
+  std::vector<bool> include(certs.size(), true);
+  expect_index_matches_strings(certs, include);
+  for (CertId id = 0; id < certs.size(); id += 3) include[id] = false;
+  expect_index_matches_strings(certs, include);
 }
 
 // --- §6.2 duplicate filter -----------------------------------------------------

@@ -37,17 +37,18 @@ x509::Certificate sample_cert(std::uint64_t seed) {
 
 // Exercise every accessor; the point is "no crash / no UB", not values.
 void poke_certificate(const x509::Certificate& cert) {
-  volatile std::size_t sink = 0;
-  sink += cert.subject.common_name().size();
-  sink += cert.issuer.to_string().size();
-  sink += cert.subject_alt_names().size();
-  sink += cert.crl_distribution_points().size();
-  sink += cert.authority_info_access().ocsp.size();
-  sink += cert.policy_oids().size();
-  sink += cert.authority_key_id().has_value() ? 1 : 0;
-  sink += cert.subject_key_id().has_value() ? 1 : 0;
-  sink += cert.basic_constraints().has_value() ? 1 : 0;
-  sink += cert.fingerprint_sha256().size();
+  std::size_t sum = 0;
+  sum += cert.subject.common_name().size();
+  sum += cert.issuer.to_string().size();
+  sum += cert.subject_alt_names().size();
+  sum += cert.crl_distribution_points().size();
+  sum += cert.authority_info_access().ocsp.size();
+  sum += cert.policy_oids().size();
+  sum += cert.authority_key_id().has_value() ? 1 : 0;
+  sum += cert.subject_key_id().has_value() ? 1 : 0;
+  sum += cert.basic_constraints().has_value() ? 1 : 0;
+  sum += cert.fingerprint_sha256().size();
+  volatile std::size_t sink = sum;
   (void)sink;
 }
 
@@ -127,13 +128,16 @@ TEST(Fuzz, PemMutationsNeverCrash) {
 
 // --- bignum division vs 128-bit reference ------------------------------------------
 
+// The reference is GCC/Clang's 128-bit integer; __extension__ marks its
+// use as intended under -Wpedantic.
+__extension__ typedef unsigned __int128 Uint128;
+
 class DivmodReference : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(DivmodReference, MatchesInt128) {
   util::Rng rng(GetParam());
   for (int round = 0; round < 2000; ++round) {
-    const unsigned __int128 num =
-        (static_cast<unsigned __int128>(rng()) << 64) | rng();
+    const Uint128 num = (static_cast<Uint128>(rng()) << 64) | rng();
     std::uint64_t den64 = rng();
     if (rng.chance(0.3)) den64 >>= rng.below(48);  // vary divisor magnitude
     if (den64 == 0) den64 = 1;
@@ -147,8 +151,8 @@ TEST_P(DivmodReference, MatchesInt128) {
     const bignum::BigUint big_den(den64);
     const auto [quotient, remainder] =
         bignum::BigUint::divmod(big_num, big_den);
-    const unsigned __int128 expected_q = num / den64;
-    const unsigned __int128 expected_r = num % den64;
+    const Uint128 expected_q = num / den64;
+    const Uint128 expected_r = num % den64;
     EXPECT_EQ(quotient.low64(),
               static_cast<std::uint64_t>(expected_q & ~0ULL));
     EXPECT_EQ((quotient >> 64).low64(),
